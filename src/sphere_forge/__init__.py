@@ -29,6 +29,7 @@ from .constructions import (
     build_facet_cone_sphere,
     build_join_cone_sphere,
     build_stacked_sphere,
+    verify_bundle,
 )
 from .disc_delta import DeltaDisc, PolygonCycle, build_delta, disc_sign_census, reduction_step
 from .homology import (

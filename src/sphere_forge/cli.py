@@ -13,13 +13,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .complex_core import Complex, f_vector_and_euler, simplex
+from .complex_core import Complex, f_vector_and_euler
 from .constructions import (
     ConstructionBundle,
     build_double_cone_sphere,
     build_facet_cone_sphere,
     build_join_cone_sphere,
     build_stacked_sphere,
+    verify_bundle,
 )
 from .disc_delta import build_delta, disc_sign_census
 from .errors import (
@@ -37,9 +38,8 @@ from .formats import (
     dumps_canonical,
     map_from_text,
 )
-from .homology import sphere_check, top_kernel_generator
+from .homology import CheckItem, sphere_check
 from .minimality import verify_small_sphere_bounds
-from .orientation import coherent_orientation, fundamental_cycle
 from .simplicial_map import VertexMap, degree_by_counting, degree_by_cycle
 
 
@@ -53,6 +53,10 @@ class CommandResult:
         if fmt == "json":
             return dumps_canonical(self.data)
         return self.text if self.text.endswith("\n") else self.text + "\n"
+
+
+def _check_lines(items) -> list[str]:
+    return [f"  [{'pass' if c.ok else 'FAIL'}] {c.name}: {c.detail}" for c in items]
 
 
 def _summary_lines(bundle: ConstructionBundle) -> list[str]:
@@ -199,59 +203,6 @@ def run_degree(
     return CommandResult(exit_code, "\n".join(lines), data)
 
 
-def _verify_bundle_checks(bundle: ConstructionBundle) -> tuple[dict, list[str], bool]:
-    n = bundle.source.dimension
-    level = "certify_low_dim" if n <= 3 else "necessary"
-    checks: list[tuple[str, bool, str]] = []
-
-    vertices_ok = len(bundle.source.vertices) == bundle.expected_vertices
-    checks.append(
-        ("vertex_count", vertices_ok, f"{len(bundle.source.vertices)} vertices")
-    )
-    sphere_report = sphere_check(bundle.source, n, level)
-    checks.append(("sphere_check", sphere_report.passed, f"level {level}"))
-
-    counting = degree_by_counting(bundle)
-    cycle = degree_by_cycle(bundle)
-    agree = counting.degree == cycle
-    checks.append(
-        ("dual_oracle_agreement", agree, f"counting {counting.degree}, cycle {cycle}")
-    )
-    if bundle.expected_degree is not None:
-        checks.append(
-            (
-                "expected_degree",
-                counting.degree == bundle.expected_degree and agree,
-                f"expected {bundle.expected_degree}",
-            )
-        )
-
-    oriented = coherent_orientation(bundle.source, simplex(bundle.source_base), 1)
-    cycle_coeffs = fundamental_cycle(oriented).coefficients
-    kernel = top_kernel_generator(bundle.source)
-    base = simplex(bundle.source_base)
-    flip = 1 if kernel[base] == cycle_coeffs[base] else -1
-    fundamental_ok = all(
-        cycle_coeffs[s] == flip * kernel[s] for s in cycle_coeffs
-    )
-    checks.append(
-        ("fundamental_cycle_matches_kernel", fundamental_ok, "entrywise up to sign")
-    )
-
-    ok = all(c[1] for c in checks)
-    lines = [f"bundle: {bundle.label}"]
-    for name, passed, detail in checks:
-        mark = "pass" if passed else "FAIL"
-        lines.append(f"  [{mark}] {name}: {detail}")
-    data = {
-        "label": bundle.label,
-        "checks": [{"name": c[0], "ok": c[1], "detail": c[2]} for c in checks],
-        "passed": ok,
-        "sphere_check": sphere_report.as_dict(),
-    }
-    return data, lines, ok
-
-
 def run_verify(
     what: str,
     in_path: str | None = None,
@@ -268,9 +219,7 @@ def run_verify(
         dim = K.dimension if n is None else n
         report = sphere_check(K, dim, level)
         lines = [f"sphere check (n = {dim}, level = {report.level})"]
-        for item in report.items:
-            mark = "pass" if item.ok else "FAIL"
-            lines.append(f"  [{mark}] {item.name}: {item.detail}")
+        lines += _check_lines(report.items)
         lines.extend(f"  note: {note}" for note in report.notes)
         return CommandResult(
             0 if report.passed else 1, "\n".join(lines), report.as_dict()
@@ -282,30 +231,18 @@ def run_verify(
         disc = build_delta(d)
         counts = disc_sign_census(disc)
         fv, euler = f_vector_and_euler(disc.complex)
-        expectations = [
-            ("triangles", fv[2] == 3 * d - 2, f"{fv[2]} = 3d-2"),
-            ("positives", counts.positives == 2 * d - 1, f"{counts.positives} = 2d-1"),
-            ("negatives", counts.negatives == d - 1, f"{counts.negatives} = d-1"),
-            ("boundary_in_positive", counts.boundary_in_positive, ""),
-            (
-                "signs_match_orientation",
-                counts.sign_agrees_with_orientation,
-                "",
-            ),
-            ("euler", euler == 1, f"chi = {euler}"),
+        checks = [
+            CheckItem("triangles", fv[2] == 3 * d - 2, f"{fv[2]} = 3d-2"),
+            CheckItem("positives", counts.positives == 2 * d - 1, f"{counts.positives} = 2d-1"),
+            CheckItem("negatives", counts.negatives == d - 1, f"{counts.negatives} = d-1"),
+            CheckItem("boundary_in_positive", counts.boundary_in_positive),
+            CheckItem("signs_match_orientation", counts.sign_agrees_with_orientation),
+            CheckItem("euler", euler == 1, f"chi = {euler}"),
         ]
-        ok = all(e[1] for e in expectations)
+        ok = all(c.ok for c in checks)
         lines = [f"disc d={d}: {counts.positives} positive, {counts.negatives} negative"]
-        for name, passed, detail in expectations:
-            lines.append(f"  [{'pass' if passed else 'FAIL'}] {name}: {detail}")
-        data = {
-            "d": d,
-            "checks": [
-                {"name": e[0], "ok": e[1], "detail": e[2]} for e in expectations
-            ],
-            "passed": ok,
-        }
-        return CommandResult(0 if ok else 1, "\n".join(lines), data)
+        data = {"d": d, "checks": [c.as_dict() for c in checks], "passed": ok}
+        return CommandResult(0 if ok else 1, "\n".join(lines + _check_lines(checks)), data)
 
     if what == "minimality":
         report = verify_small_sphere_bounds(max_v=max_v)
@@ -328,8 +265,15 @@ def run_verify(
         if not in_path:
             raise SphereForgeError("verify bundle needs --in")
         bundle = bundle_from_json(Path(in_path).read_text())
-        data, lines, ok = _verify_bundle_checks(bundle)
-        return CommandResult(0 if ok else 1, "\n".join(lines), data)
+        result = verify_bundle(bundle)
+        data = {
+            "label": bundle.label,
+            "checks": [c.as_dict() for c in result.checks],
+            "passed": result.passed,
+            "sphere_check": result.sphere.as_dict(),
+        }
+        lines = [f"bundle: {bundle.label}"] + _check_lines(result.checks)
+        return CommandResult(0 if result.passed else 1, "\n".join(lines), data)
 
     raise SphereForgeError(f"unknown verify target {what!r}")
 

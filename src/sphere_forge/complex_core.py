@@ -14,7 +14,7 @@ operations on closed complexes.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -127,6 +127,18 @@ class Complex:
                 bucket.update(Simplex(c) for c in combinations(vs, k + 1))
         return {k: frozenset(s) for k, s in per.items()}
 
+    @cached_property
+    def ridge_facets(self) -> dict[tuple[VertexLabel, ...], tuple[int, ...]]:
+        """Each ridge (a facet minus one vertex, as a vertex tuple) mapped
+        to the ascending indices of the facets containing it.  The ridge
+        of a point is ``()``."""
+        by_ridge: dict[tuple[VertexLabel, ...], list[int]] = {}
+        for idx, f in enumerate(self.facets):
+            vs = f.vertices
+            for r in combinations(vs, len(vs) - 1):
+                by_ridge.setdefault(r, []).append(idx)
+        return {r: tuple(members) for r, members in by_ridge.items()}
+
     def __iter__(self):
         return iter(self.facets)
 
@@ -221,14 +233,6 @@ def cone(apex: VertexLabel, K: Complex) -> Complex:
     return join(Complex((Simplex((apex,)),)), K)
 
 
-def _ridge_counts(K: Complex) -> Counter:
-    counts: Counter = Counter()
-    for f in K.facets:
-        vs = f.vertices
-        counts.update(combinations(vs, len(vs) - 1))
-    return counts
-
-
 def boundary_complex(K: Complex) -> Complex:
     """Subcomplex generated by ridges lying in exactly one facet.
 
@@ -238,7 +242,7 @@ def boundary_complex(K: Complex) -> Complex:
         raise NotPure("boundary is defined for pure complexes only")
     if K.is_empty:
         return K
-    ridges = [Simplex(r) for r, c in _ridge_counts(K).items() if c == 1]
+    ridges = [Simplex(r) for r, members in K.ridge_facets.items() if len(members) == 1]
     if not ridges:
         return empty_complex()
     return Complex(tuple(sorted(ridges)))
@@ -302,16 +306,11 @@ def pseudomanifold_check(K: Complex) -> PseudomanifoldReport:
     if K.is_empty:
         return PseudomanifoldReport(True, 0, True, True, True, 0)
     pure = K.is_pure
-    counts = _ridge_counts(K)
-    max_mult = max(counts.values()) if counts else 0
-    boundary = sum(1 for c in counts.values() if c == 1)
-    closed = pure and boundary == 0 and max_mult == 2 if counts else pure
+    by_ridge = K.ridge_facets
+    max_mult = max(map(len, by_ridge.values())) if by_ridge else 0
+    boundary = sum(1 for members in by_ridge.values() if len(members) == 1)
+    closed = pure and boundary == 0 and max_mult == 2 if by_ridge else pure
     # facet adjacency through shared ridges
-    by_ridge: dict[tuple, list[int]] = {}
-    for idx, f in enumerate(K.facets):
-        vs = f.vertices
-        for r in combinations(vs, len(vs) - 1):
-            by_ridge.setdefault(r, []).append(idx)
     adjacency: dict[int, set[int]] = {i: set() for i in range(len(K.facets))}
     for members in by_ridge.values():
         for a in members:

@@ -5,8 +5,8 @@ map onto the standard (n+2)-vertex sphere, the written-order base facets
 that pin the orientation convention, and the degree and vertex count the
 construction promises.  Builders validate structure (vertex counts, a
 closed connected pseudomanifold, no facet collapsing under the map);
-the expensive sphere/degree verification lives in the test and verify
-surfaces.
+the expensive sphere and degree battery is :func:`verify_bundle`, which
+the CLI and the acceptance suite both run.
 
 All four follow the same scheme: triangulate a ball whose top-level
 cells hit the first target facet with multiplicity, then cone the
@@ -30,8 +30,17 @@ from .complex_core import (
 )
 from .disc_delta import build_delta
 from .errors import PreconditionFailed
+from .homology import (
+    LEVEL_CERTIFY,
+    LEVEL_NECESSARY,
+    CheckItem,
+    SphereCheckReport,
+    sphere_check,
+    top_kernel_generator,
+)
 from .labels import VertexLabel, u_label, u_pair, v_label
-from .simplicial_map import VertexMap
+from .orientation import coherent_orientation, fundamental_cycle
+from .simplicial_map import VertexMap, degree_by_counting, degree_by_cycle
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +60,71 @@ class ConstructionBundle:
     @property
     def n(self) -> int:
         return self.source.dimension
+
+
+@dataclass(frozen=True)
+class BundleVerification:
+    """Outcome of :func:`verify_bundle`: the named checks, the sphere
+    report behind the ``sphere_check`` item, and both oracles' degrees."""
+
+    checks: tuple[CheckItem, ...]
+    sphere: SphereCheckReport
+    counting_degree: int
+    cycle_degree: int
+
+    @property
+    def passed(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+
+def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
+    """Run the full battery on a bundle.
+
+    Checks the vertex count, the sphere battery (certifying vertex links
+    for n <= 3), agreement of the counting and cycle degree oracles, the
+    expected degree when the bundle names one, and that the coherent
+    fundamental cycle equals the top kernel generator up to one sign.
+    """
+    source = bundle.source
+    n = source.dimension
+    level = LEVEL_CERTIFY if n <= 3 else LEVEL_NECESSARY
+    checks = [
+        CheckItem(
+            "vertex_count",
+            len(source.vertices) == bundle.expected_vertices,
+            f"{len(source.vertices)} vertices",
+        )
+    ]
+    sphere = sphere_check(source, n, level)
+    checks.append(CheckItem("sphere_check", sphere.passed, f"level {level}"))
+
+    counting = degree_by_counting(bundle).degree
+    cycle = degree_by_cycle(bundle)
+    agree = counting == cycle
+    checks.append(
+        CheckItem("dual_oracle_agreement", agree, f"counting {counting}, cycle {cycle}")
+    )
+    if bundle.expected_degree is not None:
+        checks.append(
+            CheckItem(
+                "expected_degree",
+                counting == bundle.expected_degree and agree,
+                f"expected {bundle.expected_degree}",
+            )
+        )
+
+    base = simplex(bundle.source_base)
+    chain = fundamental_cycle(coherent_orientation(source, base, 1)).coefficients
+    kernel = top_kernel_generator(source)
+    flip = 1 if kernel[base] == chain[base] else -1
+    checks.append(
+        CheckItem(
+            "fundamental_cycle_matches_kernel",
+            all(chain[s] == flip * kernel[s] for s in chain),
+            "entrywise up to sign",
+        )
+    )
+    return BundleVerification(tuple(checks), sphere, counting, cycle)
 
 
 def _target_data(n: int):

@@ -57,21 +57,40 @@ def complex_to_json_obj(
     return obj
 
 
-def complex_from_json_obj(obj: dict) -> tuple[Complex, dict[Simplex, int] | None]:
-    K = make_complex(
-        [[parse_label(tok) for tok in facet] for facet in obj["facets"]]
-    )
+def _field(obj, key: str, what: str, kind=object):
+    """``obj[key]``, raising a one-line ValueError unless ``obj`` is a
+    JSON object whose ``key`` holds a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if key not in obj or not isinstance(obj[key], kind):
+        raise ValueError(f"{what} needs a valid {key!r} field")
+    return obj[key]
+
+
+def _labels(value, what: str) -> tuple[VertexLabel, ...]:
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise ValueError(f"{what} must be a list of label strings")
+    return tuple(parse_label(t) for t in value)
+
+
+def complex_from_json_obj(
+    obj, what: str = "complex"
+) -> tuple[Complex, dict[Simplex, int] | None]:
+    facets = _field(obj, "facets", what, list)
+    K = make_complex([_labels(facet, f"{what} facet") for facet in facets])
     if K.dimension != obj.get("dimension", K.dimension):
         raise ValueError(
-            f"dimension field {obj['dimension']} does not match facets (dim {K.dimension})"
+            f"dimension field {obj['dimension']!r} does not match facets (dim {K.dimension})"
         )
     declared = obj.get("vertices")
-    if declared is not None and sorted(declared) != sorted(str(v) for v in K.vertices):
+    if declared is not None and sorted(_labels(declared, f"{what} vertices")) != list(
+        K.vertices
+    ):
         raise ValueError("vertices field does not match the facet list")
     orientation = None
     if "orientation" in obj:
         orientation = {}
-        for key, sign in obj["orientation"].items():
+        for key, sign in _field(obj, "orientation", what, dict).items():
             if sign not in (1, -1):
                 raise ValueError(f"orientation sign must be 1 or -1, got {sign!r}")
             orientation[simplex(parse_label(tok) for tok in key.split())] = sign
@@ -115,29 +134,33 @@ def bundle_to_json_obj(bundle: ConstructionBundle) -> dict:
             [str(src), str(dst)] for src, dst in sorted(bundle.vertex_map.items())
         ],
         "source_base": [str(v) for v in bundle.source_base],
+        "target_base": [str(v) for v in bundle.target_base],
         "expected_degree": bundle.expected_degree,
         "label": bundle.label,
     }
 
 
-def bundle_from_json_obj(obj: dict) -> ConstructionBundle:
-    source, _ = complex_from_json_obj(obj["source"])
-    target, _ = complex_from_json_obj(obj["target"])
-    assignment = {
-        parse_label(src): parse_label(dst) for src, dst in obj["map"]
-    }
-    source_base = tuple(parse_label(tok) for tok in obj["source_base"])
-    # the target base is pinned to the lexicographically least target facet
-    target_base = target.facets[0].vertices
+def bundle_from_json_obj(obj) -> ConstructionBundle:
+    source, _ = complex_from_json_obj(_field(obj, "source", "bundle"), "source")
+    target, _ = complex_from_json_obj(_field(obj, "target", "bundle"), "target")
+    pairs = _field(obj, "map", "bundle", list)
+    assignment = dict(_labels(pair, "a map entry") for pair in pairs)
+    source_base = _labels(_field(obj, "source_base", "bundle"), "source_base")
+    if "target_base" in obj:
+        target_base = _labels(obj["target_base"], "target_base")
+    else:
+        # files written before target_base was stored pinned it to the
+        # lexicographically least target facet
+        target_base = target.facets[0].vertices
     return ConstructionBundle(
         source=source,
         target=target,
         vertex_map=VertexMap(assignment),
         source_base=source_base,
         target_base=target_base,
-        expected_degree=obj["expected_degree"],
+        expected_degree=_field(obj, "expected_degree", "bundle", (int, type(None))),
         expected_vertices=len(source.vertices),
-        label=obj.get("label", "bundle"),
+        label=str(obj.get("label", "bundle")),
     )
 
 
@@ -145,8 +168,15 @@ def bundle_to_json(bundle: ConstructionBundle) -> str:
     return dumps_canonical(bundle_to_json_obj(bundle))
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def bundle_from_json(text: str) -> ConstructionBundle:
-    return bundle_from_json_obj(json.loads(text))
+    return bundle_from_json_obj(_parse_json(text))
 
 
 def complex_to_json(K: Complex, orientation=None) -> str:
@@ -154,4 +184,4 @@ def complex_to_json(K: Complex, orientation=None) -> str:
 
 
 def complex_from_json(text: str) -> tuple[Complex, dict[Simplex, int] | None]:
-    return complex_from_json_obj(json.loads(text))
+    return complex_from_json_obj(_parse_json(text))

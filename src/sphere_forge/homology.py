@@ -2,10 +2,11 @@
 
 Boundary matrices, Smith normal form, kernels, homology groups, and the
 sphere sanity battery all run over arbitrary-precision Python integers;
-no floating point and no modular shortcuts anywhere.  Matrices stay at
-desk scale (a few thousand columns at most), so clarity beats asymptotic
-cleverness, but the Smith reduction is sparse-aware since boundary
-matrices carry only ``k+1`` entries per column.
+no floating point and no modular shortcuts anywhere.  Matrices are
+stored sparse by column from the start -- a boundary column carries
+exactly ``k+1`` entries of +-1 -- and every consumer (Smith reduction,
+kernels, the product check) reads those columns; a dense grid is only
+ever materialized on request through :attr:`IntegerMatrix.entries`.
 """
 
 from __future__ import annotations
@@ -27,29 +28,45 @@ from .orientation import Chain
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Dense integer matrix; entries are exact Python ints."""
+    """Sparse integer matrix stored by column.
+
+    ``columns[j]`` holds the nonzero ``(row, value)`` pairs of column j
+    in ascending row order; values are exact Python ints.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        data = tuple(tuple(int(x) for x in r) for r in rows)
+        data = [[int(x) for x in r] for r in rows]
         ncols = len(data[0]) if data else 0
         if any(len(r) != ncols for r in data):
             raise PreconditionFailed("ragged matrix rows")
-        return cls(len(data), ncols, data)
+        columns = tuple(
+            tuple((i, r[j]) for i, r in enumerate(data) if r[j]) for j in range(ncols)
+        )
+        return cls(len(data), ncols, columns)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return cls(rows, cols, ((),) * cols)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Dense row-major view, built afresh on every access."""
+        grid = [[0] * self.cols for _ in range(self.rows)]
+        for j, column in enumerate(self.columns):
+            for i, v in column:
+                grid[i][j] = v
+        return tuple(map(tuple, grid))
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
+        return dict(self.columns[j]).get(i, 0)
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.entries)
+        return not any(self.columns)
 
 
 @dataclass(frozen=True)
@@ -85,34 +102,29 @@ def boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
     """
     if k < 0 or k > K.dimension:
         raise PreconditionFailed(f"k={k} outside 0..{K.dimension}")
-    row_faces = face_basis(K, k - 1)
-    col_faces = face_basis(K, k)
-    row_index = {s: i for i, s in enumerate(row_faces)}
-    grid = [[0] * len(col_faces) for _ in row_faces]
-    for j, s in enumerate(col_faces):
+    row_index = {s.vertices: i for i, s in enumerate(face_basis(K, k - 1))}
+    columns = []
+    for s in face_basis(K, k):
         vs = s.vertices
-        for i in range(len(vs)):
-            face = Simplex(vs[:i] + vs[i + 1 :])
-            grid[row_index[face]][j] = -1 if i % 2 else 1
-    return IntegerMatrix(len(row_faces), len(col_faces), tuple(map(tuple, grid)))
+        # omitting a later vertex gives an earlier face, so walking i
+        # downwards lists the rows in ascending order
+        columns.append(
+            tuple(
+                (row_index[vs[:i] + vs[i + 1 :]], -1 if i % 2 else 1)
+                for i in reversed(range(len(vs)))
+            )
+        )
+    return IntegerMatrix(len(row_index), len(columns), tuple(columns))
 
 
 def matrix_product_is_zero(A: IntegerMatrix, B: IntegerMatrix) -> bool:
     """Sparse check that ``A @ B == 0`` without forming the dense product."""
     if A.cols != B.rows:
         raise PreconditionFailed("inner dimensions differ")
-    a_cols: list[list[tuple[int, int]]] = [[] for _ in range(A.cols)]
-    for i, row in enumerate(A.entries):
-        for j, v in enumerate(row):
-            if v:
-                a_cols[j].append((i, v))
-    for j in range(B.cols):
+    for column in B.columns:
         acc: dict[int, int] = {}
-        for r in range(B.rows):
-            v = B.entries[r][j]
-            if not v:
-                continue
-            for i, w in a_cols[r]:
+        for r, v in column:
+            for i, w in A.columns[r]:
                 acc[i] = acc.get(i, 0) + v * w
         if any(acc.values()):
             return False
@@ -137,18 +149,6 @@ def chain_boundary(chain: Chain) -> Chain:
 
 # ---------------------------------------------------------------------------
 # Smith normal form
-
-
-def _sparse_from_matrix(M: IntegerMatrix):
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, r in enumerate(M.entries):
-        entries = {j: v for j, v in enumerate(r) if v}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                cols.setdefault(j, set()).add(i)
-    return rows, cols
 
 
 def _pick_pivot(rows, cols):
@@ -183,8 +183,21 @@ def _row_axpy(rows, cols, target: int, source: int, factor: int):
         del rows[target]
 
 
-def _snf_diagonal(M: IntegerMatrix) -> list[int]:
-    rows, cols = _sparse_from_matrix(M)
+def smith_normal_form(M: IntegerMatrix) -> SNFResult:
+    """Invariant factors of M by unimodular row/column operations.
+
+    Pivoting picks the smallest nonzero absolute value (ties broken
+    toward sparsity, then position) which keeps entry growth tame and
+    the result deterministic.
+    """
+    # working copy: rows in ascending order with ascending columns inside
+    # each row, and the set of rows each column meets
+    by_row: dict[int, dict[int, int]] = {}
+    for j, column in enumerate(M.columns):
+        for i, v in column:
+            by_row.setdefault(i, {})[j] = v
+    rows = {i: by_row[i] for i in sorted(by_row)}
+    cols = {j: {i for i, _ in column} for j, column in enumerate(M.columns) if column}
     diagonal: list[int] = []
     while rows:
         pi, pj = _pick_pivot(rows, cols)
@@ -246,17 +259,6 @@ def _snf_diagonal(M: IntegerMatrix) -> list[int]:
         cols[pj].discard(pi)
         if not cols[pj]:
             del cols[pj]
-    return diagonal
-
-
-def smith_normal_form(M: IntegerMatrix) -> SNFResult:
-    """Invariant factors of M by unimodular row/column operations.
-
-    Pivoting picks the smallest nonzero absolute value (ties broken
-    toward sparsity, then position) which keeps entry growth tame and
-    the result deterministic.
-    """
-    diagonal = _snf_diagonal(M)
     return SNFResult(tuple(diagonal), len(diagonal))
 
 
@@ -270,11 +272,7 @@ def kernel_basis(M: IntegerMatrix) -> list[tuple[int, ...]]:
     Column elimination with unimodular operations tracked on an
     identity block; the surviving zero columns read off the kernel.
     """
-    columns: list[dict[int, int]] = [dict() for _ in range(M.cols)]
-    for i, row in enumerate(M.entries):
-        for j, v in enumerate(row):
-            if v:
-                columns[j][i] = v
+    columns = [dict(column) for column in M.columns]
     tracking: list[dict[int, int]] = [{j: 1} for j in range(M.cols)]
     active = set(range(M.cols))
 
@@ -371,6 +369,9 @@ class CheckItem:
     ok: bool
     detail: str = ""
 
+    def as_dict(self) -> dict:
+        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+
 
 @dataclass(frozen=True)
 class SphereCheckReport:
@@ -388,9 +389,7 @@ class SphereCheckReport:
             "n": self.n,
             "level": self.level,
             "passed": self.passed,
-            "checks": [
-                {"name": i.name, "ok": i.ok, "detail": i.detail} for i in self.items
-            ],
+            "checks": [item.as_dict() for item in self.items],
             "notes": list(self.notes),
         }
 

@@ -89,10 +89,6 @@ def parse_label(text: str) -> VertexLabel:
     return VertexLabel(base)
 
 
-def format_label(label: VertexLabel) -> str:
-    return str(label)
-
-
 def v_label(i: int) -> VertexLabel:
     """Target-sphere vertex ``v<i>``."""
     return VertexLabel("v", None, i)

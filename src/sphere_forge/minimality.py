@@ -15,9 +15,7 @@ and 3 through the packaged constructions.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -32,16 +30,10 @@ IntTriangle = tuple[int, int, int]
 
 
 def worker_count(partitions: int) -> int:
-    """Worker cap: SPHERE_FORGE_THREADS if set, else the processor count."""
-    env = os.environ.get("SPHERE_FORGE_THREADS")
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, partitions))
+    """Worker threads the map survey uses: always one, since the scan is
+    bound by the interpreter lock and threads gave it no speed-up.  Kept
+    because the benchmark in ``perfbench/`` traces it."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +218,36 @@ def _target_facet_signs() -> tuple[dict[frozenset[int], int], Complex]:
     return signs, target
 
 
-def _survey_partition(
-    triangles: list[IntTriangle],
-    tri_signs: list[int],
-    facet_sign: list[int],
-    v: int,
-    first_image: int,
-):
-    """Scan every assignment with vertex 0 mapped to ``first_image``."""
+@dataclass(frozen=True, eq=False)
+class DegreeSurvey:
+    max_abs: int
+    witness: VertexMap | None
+    degrees: Counter
+
+
+def degree_survey(K: Complex) -> DegreeSurvey:
+    """Try all simplicial vertex maps from a 2-sphere K onto the
+    standard 2-sphere; record the degree distribution.
+
+    Non-surjective assignments are skipped (their degree is zero).  The
+    scan is exhaustive and runs on the calling thread; the witness is the
+    first assignment of largest |degree| in lexicographic order.
+    """
+    vertices = K.vertices
+    v = len(vertices)
+    index = {lab: i for i, lab in enumerate(vertices)}
+    triangles = [
+        tuple(sorted(index[lab] for lab in facet.vertices)) for facet in K.facets
+    ]
+    oriented = coherent_orientation(K, K.facets[0], 1)
+    tri_signs = [oriented.signs[facet] for facet in K.facets]
+    target_signs, _ = _target_facet_signs()
+    facet_sign = [target_signs[frozenset({0, 1, 2, 3} - {o})] for o in range(4)]
+
     best = 0
     witness = None
     degrees: Counter = Counter()
-    for rest in product(range(4), repeat=v - 1):
-        assignment = (first_image,) + rest
+    for assignment in product(range(4), repeat=v):
         if len(set(assignment)) != 4:
             continue  # not surjective: degree 0 without counting
         totals = [0, 0, 0, 0]
@@ -264,51 +273,6 @@ def _survey_partition(
         if abs(deg) > best:
             best = abs(deg)
             witness = assignment
-    return best, witness, degrees
-
-
-@dataclass(frozen=True, eq=False)
-class DegreeSurvey:
-    max_abs: int
-    witness: VertexMap | None
-    degrees: Counter
-
-
-def degree_survey(K: Complex) -> DegreeSurvey:
-    """Try all simplicial vertex maps from a 2-sphere K onto the
-    standard 2-sphere; record the degree distribution.
-
-    Non-surjective assignments are skipped (their degree is zero).  The
-    assignment space is partitioned by the image of the first vertex;
-    partitions run on worker threads and merge deterministically.
-    """
-    vertices = K.vertices
-    v = len(vertices)
-    index = {lab: i for i, lab in enumerate(vertices)}
-    triangles = [
-        tuple(sorted(index[lab] for lab in facet.vertices)) for facet in K.facets
-    ]
-    oriented = coherent_orientation(K, K.facets[0], 1)
-    tri_signs = [oriented.signs[facet] for facet in K.facets]
-    target_signs, _ = _target_facet_signs()
-    facet_sign = [target_signs[frozenset({0, 1, 2, 3} - {o})] for o in range(4)]
-
-    workers = worker_count(4)
-    args = [(triangles, tri_signs, facet_sign, v, img) for img in range(4)]
-    if workers == 1:
-        parts = [_survey_partition(*a) for a in args]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda a: _survey_partition(*a), args))
-
-    best = 0
-    witness = None
-    degrees: Counter = Counter()
-    for part_best, part_witness, part_degrees in parts:  # fixed partition order
-        degrees.update(part_degrees)
-        if part_best > best:
-            best = part_best
-            witness = part_witness
     mapping = None
     if witness is not None:
         mapping = VertexMap(

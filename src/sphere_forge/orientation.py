@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .complex_core import Complex, Simplex, boundary_complex, pseudomanifold_check
@@ -71,15 +70,6 @@ class Chain:
     degree: int
 
 
-def _ridge_neighbours(K: Complex) -> dict[tuple, list[int]]:
-    by_ridge: dict[tuple, list[int]] = {}
-    for idx, f in enumerate(K.facets):
-        vs = f.vertices
-        for r in combinations(vs, len(vs) - 1):
-            by_ridge.setdefault(r, []).append(idx)
-    return by_ridge
-
-
 def coherent_orientation(
     K: Complex,
     base: Simplex,
@@ -108,7 +98,7 @@ def coherent_orientation(
     if traversal not in ("bfs", "dfs"):
         raise PreconditionFailed(f"unknown traversal {traversal!r}")
 
-    by_ridge = _ridge_neighbours(K)
+    by_ridge = K.ridge_facets
     signs: dict[int, int] = {base_idx: base_sign}
     frontier = deque([base_idx])
     while frontier:

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import sphere_forge
 from sphere_forge import (
     ConstructionBundle,
     VertexMap,
@@ -26,12 +27,9 @@ from sphere_forge import (
     degree_by_counting,
     degree_by_cycle,
     f_vector_and_euler,
-    fundamental_cycle,
     homology_groups,
     identity_map,
     disc_sign_census,
-    simplex,
-    sphere_check,
     standard_sphere,
     swap_map,
     verify_small_sphere_bounds,
@@ -39,7 +37,7 @@ from sphere_forge import (
 from sphere_forge.cli import run_degree
 from sphere_forge.errors import NonOrientable
 from sphere_forge.formats import bundle_to_json
-from sphere_forge.homology import matrix_product_is_zero, top_kernel_generator
+from sphere_forge.homology import matrix_product_is_zero
 from sphere_forge.labels import v_label
 
 from fixtures import DEGREE4_ALPHA, DEGREE4_ALPHA_SIX, PROJECTIVE_PLANE, complex_of, facet_set
@@ -51,28 +49,17 @@ def report_line(cid, ok, elapsed, detail):
 
 def verify_bundle(bundle, level):
     """Full per-bundle battery; returns a dict of booleans."""
-    checks = {}
-    checks["vertices"] = len(bundle.source.vertices) == bundle.expected_vertices
-    checks["sphere"] = sphere_check(
-        bundle.source, bundle.source.dimension, level
-    ).passed
-    counting = degree_by_counting(bundle).degree
-    cycle = degree_by_cycle(bundle)
-    checks["degree_counting"] = counting == bundle.expected_degree
-    checks["degree_cycle"] = cycle == bundle.expected_degree
-    checks["oracles_agree"] = counting == cycle
-
-    oriented = coherent_orientation(
-        bundle.source, simplex(bundle.source_base), 1
-    )
-    chain = fundamental_cycle(oriented).coefficients
-    kernel = top_kernel_generator(bundle.source)
-    base = simplex(bundle.source_base)
-    flip = 1 if kernel[base] == chain[base] else -1
-    checks["fundamental_matches_kernel"] = all(
-        chain[s] == flip * kernel[s] for s in chain
-    )
-    return checks
+    result = sphere_forge.verify_bundle(bundle)
+    assert result.sphere.level == level
+    ok = {c.name: c.ok for c in result.checks}
+    return {
+        "vertices": ok["vertex_count"],
+        "sphere": ok["sphere_check"],
+        "degree_counting": result.counting_degree == bundle.expected_degree,
+        "degree_cycle": result.cycle_degree == bundle.expected_degree,
+        "oracles_agree": ok["dual_oracle_agreement"],
+        "fundamental_matches_kernel": ok["fundamental_cycle_matches_kernel"],
+    }
 
 
 @pytest.fixture(scope="session")

@@ -122,3 +122,33 @@ def test_json_round_trip_property(facet_sets):
     K = make_complex([labels(" ".join(sorted(f))) for f in facet_sets])
     K2, _ = complex_from_json(complex_to_json(K))
     assert K2 == K
+
+
+def test_bundle_json_keeps_flipped_target_base():
+    """A target base written against the canonical order flips the degree;
+    the file must carry that convention through a round trip."""
+    from dataclasses import replace
+
+    from sphere_forge import degree_by_counting, degree_by_cycle, verify_bundle
+    from sphere_forge.labels import v_label
+
+    bundle = replace(
+        build_join_cone_sphere(2, 2),
+        target_base=(v_label(2), v_label(1), v_label(3)),
+        expected_degree=-2,
+    )
+    loaded = bundle_from_json(bundle_to_json(bundle))
+    assert loaded.target_base == bundle.target_base
+    assert degree_by_counting(loaded).degree == -2
+    assert degree_by_cycle(loaded) == -2
+    assert verify_bundle(loaded).passed
+
+
+def test_bundle_json_without_target_base_reads_least_target_facet():
+    from sphere_forge import degree_by_counting
+
+    obj = json.loads(bundle_to_json(build_join_cone_sphere(2, 2)))
+    del obj["target_base"]
+    loaded = bundle_from_json(json.dumps(obj))
+    assert loaded.target_base == loaded.target.facets[0].vertices
+    assert degree_by_counting(loaded).degree == 2

@@ -230,3 +230,33 @@ def test_sphere_check_high_dim_note():
 def test_sphere_check_rejects_projective_plane():
     report = sphere_check(complex_of(PROJECTIVE_PLANE), 2, "certify_low_dim")
     assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "build, args, degree",
+    [
+        ("build_join_cone_sphere", (3, 2), 2),
+        ("build_double_cone_sphere", (3, 1, "odd"), 4),
+    ],
+)
+def test_homology_path_builds_no_dense_grid(monkeypatch, build, args, degree):
+    import sphere_forge
+    from sphere_forge import degree_by_counting, degree_by_cycle, simplex
+
+    def no_grid(self):
+        raise AssertionError("dense grid built on the homology path")
+
+    monkeypatch.setattr(IntegerMatrix, "entries", property(no_grid))
+    bundle = getattr(sphere_forge, build)(*args)
+    K, n = bundle.source, bundle.source.dimension
+    assert sphere_check(K, n, "certify_low_dim").passed
+    groups = homology_groups(K)
+    assert tuple(g.betti for g in groups) == (1,) + (0,) * (n - 1) + (1,)
+    assert all(not g.torsion for g in groups)
+    base = simplex(bundle.source_base)
+    cyc = fundamental_cycle(coherent_orientation(K, base, 1)).coefficients
+    gen = top_kernel_generator(K)
+    flip = 1 if gen[base] == cyc[base] else -1
+    assert gen == {f: flip * c for f, c in cyc.items()}
+    assert degree_by_counting(bundle).degree == degree
+    assert degree_by_cycle(bundle) == degree

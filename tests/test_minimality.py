@@ -7,7 +7,7 @@ from sphere_forge import (
     verify_small_sphere_bounds,
 )
 from sphere_forge.errors import OutOfRange
-from sphere_forge.minimality import degree_survey, worker_count
+from sphere_forge.minimality import degree_survey
 
 
 @pytest.mark.parametrize("v,count", [(4, 1), (5, 1), (6, 2), (7, 5)])
@@ -83,15 +83,6 @@ def test_verify_report_restricted():
     assert report.census_sizes == {4: 1, 5: 1, 6: 2}
     assert report.degree2_bound_ok
     assert report.passed
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SPHERE_FORGE_THREADS", "2")
-    assert worker_count(4) == 2
-    monkeypatch.setenv("SPHERE_FORGE_THREADS", "junk")
-    assert worker_count(4) == 1
-    monkeypatch.delenv("SPHERE_FORGE_THREADS")
-    assert 1 <= worker_count(4) <= 4
 
 
 def test_census_exports_in_standard_formats():
