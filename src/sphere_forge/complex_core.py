@@ -49,9 +49,6 @@ class Simplex:
     def vertex_set(self) -> frozenset[VertexLabel]:
         return frozenset(self.vertices)
 
-    def is_face_of(self, other: "Simplex") -> bool:
-        return self.vertex_set <= other.vertex_set
-
     def __lt__(self, other: "Simplex") -> bool:
         return self.vertices < other.vertices
 
@@ -60,9 +57,6 @@ class Simplex:
 
     def __len__(self):
         return len(self.vertices)
-
-    def __contains__(self, label):
-        return label in self.vertex_set
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.vertices)
@@ -112,10 +106,6 @@ class Complex:
     def is_empty(self) -> bool:
         """True when the only face is the empty simplex (no vertices)."""
         return self.facets == (EMPTY_SIMPLEX,)
-
-    def has_face(self, s: Simplex) -> bool:
-        vs = s.vertex_set
-        return any(vs <= f.vertex_set for f in self.facets)
 
     @cached_property
     def _faces_by_dim(self) -> dict[int, frozenset[Simplex]]:

@@ -3,14 +3,17 @@
 Each builder produces a triangulated n-sphere together with the vertex
 map onto the standard (n+2)-vertex sphere, the written-order base facets
 that pin the orientation convention, and the degree and vertex count the
-construction promises.  Builders validate structure (vertex counts, a
-closed connected pseudomanifold, no facet collapsing under the map);
-the expensive sphere and degree battery is :func:`verify_bundle`, which
-the CLI and the acceptance suite both run.
+construction promises.  The expensive sphere and degree battery is
+:func:`verify_bundle`, which the CLI and the acceptance suite both run.
 
-All four follow the same scheme: triangulate a ball whose top-level
-cells hit the first target facet with multiplicity, then cone the
-boundary with one last vertex to close the sphere.
+All four follow the same scheme: triangulate an n-ball whose top cells
+hit the first target facet with multiplicity, then hand it to one
+closing step, :func:`_close`, which cones the ball's boundary with one
+last vertex, maps every vertex by one label rule, :func:`_image`
+(forget the disc position and the prime: ``u<j>_<i>`` and ``u<j>`` and
+``u<j>p`` all go to ``v<j>``), and checks the structure.  A builder
+supplies only its preconditions, its ball, its source base and its
+promised degree and vertex count.
 """
 
 from __future__ import annotations
@@ -127,81 +130,75 @@ def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
     return BundleVerification(tuple(checks), sphere, counting, cycle)
 
 
-def _target_data(n: int):
-    target = standard_sphere(n)
-    target_base = tuple(v_label(i) for i in range(1, n + 2))
-    return target, target_base
-
-
 def _u_simplex_complex(lo: int, hi: int) -> Complex:
     """Complex of the single simplex [u_lo ... u_hi]; empty when lo > hi."""
     return make_complex([[u_label(i) for i in range(lo, hi + 1)]])
 
 
-def _validate(bundle: ConstructionBundle) -> ConstructionBundle:
-    K = bundle.source
-    f0 = len(K.vertices)
-    if f0 != bundle.expected_vertices:
+def _image(u: VertexLabel) -> VertexLabel:
+    """The label rule: ``u<j>_<i>`` goes to ``v<j>``; ``u<l>`` and its
+    primed twin ``u<l>p`` go to ``v<l>``."""
+    return v_label(u.item_index if u.class_index is None else u.class_index)
+
+
+def _close(
+    ball: Complex,
+    apex: VertexLabel,
+    source_base: tuple[VertexLabel, ...],
+    degree: int,
+    vertices: int,
+    label: str,
+) -> ConstructionBundle:
+    """Cone the ball's boundary with ``apex`` to close the sphere, map
+    every vertex by :func:`_image` onto the standard sphere with base
+    ``v1 .. v_{n+1}``, and check the vertex count, that no facet
+    collapses, that the source is a closed connected pseudomanifold and
+    that the source base is a facet."""
+    sphere = union(cone(apex, boundary_complex(ball)), ball)
+    n = sphere.dimension
+    assignment = {u: _image(u) for u in sphere.vertices}
+    if len(sphere.vertices) != vertices:
         raise AssertionError(
-            f"{bundle.label}: built {f0} vertices, promised {bundle.expected_vertices}"
+            f"{label}: built {len(sphere.vertices)} vertices, promised {vertices}"
         )
-    amap = bundle.vertex_map.assignment
-    missing = [v for v in K.vertices if v not in amap]
-    if missing:
-        raise AssertionError(f"{bundle.label}: map misses {missing}")
-    for facet in K.facets:
-        image = {amap[v] for v in facet.vertices}
-        if len(image) != len(facet.vertices):
-            raise AssertionError(f"{bundle.label}: facet [{facet}] collapses")
-    report = pseudomanifold_check(K)
-    if not report.is_closed_pseudomanifold:
-        raise AssertionError(f"{bundle.label}: not a closed pseudomanifold")
-    if simplex(bundle.source_base) not in set(K.facets):
-        raise AssertionError(f"{bundle.label}: source base is not a facet")
-    return bundle
+    for facet in sphere.facets:
+        if len({assignment[v] for v in facet.vertices}) != len(facet.vertices):
+            raise AssertionError(f"{label}: facet [{facet}] collapses")
+    if not pseudomanifold_check(sphere).is_closed_pseudomanifold:
+        raise AssertionError(f"{label}: not a closed pseudomanifold")
+    if simplex(source_base) not in sphere.facets:
+        raise AssertionError(f"{label}: source base is not a facet")
+    return ConstructionBundle(
+        source=sphere,
+        target=standard_sphere(n),
+        vertex_map=VertexMap(assignment),
+        source_base=source_base,
+        target_base=tuple(v_label(i) for i in range(1, n + 2)),
+        expected_degree=degree,
+        expected_vertices=vertices,
+        label=label,
+    )
 
 
 def build_join_cone_sphere(n: int, d: int) -> ConstructionBundle:
     """Disc-times-simplex sphere: degree d on 3d + n - 1 vertices.
 
     The d-disc joined with [u4 .. u_{n+1}] forms an n-ball whose
-    boundary is coned with u_{n+2}.  Disc vertices map to v1..v3 by
-    class; the rest map by index.
+    boundary is coned with u_{n+2}.
     """
     if n < 2:
         raise PreconditionFailed("join-cone construction needs n >= 2")
     if d < 1:
         raise PreconditionFailed("join-cone construction needs d >= 1")
-    disc = build_delta(d)
-    ball = join(disc.complex, _u_simplex_complex(4, n + 1))
-    apex = u_label(n + 2)
-    sphere = union(cone(apex, boundary_complex(ball)), ball)
-
-    assignment: dict[VertexLabel, VertexLabel] = {}
-    for i in range(1, d + 1):
-        for j in (1, 2, 3):
-            assignment[u_pair(j, i)] = v_label(j)
-    for l in range(4, n + 3):
-        assignment[u_label(l)] = v_label(l)
-
-    target, target_base = _target_data(n)
+    ball = join(build_delta(d).complex, _u_simplex_complex(4, n + 1))
     source_base = (
         u_pair(1, 1),
         u_pair(2, 1),
         u_pair(3, 1),
         *(u_label(l) for l in range(4, n + 2)),
     )
-    return _validate(
-        ConstructionBundle(
-            source=sphere,
-            target=target,
-            vertex_map=VertexMap(assignment),
-            source_base=source_base,
-            target_base=target_base,
-            expected_degree=d,
-            expected_vertices=3 * d + n - 1,
-            label=f"join-cone n={n} d={d}",
-        )
+    return _close(
+        ball, u_label(n + 2), source_base, d, 3 * d + n - 1, f"join-cone n={n} d={d}"
     )
 
 
@@ -211,7 +208,7 @@ def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle
 
     A cone with apex u4 covers the whole disc; a second apex u4' covers
     only the sub-disc inside the first reduction polygon, read from the
-    disc's trace.  Both apexes map to v4.
+    disc's trace.
     """
     if n < 3:
         raise PreconditionFailed("double-cone construction needs n >= 3")
@@ -219,24 +216,11 @@ def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle
         raise PreconditionFailed("double-cone construction needs d >= 1")
     if variant not in ("even", "odd"):
         raise PreconditionFailed("variant must be 'even' or 'odd'")
-    disc_size = 2 * d if variant == "even" else 2 * d + 1
-    disc = build_delta(disc_size)
+    even = variant == "even"
+    disc = build_delta(2 * d if even else 2 * d + 1)
     outer_cone = cone(u_label(4), disc.complex)
     inner_cone = cone(u_label(4, primed=True), disc.inner_subdisc())
     ball = join(union(outer_cone, inner_cone), _u_simplex_complex(5, n + 1))
-    apex = u_label(n + 2)
-    sphere = union(cone(apex, boundary_complex(ball)), ball)
-
-    assignment: dict[VertexLabel, VertexLabel] = {}
-    for i in range(1, disc_size + 1):
-        for j in (1, 2, 3):
-            assignment[u_pair(j, i)] = v_label(j)
-    assignment[u_label(4)] = v_label(4)
-    assignment[u_label(4, primed=True)] = v_label(4)
-    for l in range(5, n + 3):
-        assignment[u_label(l)] = v_label(l)
-
-    target, target_base = _target_data(n)
     source_base = (
         u_pair(1, 1),
         u_pair(2, 1),
@@ -244,18 +228,13 @@ def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle
         u_label(4),
         *(u_label(l) for l in range(5, n + 2)),
     )
-    even = variant == "even"
-    return _validate(
-        ConstructionBundle(
-            source=sphere,
-            target=target,
-            vertex_map=VertexMap(assignment),
-            source_base=source_base,
-            target_base=target_base,
-            expected_degree=3 * d if even else 3 * d + 1,
-            expected_vertices=(6 * d + n) if even else (6 * d + n + 3),
-            label=f"double-cone n={n} d={d} variant={variant}",
-        )
+    return _close(
+        ball,
+        u_label(n + 2),
+        source_base,
+        3 * d if even else 3 * d + 1,
+        (6 * d + n) if even else (6 * d + n + 3),
+        f"double-cone n={n} d={d} variant={variant}",
     )
 
 
@@ -264,8 +243,7 @@ def build_facet_cone_sphere(n: int, k: int) -> ConstructionBundle:
 
     A central k-simplex keeps its facets and also gains a cone u'_i over
     each of its ridges; joining with [u_{k+2} .. u_{n+1}] and coning the
-    boundary with u_{n+2} closes the sphere.  Both u_i and u'_i map to
-    v_i.
+    boundary with u_{n+2} closes the sphere.
     """
     if not 2 <= k <= n:
         raise PreconditionFailed("facet-cone construction needs 2 <= k <= n")
@@ -275,33 +253,10 @@ def build_facet_cone_sphere(n: int, k: int) -> ConstructionBundle:
         facets.append(
             [u_label(i, primed=True)] + [u for u in core if u != u_label(i)]
         )
-    shell = make_complex(facets)
-    ball = join(shell, _u_simplex_complex(k + 2, n + 1))
-    apex = u_label(n + 2)
-    sphere = union(cone(apex, boundary_complex(ball)), ball)
-
-    assignment: dict[VertexLabel, VertexLabel] = {}
-    for i in range(1, k + 2):
-        assignment[u_label(i)] = v_label(i)
-        assignment[u_label(i, primed=True)] = v_label(i)
-    for l in range(k + 2, n + 3):
-        assignment[u_label(l)] = v_label(l)
-
-    target, target_base = _target_data(n)
-    source_base = tuple(
-        u_label(i, primed=(i == k)) for i in range(1, n + 2)
-    )
-    return _validate(
-        ConstructionBundle(
-            source=sphere,
-            target=target,
-            vertex_map=VertexMap(assignment),
-            source_base=source_base,
-            target_base=target_base,
-            expected_degree=k,
-            expected_vertices=k + n + 3,
-            label=f"facet-cone n={n} k={k}",
-        )
+    ball = join(make_complex(facets), _u_simplex_complex(k + 2, n + 1))
+    source_base = tuple(u_label(i, primed=(i == k)) for i in range(1, n + 2))
+    return _close(
+        ball, u_label(n + 2), source_base, k, k + n + 3, f"facet-cone n={n} k={k}"
     )
 
 
@@ -321,28 +276,12 @@ def build_stacked_sphere(n: int) -> ConstructionBundle:
         others = [u for u in core if u != u_label(i)]
         facets.append([u_label(i, primed=True)] + others)
         facets.append([u_label(n + 2)] + others)
-    ball = make_complex(facets)
-    apex = u_label(n + 2, primed=True)
-    sphere = union(cone(apex, boundary_complex(ball)), ball)
-
-    assignment: dict[VertexLabel, VertexLabel] = {}
-    for i in range(1, n + 3):
-        assignment[u_label(i)] = v_label(i)
-        assignment[u_label(i, primed=True)] = v_label(i)
-
-    target, target_base = _target_data(n)
-    source_base = tuple(
-        u_label(i, primed=(i == n + 1)) for i in range(1, n + 2)
-    )
-    return _validate(
-        ConstructionBundle(
-            source=sphere,
-            target=target,
-            vertex_map=VertexMap(assignment),
-            source_base=source_base,
-            target_base=target_base,
-            expected_degree=n + 1,
-            expected_vertices=2 * n + 4,
-            label=f"stacked n={n}",
-        )
+    source_base = tuple(u_label(i, primed=(i == n + 1)) for i in range(1, n + 2))
+    return _close(
+        make_complex(facets),
+        u_label(n + 2, primed=True),
+        source_base,
+        n + 1,
+        2 * n + 4,
+        f"stacked n={n}",
     )

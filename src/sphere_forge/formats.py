@@ -59,10 +59,11 @@ def complex_to_json_obj(
 
 def _field(obj, key: str, what: str, kind=object):
     """``obj[key]``, raising a one-line ValueError unless ``obj`` is a
-    JSON object whose ``key`` holds a ``kind``."""
+    JSON object whose ``key`` holds a ``kind``.  No field is a boolean,
+    so ``true`` and ``false`` never pass as the integers 1 and 0."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object")
-    if key not in obj or not isinstance(obj[key], kind):
+    if key not in obj or not isinstance(obj[key], kind) or isinstance(obj[key], bool):
         raise ValueError(f"{what} needs a valid {key!r} field")
     return obj[key]
 
@@ -136,6 +137,7 @@ def bundle_to_json_obj(bundle: ConstructionBundle) -> dict:
         "source_base": [str(v) for v in bundle.source_base],
         "target_base": [str(v) for v in bundle.target_base],
         "expected_degree": bundle.expected_degree,
+        "expected_vertices": bundle.expected_vertices,
         "label": bundle.label,
     }
 
@@ -152,6 +154,11 @@ def bundle_from_json_obj(obj) -> ConstructionBundle:
         # files written before target_base was stored pinned it to the
         # lexicographically least target facet
         target_base = target.facets[0].vertices
+    # files written before expected_vertices was stored promised the
+    # vertex count they have
+    expected_vertices = len(source.vertices)
+    if "expected_vertices" in obj:
+        expected_vertices = _field(obj, "expected_vertices", "bundle", int)
     return ConstructionBundle(
         source=source,
         target=target,
@@ -159,7 +166,7 @@ def bundle_from_json_obj(obj) -> ConstructionBundle:
         source_base=source_base,
         target_base=target_base,
         expected_degree=_field(obj, "expected_degree", "bundle", (int, type(None))),
-        expected_vertices=len(source.vertices),
+        expected_vertices=expected_vertices,
         label=str(obj.get("label", "bundle")),
     )
 

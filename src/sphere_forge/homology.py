@@ -65,9 +65,6 @@ class IntegerMatrix:
     def entry(self, i: int, j: int) -> int:
         return dict(self.columns[j]).get(i, 0)
 
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
 
 @dataclass(frozen=True)
 class SNFResult:

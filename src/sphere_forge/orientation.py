@@ -74,13 +74,12 @@ def coherent_orientation(
     K: Complex,
     base: Simplex,
     base_sign: int = 1,
-    traversal: str = "bfs",
 ) -> OrientedComplex:
-    """Propagate signs over the facet dual graph starting from ``base``.
+    """Propagate signs breadth-first over the facet dual graph starting
+    from ``base``.
 
-    The result is independent of the traversal order; ``traversal`` may
-    be set to ``"dfs"`` to check exactly that.  Raises NonOrientable
-    (with a witness facet) when a cycle forces contradictory signs.
+    Raises NonOrientable (with a witness facet) when a cycle forces
+    contradictory signs.
     """
     if base_sign not in (1, -1):
         raise PreconditionFailed("base sign must be +1 or -1")
@@ -95,14 +94,12 @@ def coherent_orientation(
         base_idx = facets.index(base)
     except ValueError:
         raise PreconditionFailed(f"base [{base}] is not a facet") from None
-    if traversal not in ("bfs", "dfs"):
-        raise PreconditionFailed(f"unknown traversal {traversal!r}")
 
     by_ridge = K.ridge_facets
     signs: dict[int, int] = {base_idx: base_sign}
     frontier = deque([base_idx])
     while frontier:
-        cur = frontier.popleft() if traversal == "bfs" else frontier.pop()
+        cur = frontier.popleft()
         cur_facet = facets[cur]
         vs = cur_facet.vertices
         for p in range(len(vs)):

@@ -44,9 +44,6 @@ class VertexMap:
 
     assignment: Mapping[VertexLabel, VertexLabel]
 
-    def __call__(self, v: VertexLabel) -> VertexLabel:
-        return self.assignment[v]
-
     def image(self, vertices: Sequence[VertexLabel]) -> tuple[VertexLabel, ...]:
         return tuple(self.assignment[v] for v in vertices)
 
@@ -86,22 +83,33 @@ class AlgResult(NamedTuple):
     alpha_minus: tuple[Simplex, ...]
 
 
-def _alg_one_facet(
-    f: VertexMap, OK: OrientedComplex, OL: OrientedComplex, target: Simplex
-) -> AlgResult:
-    target_set = target.vertex_set
-    target_sorted = target.vertices
-    plus: list[Simplex] = []
-    minus: list[Simplex] = []
+def _signed_preimages(
+    f: VertexMap, OK: OrientedComplex, OL: OrientedComplex
+) -> dict[Simplex, AlgResult]:
+    """Signed preimage counts of every target facet in one pass.
+
+    Each nondegenerate source facet goes, in source-facet order, to the
+    positive or negative side of the target facet its image spans,
+    according to its own sign times the parity of its image
+    arrangement; each count is then flipped for negative target facets.
+    """
+    plus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in OL.complex.facets}
+    minus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in OL.complex.facets}
     for tau in OK.complex.facets:
         image = f.image(tau.vertices)
-        if len(set(image)) != len(image) or frozenset(image) != target_set:
+        sigma = Simplex(tuple(sorted(image)))
+        if len(set(image)) != len(image) or sigma not in plus:
             continue
-        induced = OK.signs[tau] * relative_sign(image, target_sorted)
-        (plus if induced > 0 else minus).append(tau)
-    raw = len(plus) - len(minus)
-    alg = raw if OL.signs[target] > 0 else -raw
-    return AlgResult(alg, tuple(plus), tuple(minus))
+        induced = OK.signs[tau] * relative_sign(image, sigma.vertices)
+        (plus if induced > 0 else minus)[sigma].append(tau)
+    return {
+        sigma: AlgResult(
+            OL.signs[sigma] * (len(plus[sigma]) - len(minus[sigma])),
+            tuple(plus[sigma]),
+            tuple(minus[sigma]),
+        )
+        for sigma in plus
+    }
 
 
 def alg_number(
@@ -118,7 +126,7 @@ def alg_number(
         raise NotSimplicial("map does not send simplices to simplices")
     if target not in set(OL.complex.facets):
         raise FaceNotInComplex(f"[{target}] is not a target facet")
-    return _alg_one_facet(f, OK, OL, target)
+    return _signed_preimages(f, OK, OL)[target]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,14 +177,8 @@ def degree_by_counting(bundle: "ConstructionBundle") -> DegreeReport:
         raise NotSimplicial("bundle map does not send simplices to simplices")
     OK = _oriented_from_base(K, bundle.source_base)
     OL = _oriented_from_base(L, bundle.target_base)
-    per: dict[Simplex, int] = {}
-    plus: dict[Simplex, tuple[Simplex, ...]] = {}
-    minus: dict[Simplex, tuple[Simplex, ...]] = {}
-    for sigma in L.facets:
-        result = _alg_one_facet(f, OK, OL, sigma)
-        per[sigma] = result.alg
-        plus[sigma] = result.alpha_plus
-        minus[sigma] = result.alpha_minus
+    results = _signed_preimages(f, OK, OL)
+    per = {sigma: r.alg for sigma, r in results.items()}
     values = set(per.values())
     if len(values) != 1:
         raise InconsistentAlg(
@@ -186,8 +188,8 @@ def degree_by_counting(bundle: "ConstructionBundle") -> DegreeReport:
     return DegreeReport(
         degree=values.pop(),
         per_facet=per,
-        alpha_plus=plus,
-        alpha_minus=minus,
+        alpha_plus={sigma: r.alpha_plus for sigma, r in results.items()},
+        alpha_minus={sigma: r.alpha_minus for sigma, r in results.items()},
         method="counting",
         degenerate_facets=chk.degenerate_facets,
     )

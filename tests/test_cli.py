@@ -153,6 +153,16 @@ def test_verify_bundle_wrong_degree(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_bundle_wrong_vertex_count(tmp_path, capsys):
+    obj = json.loads(bundle_to_json(build_join_cone_sphere(2, 2)))
+    obj["expected_vertices"] += 1
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(obj))
+    rc = main(["verify", "bundle", "--in", str(path)])
+    assert rc == 1
+    assert "[FAIL] vertex_count" in capsys.readouterr().out
+
+
 def test_verify_minimality_restricted(capsys):
     rc = main(["verify", "minimality", "--max-v", "5", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from sphere_forge import (
@@ -168,3 +170,40 @@ def test_source_bases_are_facets():
     for bundle in bundles:
         assert simplex(bundle.source_base) in set(bundle.source.facets)
         assert pseudomanifold_check(bundle.source).is_closed_pseudomanifold
+
+
+# sha256 of the fields below over the C3-C6 grid, recorded before the
+# builders shared one closing step and one label rule
+CONSTRUCTION_GRID_DIGEST = "00f897653759800e42c5da13415a8fbb1dde19cfe9b58644b939b2362b7ac9e7"
+
+CONSTRUCTION_GRID = (
+    [(build_join_cone_sphere, (n, d)) for n in range(2, 6) for d in range(1, 9)]
+    + [
+        (build_double_cone_sphere, (n, d, variant))
+        for n in range(3, 6)
+        for d in range(1, 5)
+        for variant in ("even", "odd")
+    ]
+    + [(build_facet_cone_sphere, (n, k)) for n in range(2, 7) for k in range(2, n + 1)]
+    + [(build_stacked_sphere, (n,)) for n in range(2, 7)]
+)
+
+
+def _bundle_fields(bundle):
+    yield bundle.label
+    yield from (str(facet) for facet in bundle.source.facets)
+    yield from (f"{u} {v}" for u, v in sorted(bundle.vertex_map.items()))
+    yield " ".join(map(str, bundle.source_base))
+    yield " ".join(map(str, bundle.target_base))
+    yield str(bundle.expected_degree)
+    yield str(bundle.expected_vertices)
+
+
+def test_construction_grid_digest():
+    """Every C3-C6 bundle keeps its facets, map, bases and promises."""
+    assert len(CONSTRUCTION_GRID) == 76
+    digest = hashlib.sha256()
+    for build, args in CONSTRUCTION_GRID:
+        for line in _bundle_fields(build(*args)):
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == CONSTRUCTION_GRID_DIGEST

@@ -152,3 +152,24 @@ def test_bundle_json_without_target_base_reads_least_target_facet():
     loaded = bundle_from_json(json.dumps(obj))
     assert loaded.target_base == loaded.target.facets[0].vertices
     assert degree_by_counting(loaded).degree == 2
+
+
+def test_bundle_json_keeps_expected_vertices():
+    obj = json.loads(bundle_to_json(build_join_cone_sphere(2, 2)))
+    assert obj["expected_vertices"] == 7
+    obj["expected_vertices"] = 8
+    assert bundle_from_json(json.dumps(obj)).expected_vertices == 8
+    for bad in ("8", 8.0, True):
+        obj["expected_vertices"] = bad
+        with pytest.raises(ValueError, match="expected_vertices"):
+            bundle_from_json(json.dumps(obj))
+
+
+def test_bundle_json_without_expected_vertices_reads_vertex_count():
+    from sphere_forge import verify_bundle
+
+    obj = json.loads(bundle_to_json(build_join_cone_sphere(2, 2)))
+    del obj["expected_vertices"]
+    loaded = bundle_from_json(json.dumps(obj))
+    assert loaded.expected_vertices == len(loaded.source.vertices) == 7
+    assert verify_bundle(loaded).passed

@@ -109,11 +109,12 @@ def test_traversal_independence_and_global_flip():
     ]
     for K in fixtures:
         base = K.facets[0]
-        bfs = coherent_orientation(K, base, 1, traversal="bfs")
-        dfs = coherent_orientation(K, base, 1, traversal="dfs")
-        assert bfs.signs == dfs.signs
+        first = coherent_orientation(K, base, 1)
+        last = K.facets[-1]
+        from_last = coherent_orientation(K, last, first.signs[last])
+        assert from_last.signs == first.signs
         flipped = coherent_orientation(K, base, -1)
-        assert all(flipped.signs[f] == -bfs.signs[f] for f in K.facets)
+        assert all(flipped.signs[f] == -first.signs[f] for f in K.facets)
 
 
 def test_coherence_is_locally_checkable():

@@ -23,7 +23,7 @@ from sphere_forge import (
 from sphere_forge.errors import DomainMismatch, MapNotTotal, NotSimplicial
 from sphere_forge.labels import parse_label, v_label
 from sphere_forge.orientation import OrientedComplex
-from sphere_forge.simplicial_map import _alg_one_facet
+from sphere_forge.simplicial_map import _signed_preimages
 
 from fixtures import labels, simplex_of
 
@@ -315,8 +315,8 @@ def test_inconsistent_alg_guard():
     broken_signs[victim] = -broken_signs[victim]
     broken = OrientedComplex(OK.complex, broken_signs, OK.base_facet, OK.base_sign)
     per_facet = {
-        sigma: _alg_one_facet(bundle.vertex_map, broken, OL, sigma).alg
-        for sigma in bundle.target.facets
+        sigma: result.alg
+        for sigma, result in _signed_preimages(bundle.vertex_map, broken, OL).items()
     }
     assert len(set(per_facet.values())) > 1
 
