@@ -1,8 +1,9 @@
 """Pure simplicial complexes stored as facet sets.
 
 A complex is represented by its inclusion-maximal simplices only; faces
-are enumerated on demand.  Everything here is immutable and safe to
-share across threads.  Canonical ordering of vertices inside a simplex,
+are enumerated on demand and kept on the complex, as are the objects
+later layers derive from it (:attr:`Complex.memo`); everything a complex
+hands out is immutable.  Canonical ordering of vertices inside a simplex,
 and of facets inside a complex, follows the label order from
 :mod:`sphere_forge.labels`, which makes every derived object (boundary
 matrices, reports, serialized files) deterministic.
@@ -128,6 +129,14 @@ class Complex:
             for r in combinations(vs, len(vs) - 1):
                 by_ridge.setdefault(r, []).append(idx)
         return {r: tuple(members) for r, members in by_ridge.items()}
+
+    @cached_property
+    def memo(self) -> dict:
+        """Objects later layers derive from this complex and keep for
+        reuse (face bases and boundary matrices, keyed by kind and
+        dimension).  The dict lives and dies with the complex; every
+        entry must be immutable, since each caller gets the same one."""
+        return {}
 
     def __iter__(self):
         return iter(self.facets)

@@ -107,8 +107,20 @@ def map_to_text(f: VertexMap) -> str:
     return "".join(f"{src} {dst}\n" for src, dst in pairs)
 
 
-def map_from_text(text: str) -> VertexMap:
+def _assignment(pairs) -> dict[VertexLabel, VertexLabel]:
+    """Source -> target from ``(source, target)`` label pairs, refusing
+    a source named twice: a file that maps one vertex two ways is
+    ambiguous, whichever entry comes last."""
     assignment: dict[VertexLabel, VertexLabel] = {}
+    for src, dst in pairs:
+        if src in assignment:
+            raise ValueError(f"vertex {src} mapped twice")
+        assignment[src] = dst
+    return assignment
+
+
+def map_from_text(text: str) -> VertexMap:
+    pairs = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -116,11 +128,8 @@ def map_from_text(text: str) -> VertexMap:
         tokens = line.split()
         if len(tokens) != 2:
             raise ValueError(f"map line needs exactly two labels: {line!r}")
-        src, dst = (parse_label(t) for t in tokens)
-        if src in assignment:
-            raise ValueError(f"vertex {src} mapped twice")
-        assignment[src] = dst
-    return VertexMap(assignment)
+        pairs.append(tuple(parse_label(t) for t in tokens))
+    return VertexMap(_assignment(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +155,7 @@ def bundle_from_json_obj(obj) -> ConstructionBundle:
     source, _ = complex_from_json_obj(_field(obj, "source", "bundle"), "source")
     target, _ = complex_from_json_obj(_field(obj, "target", "bundle"), "target")
     pairs = _field(obj, "map", "bundle", list)
-    assignment = dict(_labels(pair, "a map entry") for pair in pairs)
+    assignment = _assignment(_labels(pair, "a map entry") for pair in pairs)
     source_base = _labels(_field(obj, "source_base", "bundle"), "source_base")
     if "target_base" in obj:
         target_base = _labels(obj["target_base"], "target_base")

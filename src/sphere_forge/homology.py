@@ -7,6 +7,11 @@ stored sparse by column from the start -- a boundary column carries
 exactly ``k+1`` entries of +-1 -- and every consumer (Smith reduction,
 kernels, the product check) reads those columns; a dense grid is only
 ever materialized on request through :attr:`IntegerMatrix.entries`.
+
+Smith reduction reads each pivot from one row, the first remaining one
+(see :func:`smith_normal_form`).  Face bases and boundary matrices are
+built once per complex and kept in :attr:`Complex.memo`, so they live
+exactly as long as the complex does.
 """
 
 from __future__ import annotations
@@ -84,8 +89,11 @@ class HomologyGroup:
 
 def face_basis(K: Complex, k: int) -> tuple[Simplex, ...]:
     """The k-faces of K in canonical order (the row/column order used
-    by :func:`boundary_matrix`)."""
-    return tuple(sorted(faces(K, k)))
+    by :func:`boundary_matrix`), sorted once per complex."""
+    key = ("face_basis", k)
+    if key not in K.memo:
+        K.memo[key] = tuple(sorted(faces(K, k)))
+    return K.memo[key]
 
 
 def boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
@@ -95,10 +103,18 @@ def boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
     canonical order; omitting the i-th vertex (0-based within the sorted
     facet) contributes ``(-1)**i``.  For ``k == 0`` this is the
     augmentation onto the empty simplex, which unreduced homology
-    treats as zero.
+    treats as zero.  Built once per complex; later calls return the
+    same (immutable) matrix.
     """
     if k < 0 or k > K.dimension:
         raise PreconditionFailed(f"k={k} outside 0..{K.dimension}")
+    key = ("boundary_matrix", k)
+    if key not in K.memo:
+        K.memo[key] = _build_boundary_matrix(K, k)
+    return K.memo[key]
+
+
+def _build_boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
     row_index = {s.vertices: i for i, s in enumerate(face_basis(K, k - 1))}
     columns = []
     for s in face_basis(K, k):
@@ -149,19 +165,17 @@ def chain_boundary(chain: Chain) -> Chain:
 
 
 def _pick_pivot(rows, cols):
-    best_key = None
+    """The next pivot, read from the first remaining row alone (the
+    rule is spelled out in :func:`smith_normal_form`)."""
+    i, row = next(iter(rows.items()))
     best = None
-    for i, r in rows.items():
-        row_fill = len(r) - 1
-        for j, v in r.items():
-            a = -v if v < 0 else v
-            key = (a, row_fill * (len(cols[j]) - 1), i, j)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (i, j)
-                if a == 1 and key[1] == 0:
-                    return best
-    return best
+    for j, v in row.items():
+        key = (-v if v < 0 else v, len(cols[j]), j)
+        if best is None or key < best:
+            best = key
+            if key[0] == 1 and key[1] == 1:
+                break
+    return i, best[2]
 
 
 def _row_axpy(rows, cols, target: int, source: int, factor: int):
@@ -183,12 +197,19 @@ def _row_axpy(rows, cols, target: int, source: int, factor: int):
 def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     """Invariant factors of M by unimodular row/column operations.
 
-    Pivoting picks the smallest nonzero absolute value (ties broken
-    toward sparsity, then position) which keeps entry growth tame and
-    the result deterministic.
+    Each pivot is read from one row, the first remaining one: its entry
+    of least absolute value, ties broken toward the shortest column and
+    then the lowest column, stopping early at a unit alone in its
+    column, whose elimination causes no fill-in.  This local,
+    Markowitz-style choice reads one row per pivot, not every nonzero
+    of the matrix.  A smaller remainder met while clearing the pivot
+    column becomes the pivot, and a non-unit pivot first absorbs any
+    row it does not divide, so every pivot order ends in the same
+    Smith form.
     """
-    # working copy: rows in ascending order with ascending columns inside
-    # each row, and the set of rows each column meets
+    # working copy: rows in ascending order (row operations only ever
+    # write into rows that still exist, so the first row stays the
+    # least), and the set of rows each column meets
     by_row: dict[int, dict[int, int]] = {}
     for j, column in enumerate(M.columns):
         for i, v in column:

@@ -5,7 +5,15 @@ complexes.  The degree-4 alpha sets are the expected signed preimages of
 each target facet for the (n=3, d=4) join-cone bundle.
 """
 
-from sphere_forge import make_complex, parse_label, simplex
+from sphere_forge import (
+    build_double_cone_sphere,
+    build_facet_cone_sphere,
+    build_join_cone_sphere,
+    build_stacked_sphere,
+    make_complex,
+    parse_label,
+    simplex,
+)
 
 
 def labels(text):
@@ -126,3 +134,17 @@ DEGREE4_ALPHA_SIX = {
     key: value for key, value in DEGREE4_ALPHA.items() if value and key[0] != "v1 v2 v3 v5"
 }
 DEGREE4_ALPHA_SIX[("v1 v2 v3 v5", "-")] = DEGREE4_ALPHA[("v1 v2 v3 v5", "-")]
+
+
+# the 76 (builder, arguments) pairs of the C3-C6 construction sweeps
+CONSTRUCTION_GRID = (
+    [(build_join_cone_sphere, (n, d)) for n in range(2, 6) for d in range(1, 9)]
+    + [
+        (build_double_cone_sphere, (n, d, variant))
+        for n in range(3, 6)
+        for d in range(1, 5)
+        for variant in ("even", "odd")
+    ]
+    + [(build_facet_cone_sphere, (n, k)) for n in range(2, 7) for k in range(2, n + 1)]
+    + [(build_stacked_sphere, (n,)) for n in range(2, 7)]
+)

@@ -163,6 +163,16 @@ def test_verify_bundle_wrong_vertex_count(tmp_path, capsys):
     assert "[FAIL] vertex_count" in capsys.readouterr().out
 
 
+def test_verify_bundle_vertex_mapped_twice(tmp_path, capsys):
+    obj = json.loads(bundle_to_json(build_join_cone_sphere(2, 2)))
+    obj["map"].insert(0, ["u1_1", "v4"])
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(obj))
+    rc = main(["verify", "bundle", "--in", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: vertex u1_1 mapped twice\n"
+
+
 def test_verify_minimality_restricted(capsys):
     rc = main(["verify", "minimality", "--max-v", "5", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)

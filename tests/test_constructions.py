@@ -19,6 +19,8 @@ from sphere_forge import (
 from sphere_forge.errors import PreconditionFailed
 from sphere_forge.labels import u_label, u_pair, v_label
 
+from fixtures import CONSTRUCTION_GRID
+
 
 def test_join_cone_example_counts():
     bundle = build_join_cone_sphere(3, 4)
@@ -175,18 +177,6 @@ def test_source_bases_are_facets():
 # sha256 of the fields below over the C3-C6 grid, recorded before the
 # builders shared one closing step and one label rule
 CONSTRUCTION_GRID_DIGEST = "00f897653759800e42c5da13415a8fbb1dde19cfe9b58644b939b2362b7ac9e7"
-
-CONSTRUCTION_GRID = (
-    [(build_join_cone_sphere, (n, d)) for n in range(2, 6) for d in range(1, 9)]
-    + [
-        (build_double_cone_sphere, (n, d, variant))
-        for n in range(3, 6)
-        for d in range(1, 5)
-        for variant in ("even", "odd")
-    ]
-    + [(build_facet_cone_sphere, (n, k)) for n in range(2, 7) for k in range(2, n + 1)]
-    + [(build_stacked_sphere, (n,)) for n in range(2, 7)]
-)
 
 
 def _bundle_fields(bundle):

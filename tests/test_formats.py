@@ -173,3 +173,11 @@ def test_bundle_json_without_expected_vertices_reads_vertex_count():
     loaded = bundle_from_json(json.dumps(obj))
     assert loaded.expected_vertices == len(loaded.source.vertices) == 7
     assert verify_bundle(loaded).passed
+
+
+def test_bundle_json_refuses_a_vertex_mapped_twice():
+    obj = json.loads(bundle_to_json(build_join_cone_sphere(2, 2)))
+    assert ["u1_1", "v1"] in obj["map"]
+    obj["map"].insert(0, ["u1_1", "v4"])
+    with pytest.raises(ValueError, match="^vertex u1_1 mapped twice$"):
+        bundle_from_json(json.dumps(obj))

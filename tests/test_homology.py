@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,19 +13,27 @@ from sphere_forge import (
     homology_groups,
     kernel_basis,
     make_complex,
+    simplex,
     smith_normal_form,
     sphere_check,
     standard_sphere,
 )
-from sphere_forge.complex_core import cone
+from sphere_forge.complex_core import cone, link
 from sphere_forge.errors import KernelRankNotOne, PreconditionFailed
 from sphere_forge.homology import (
+    face_basis,
     matrix_product_is_zero,
     top_kernel_generator,
 )
 from sphere_forge.labels import parse_label
 
-from fixtures import DELTA4_TRIANGLES, PROJECTIVE_PLANE, complex_of, labels
+from fixtures import (
+    CONSTRUCTION_GRID,
+    DELTA4_TRIANGLES,
+    PROJECTIVE_PLANE,
+    complex_of,
+    labels,
+)
 
 
 def rank_over_rationals(M):
@@ -75,6 +84,25 @@ def test_boundary_matrix_rank():
     assert smith_normal_form(M).rank == 3
 
 
+def test_boundary_matrices_are_built_once_per_complex(monkeypatch):
+    from sphere_forge import homology
+
+    built = []
+    build = homology._build_boundary_matrix
+    monkeypatch.setattr(
+        homology, "_build_boundary_matrix", lambda K, k: built.append(k) or build(K, k)
+    )
+    K = standard_sphere(3)
+    assert sphere_check(K, 3).passed
+    assert top_kernel_generator(K) == top_kernel_generator(K)
+    assert sorted(built) == [1, 2, 3]
+    assert boundary_matrix(K, 3) is boundary_matrix(K, 3)
+    assert face_basis(K, 2) is face_basis(K, 2)
+    # the cache lives on the object: an equal complex built afresh has its own
+    assert boundary_matrix(standard_sphere(3), 3) is not boundary_matrix(K, 3)
+    assert sorted(built) == [1, 2, 3, 3]
+
+
 def test_boundary_matrix_out_of_range():
     with pytest.raises(PreconditionFailed):
         boundary_matrix(standard_sphere(2), 3)
@@ -109,6 +137,71 @@ def test_snf_divisibility_chain():
         diag = smith_normal_form(M).diagonal
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
         assert smith_normal_form(M).rank == rank_over_rationals(M)
+
+
+@pytest.mark.parametrize(
+    "rows, diagonal",
+    [
+        # no unit in the first row: the remainder 1 met below takes over
+        ([[2, 4], [1, 3]], (1, 2)),
+        # coprime pivots: the first absorbs the row it does not divide
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+    ],
+)
+def test_snf_non_unit_pivots(rows, diagonal):
+    result = smith_normal_form(IntegerMatrix.from_rows(rows))
+    assert result.diagonal == diagonal
+    assert result.rank == len(diagonal)
+
+
+@st.composite
+def pure_complexes(draw):
+    """Random pure complexes of dimension 1..3 on at most 7 vertices."""
+    dim = draw(st.integers(1, 3))
+    facets = draw(
+        st.lists(
+            st.frozensets(st.integers(1, 7), min_size=dim + 1, max_size=dim + 1),
+            min_size=1,
+            max_size=20,
+            unique=True,
+        )
+    )
+    return make_complex([[parse_label(f"v{i}") for i in f] for f in facets])
+
+
+@given(pure_complexes())
+@settings(max_examples=60, deadline=None)
+def test_snf_of_random_boundary_matrices(K):
+    for k in range(1, K.dimension + 1):
+        M = boundary_matrix(K, k)
+        result = smith_normal_form(M)
+        assert result.rank == len(result.diagonal) == rank_over_rationals(M)
+        assert all(d > 0 for d in result.diagonal)
+        assert all(b % a == 0 for a, b in zip(result.diagonal, result.diagonal[1:]))
+
+
+# sha256 of every (diagonal, rank) below, recorded while SNF still
+# searched the whole matrix for each pivot
+SNF_GRID_DIGEST = "d8cd07b50d95a4a1f2e8752dc27407939ce48fddfb015dbde5c68d824e18f7f9"
+
+
+def test_snf_grid_digest():
+    """Every boundary matrix of the C3-C6 sources and of their vertex
+    links keeps its invariant factors and rank."""
+    digest = hashlib.sha256()
+    for build, args in CONSTRUCTION_GRID:
+        bundle = build(*args)
+        K = bundle.source
+        complexes = [(bundle.label, K)] + [
+            (f"{bundle.label} lk {v}", link(simplex((v,)), K)) for v in K.vertices
+        ]
+        for name, C in complexes:
+            for k in range(1, C.dimension + 1):
+                result = smith_normal_form(boundary_matrix(C, k))
+                line = f"{name} {k} {result.diagonal} {result.rank}"
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == SNF_GRID_DIGEST
 
 
 small_matrix = st.lists(
@@ -260,3 +353,17 @@ def test_homology_path_builds_no_dense_grid(monkeypatch, build, args, degree):
     assert gen == {f: flip * c for f, c in cyc.items()}
     assert degree_by_counting(bundle).degree == degree
     assert degree_by_cycle(bundle) == degree
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [("build_join_cone_sphere", (5, 32)), ("build_double_cone_sphere", (5, 4, "odd"))],
+)
+def test_large_bundles_pass_the_sphere_battery(build, args):
+    """The n = 5 sources with boundary matrices up to 1416 x 1895."""
+    import sphere_forge
+
+    report = sphere_check(getattr(sphere_forge, build)(*args).source, 5)
+    assert report.passed
+    profile = next(item for item in report.items if item.name == "homology_profile")
+    assert profile.detail == "betti = (1, 0, 0, 0, 0, 1), torsion-free = True"
