@@ -3,8 +3,11 @@
 A complex is represented by its inclusion-maximal simplices only; faces
 are enumerated on demand and kept on the complex, as are the objects
 later layers derive from it (:attr:`Complex.memo`); everything a complex
-hands out is immutable.  Canonical ordering of vertices inside a simplex,
-and of facets inside a complex, follows the label order from
+hands out is immutable.  A simplex is its vertex tuple in label order
+(:class:`Simplex` subclasses ``tuple``), so it equals, hashes and sorts
+as that tuple and a plain tuple of the same labels finds it in any dict
+or set.  Canonical ordering of vertices inside a simplex, and of facets
+inside a complex, follows the label order from
 :mod:`sphere_forge.labels`, which makes every derived object (boundary
 matrices, reports, serialized files) deterministic.
 
@@ -31,36 +34,29 @@ from .errors import (
 from .labels import VertexLabel, v_label
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """A simplex as a strictly increasing tuple of vertex labels.
+class Simplex(tuple):
+    """A simplex is its strictly increasing tuple of vertex labels, so it
+    compares, hashes and sorts as that tuple and equals it.
 
     The constructor trusts its input; use :func:`simplex` to sort and
     validate arbitrary label collections.  The empty tuple is the
     (-1)-dimensional empty simplex.
     """
 
-    vertices: tuple[VertexLabel, ...]
+    @property
+    def vertices(self) -> tuple[VertexLabel, ...]:
+        return self
 
     @property
     def dimension(self) -> int:
-        return len(self.vertices) - 1
+        return len(self) - 1
 
     @cached_property
     def vertex_set(self) -> frozenset[VertexLabel]:
-        return frozenset(self.vertices)
-
-    def __lt__(self, other: "Simplex") -> bool:
-        return self.vertices < other.vertices
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
+        return frozenset(self)
 
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.vertices)
+        return " ".join(str(v) for v in self)
 
     def __repr__(self) -> str:
         return f"Simplex<{self}>"
@@ -71,11 +67,11 @@ EMPTY_SIMPLEX = Simplex(())
 
 def simplex(labels: Iterable[VertexLabel]) -> Simplex:
     """Sort labels into a Simplex, rejecting repeats."""
-    vs = tuple(sorted(labels))
+    vs = Simplex(sorted(labels))
     for a, b in zip(vs, vs[1:]):
         if a == b:
             raise DuplicateVertexInFacet(f"repeated vertex {a} in facet")
-    return Simplex(vs)
+    return vs
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class Complex:
     def vertices(self) -> tuple[VertexLabel, ...]:
         seen = set()
         for f in self.facets:
-            seen.update(f.vertices)
+            seen.update(f)
         return tuple(sorted(seen))
 
     @cached_property
@@ -112,21 +108,20 @@ class Complex:
     def _faces_by_dim(self) -> dict[int, frozenset[Simplex]]:
         per: dict[int, set[Simplex]] = {-1: {EMPTY_SIMPLEX}}
         for f in self.facets:
-            vs = f.vertices
             for k in range(0, f.dimension + 1):
                 bucket = per.setdefault(k, set())
-                bucket.update(Simplex(c) for c in combinations(vs, k + 1))
+                bucket.update(Simplex(c) for c in combinations(f, k + 1))
         return {k: frozenset(s) for k, s in per.items()}
 
     @cached_property
     def ridge_facets(self) -> dict[tuple[VertexLabel, ...], tuple[int, ...]]:
-        """Each ridge (a facet minus one vertex, as a vertex tuple) mapped
-        to the ascending indices of the facets containing it.  The ridge
-        of a point is ``()``."""
+        """Each ridge (a facet minus one vertex, as a vertex tuple, which
+        the :class:`Simplex` of those vertices also finds) mapped to the
+        ascending indices of the facets containing it.  The ridge of a
+        point is ``()``."""
         by_ridge: dict[tuple[VertexLabel, ...], list[int]] = {}
         for idx, f in enumerate(self.facets):
-            vs = f.vertices
-            for r in combinations(vs, len(vs) - 1):
+            for r in combinations(f, len(f) - 1):
                 by_ridge.setdefault(r, []).append(idx)
         return {r: tuple(members) for r, members in by_ridge.items()}
 
@@ -145,18 +140,15 @@ class Complex:
         return f"Complex(dim={self.dimension}, facets={len(self.facets)})"
 
 
-def make_complex(facet_list: Iterable[Sequence[VertexLabel] | Simplex]) -> Complex:
+def make_complex(facet_list: Iterable[Sequence[VertexLabel]]) -> Complex:
     """Normalize a facet description into a canonical Complex.
 
     Input facets are sorted, deduplicated, and non-maximal ones are
     absorbed (construction code routinely unions cones whose faces
     overlap).  An input with no nonempty facet yields the empty complex.
     """
-    sims = set()
-    for f in facet_list:
-        labels = f.vertices if isinstance(f, Simplex) else tuple(f)
-        sims.add(simplex(labels))
-    ordered = sorted(sims, key=lambda s: (-len(s.vertices), s.vertices))
+    sims = {simplex(f) for f in facet_list}
+    ordered = sorted(sims, key=lambda s: (-len(s), s))
     kept: list[Simplex] = []
     kept_sets: list[frozenset] = []
     for s in ordered:
@@ -217,11 +209,7 @@ def join(A: Complex, B: Complex) -> Complex:
     shared = A.vertex_set & B.vertex_set
     if shared:
         raise VertexCollision(f"join operands share vertices {sorted(shared)}")
-    out = [
-        Simplex(tuple(sorted(a.vertices + b.vertices)))
-        for a in A.facets
-        for b in B.facets
-    ]
+    out = [Simplex(sorted(a + b)) for a in A.facets for b in B.facets]
     return Complex(tuple(sorted(out)))
 
 
@@ -255,13 +243,11 @@ def link(face: Simplex, K: Complex) -> Complex:
     """
     fs = face.vertex_set
     residues = [
-        tuple(x for x in f.vertices if x not in fs)
-        for f in K.facets
-        if fs <= f.vertex_set
+        Simplex(x for x in f if x not in fs) for f in K.facets if fs <= f.vertex_set
     ]
     if not residues:
         raise FaceNotInComplex(f"[{face}] is not a face of the complex")
-    return Complex(tuple(sorted(Simplex(r) for r in residues)))
+    return Complex(tuple(sorted(residues)))
 
 
 def standard_sphere(n: int) -> Complex:

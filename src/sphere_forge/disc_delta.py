@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complex_core import Complex, Simplex, boundary_complex, make_complex, simplex
+from .complex_core import Complex, Simplex, make_complex, simplex
 from .errors import BadLength, PreconditionFailed
 from .labels import VertexLabel, u_pair
 from .orientation import coherent_orientation, relative_sign
@@ -156,24 +156,18 @@ def disc_sign_census(disc: DeltaDisc) -> DiscSignCensus:
     positives = sum(1 for s in disc.signs.values() if s > 0)
     negatives = sum(1 for s in disc.signs.values() if s < 0)
 
-    boundary = boundary_complex(disc.complex)
-    boundary_ok = True
-    for edge in boundary.facets:
-        holders = [
-            f for f in disc.complex.facets if edge.vertex_set <= f.vertex_set
-        ]
-        if len(holders) != 1 or disc.signs[holders[0]] != 1:
-            boundary_ok = False
-            break
+    boundary_ok = all(
+        disc.signs[disc.complex.facets[holders[0]]] == 1
+        for holders in disc.complex.ridge_facets.values()
+        if len(holders) == 1
+    )
 
     base = simplex(disc.trace[0].strip[0])
     oriented = coherent_orientation(disc.complex, base, 1)
     agrees = True
     for facet in disc.complex.facets:
-        class_order = tuple(
-            sorted(facet.vertices, key=lambda lab: (lab.class_index, lab))
-        )
-        expected = oriented.signs[facet] * relative_sign(class_order, facet.vertices)
+        class_order = sorted(facet, key=lambda lab: (lab.class_index, lab))
+        expected = oriented.signs[facet] * relative_sign(class_order, facet)
         if disc.signs[facet] != expected:
             agrees = False
             break

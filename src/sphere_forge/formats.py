@@ -79,7 +79,7 @@ def complex_from_json_obj(
 ) -> tuple[Complex, dict[Simplex, int] | None]:
     facets = _field(obj, "facets", what, list)
     K = make_complex([_labels(facet, f"{what} facet") for facet in facets])
-    if K.dimension != obj.get("dimension", K.dimension):
+    if "dimension" in obj and _field(obj, "dimension", what, int) != K.dimension:
         raise ValueError(
             f"dimension field {obj['dimension']!r} does not match facets (dim {K.dimension})"
         )
@@ -91,10 +91,17 @@ def complex_from_json_obj(
     orientation = None
     if "orientation" in obj:
         orientation = {}
+        known = set(K.facets)
         for key, sign in _field(obj, "orientation", what, dict).items():
-            if sign not in (1, -1):
+            # 1.0 and true compare equal to 1 but are not JSON integers
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValueError(f"orientation sign must be 1 or -1, got {sign!r}")
-            orientation[simplex(parse_label(tok) for tok in key.split())] = sign
+            facet = simplex(parse_label(tok) for tok in key.split())
+            if facet not in known:
+                raise ValueError(f"orientation key {key!r} is not a facet")
+            if facet in orientation:
+                raise ValueError(f"orientation names facet [{facet}] twice")
+            orientation[facet] = sign
     return K, orientation
 
 

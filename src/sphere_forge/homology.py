@@ -115,16 +115,15 @@ def boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
 
 
 def _build_boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
-    row_index = {s.vertices: i for i, s in enumerate(face_basis(K, k - 1))}
+    row_index = {s: i for i, s in enumerate(face_basis(K, k - 1))}
     columns = []
     for s in face_basis(K, k):
-        vs = s.vertices
         # omitting a later vertex gives an earlier face, so walking i
         # downwards lists the rows in ascending order
         columns.append(
             tuple(
-                (row_index[vs[:i] + vs[i + 1 :]], -1 if i % 2 else 1)
-                for i in reversed(range(len(vs)))
+                (row_index[s[:i] + s[i + 1 :]], -1 if i % 2 else 1)
+                for i in reversed(range(len(s)))
             )
         )
     return IntegerMatrix(len(row_index), len(columns), tuple(columns))
@@ -150,9 +149,8 @@ def chain_boundary(chain: Chain) -> Chain:
     for s, c in chain.coefficients.items():
         if c == 0:
             continue
-        vs = s.vertices
-        for i in range(len(vs)):
-            face = Simplex(vs[:i] + vs[i + 1 :])
+        for i in range(len(s)):
+            face = Simplex(s[:i] + s[i + 1 :])
             out[face] = out.get(face, 0) + ((-c) if i % 2 else c)
     return Chain(
         coefficients={s: c for s, c in out.items() if c != 0},

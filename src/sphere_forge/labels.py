@@ -8,65 +8,80 @@ optional prime marker.  The textual grammar is::
     base<j>_<i>     e.g.  u1_3        (class/index pair)
     ...p            e.g.  u4p, u1_3p  (primed variant)
 
-The total order compares ``(base, class_index, item_index, primed)``
-lexicographically with an absent component ordering before any present
-one.  Every place the library needs a "sorted vertex list" uses this
-order, so it fixes simplex normal forms and all boundary-operator signs.
+A label is its own sort key: the tuple ``(base, has class, class, has
+item, item, primed)``, so comparison, equality and hashing are the
+tuple's and an absent component orders before any present one.  Every
+place the library needs a "sorted vertex list" uses this order, so it
+fixes simplex normal forms and all boundary-operator signs.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import total_ordering
 
 _LABEL_RE = re.compile(r"^([a-z]+)(?:([0-9]+)_([0-9]+)|([0-9]+))?(p)?$")
 
 
-@total_ordering
-@dataclass(frozen=True)
-class VertexLabel:
-    base: str
-    class_index: int | None = None
-    item_index: int | None = None
-    primed: bool = False
-    # sort key cached because labels are compared constantly
-    _key: tuple = field(init=False, repr=False, compare=False)
+class VertexLabel(tuple):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.base or not re.fullmatch(r"[a-z]+", self.base):
-            raise ValueError(f"label base must be lowercase letters, got {self.base!r}")
-        if self.class_index is not None and self.item_index is None:
+    def __new__(
+        cls,
+        base: str,
+        class_index: int | None = None,
+        item_index: int | None = None,
+        primed: bool = False,
+    ):
+        if not base or not re.fullmatch(r"[a-z]+", base):
+            raise ValueError(f"label base must be lowercase letters, got {base!r}")
+        if class_index is not None and item_index is None:
             raise ValueError("a class index requires an item index")
-        if self.primed and self.item_index is None:
+        if primed and item_index is None:
             raise ValueError("primed labels need an item index to stay parseable")
-        for idx in (self.class_index, self.item_index):
+        for idx in (class_index, item_index):
             if idx is not None and idx < 0:
                 raise ValueError("label indices must be nonnegative")
-        object.__setattr__(
-            self,
-            "_key",
+        return tuple.__new__(
+            cls,
             (
-                self.base,
-                self.class_index is not None,
-                self.class_index or 0,
-                self.item_index is not None,
-                self.item_index or 0,
-                self.primed,
+                base,
+                class_index is not None,
+                class_index or 0,
+                item_index is not None,
+                item_index or 0,
+                primed,
             ),
         )
 
-    def __lt__(self, other: "VertexLabel") -> bool:
-        return self._key < other._key
+    def __getnewargs__(self):
+        # pickle and copy rebuild a label from its fields, not its key
+        return (self.base, self.class_index, self.item_index, self.primed)
+
+    @property
+    def base(self) -> str:
+        return self[0]
+
+    @property
+    def class_index(self) -> int | None:
+        return self[2] if self[1] else None
+
+    @property
+    def item_index(self) -> int | None:
+        return self[4] if self[3] else None
+
+    @property
+    def primed(self) -> bool:
+        return self[5]
 
     def __str__(self) -> str:
-        if self.class_index is not None:
-            mid = f"{self.class_index}_{self.item_index}"
-        elif self.item_index is not None:
-            mid = str(self.item_index)
+        base, has_class, class_index, has_item, item_index, primed = self
+        if has_class:
+            mid = f"{class_index}_{item_index}"
+        elif has_item:
+            mid = str(item_index)
         else:
             mid = ""
-        return f"{self.base}{mid}{'p' if self.primed else ''}"
+        return f"{base}{mid}{'p' if primed else ''}"
 
     def __repr__(self) -> str:
         return f"VertexLabel({str(self)!r})"

@@ -207,15 +207,13 @@ def enumerate_2spheres(v: int, descending: bool = False) -> tuple[CensusEntry, .
 # Exhaustive map sweep
 
 
-def _target_facet_signs() -> tuple[dict[frozenset[int], int], Complex]:
-    target = standard_sphere(2)
+def _target_facet_signs() -> dict[frozenset[int], int]:
     base = simplex([v_label(1), v_label(2), v_label(3)])
-    oriented = coherent_orientation(target, base, 1)
-    signs = {
+    oriented = coherent_orientation(standard_sphere(2), base, 1)
+    return {
         frozenset(v.item_index - 1 for v in facet.vertices): sign
         for facet, sign in oriented.signs.items()
     }
-    return signs, target
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +239,7 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     ]
     oriented = coherent_orientation(K, K.facets[0], 1)
     tri_signs = [oriented.signs[facet] for facet in K.facets]
-    target_signs, _ = _target_facet_signs()
+    target_signs = _target_facet_signs()
     facet_sign = [target_signs[frozenset({0, 1, 2, 3} - {o})] for o in range(4)]
 
     best = 0

@@ -100,14 +100,13 @@ def coherent_orientation(
     frontier = deque([base_idx])
     while frontier:
         cur = frontier.popleft()
-        cur_facet = facets[cur]
-        vs = cur_facet.vertices
+        vs = facets[cur]
         for p in range(len(vs)):
             ridge = vs[:p] + vs[p + 1 :]
             for other in by_ridge[ridge]:
                 if other == cur:
                     continue
-                other_vs = facets[other].vertices
+                other_vs = facets[other]
                 opposite = (set(other_vs) - set(ridge)).pop()
                 q = other_vs.index(opposite)
                 parity = -1 if (p + q) % 2 else 1

@@ -96,11 +96,11 @@ def _signed_preimages(
     plus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in OL.complex.facets}
     minus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in OL.complex.facets}
     for tau in OK.complex.facets:
-        image = f.image(tau.vertices)
-        sigma = Simplex(tuple(sorted(image)))
+        image = f.image(tau)
+        sigma = Simplex(sorted(image))
         if len(set(image)) != len(image) or sigma not in plus:
             continue
-        induced = OK.signs[tau] * relative_sign(image, sigma.vertices)
+        induced = OK.signs[tau] * relative_sign(image, sigma)
         (plus if induced > 0 else minus)[sigma].append(tau)
     return {
         sigma: AlgResult(
@@ -159,7 +159,7 @@ class DegreeReport:
 
 def _oriented_from_base(K: Complex, base: Sequence[VertexLabel]) -> OrientedComplex:
     base_facet = simplex(base)
-    base_sign = relative_sign(tuple(base), base_facet.vertices)
+    base_sign = relative_sign(base, base_facet)
     return coherent_orientation(K, base_facet, base_sign)
 
 
@@ -218,7 +218,7 @@ def degree_by_cycle(bundle: "ConstructionBundle") -> int:
             raise KernelRankNotOne(
                 f"kernel generator has coefficient {coeff} on [{base_facet}]"
             )
-        want = relative_sign(tuple(base_written), base_facet.vertices)
+        want = relative_sign(base_written, base_facet)
         if coeff != want:
             gen = {s: -c for s, c in gen.items()}
         return gen
@@ -228,11 +228,11 @@ def degree_by_cycle(bundle: "ConstructionBundle") -> int:
 
     pushed: dict[Simplex, int] = {s: 0 for s in L.facets}
     for tau, coeff in source_cycle.items():
-        image = f.image(tau.vertices)
+        image = f.image(tau)
         if len(set(image)) != len(image):
             continue
         sigma = simplex(image)
-        pushed[sigma] += coeff * relative_sign(image, sigma.vertices)
+        pushed[sigma] += coeff * relative_sign(image, sigma)
 
     target_base = simplex(bundle.target_base)
     degree = pushed[target_base] // target_cycle[target_base]

@@ -16,7 +16,7 @@ from sphere_forge import (
     standard_sphere,
     union,
 )
-from sphere_forge.complex_core import EMPTY_SIMPLEX, empty_complex
+from sphere_forge.complex_core import EMPTY_SIMPLEX, Simplex, empty_complex
 from sphere_forge.errors import (
     DuplicateVertexInFacet,
     FaceNotInComplex,
@@ -259,3 +259,16 @@ def test_make_complex_idempotent_under_subsets(fs):
         f.vertices[:-1] for f in K.facets
     ]
     assert make_complex(with_faces) == K
+
+
+def test_simplex_is_its_vertex_tuple():
+    s = simplex_of("u1 u2 u3")
+    plain = tuple(labels("u1 u2 u3"))
+    assert type(plain) is tuple and s == plain and hash(s) == hash(plain)
+    assert {s: "simplex"}[plain] == "simplex"
+    assert {plain: "tuple"}[s] == "tuple"
+    assert s.vertices == plain and s.dimension == 2
+    for ridge, members in DELTA2.ridge_facets.items():
+        assert type(ridge) is tuple
+        assert DELTA2.ridge_facets[Simplex(ridge)] == members
+    assert DELTA2.ridge_facets[simplex_of("u1_1 u3_1")] == (0, 1)

@@ -197,3 +197,27 @@ def test_construction_grid_digest():
         for line in _bundle_fields(build(*args)):
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == CONSTRUCTION_GRID_DIGEST
+
+
+def test_pickle_and_deepcopy_round_trip():
+    import copy
+    import pickle
+
+    from sphere_forge import verify_bundle
+    from sphere_forge.formats import bundle_to_json
+
+    bundle = build_join_cone_sphere(2, 2)
+    verify_bundle(bundle)  # fills the complexes' caches, which copies carry
+    values = [u_pair(1, 2), bundle.source.facets[0], bundle.source]
+    copiers = [copy.deepcopy] + [
+        lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for copier in copiers:
+        for value in values:
+            twin = copier(value)
+            assert twin == value and type(twin) is type(value)
+        twin = copier(bundle)
+        assert type(twin) is type(bundle)
+        assert bundle_to_json(twin) == bundle_to_json(bundle)
+        assert verify_bundle(twin).passed

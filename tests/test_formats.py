@@ -70,6 +70,25 @@ def test_complex_json_validation():
         complex_from_json(dumps_canonical(obj))
 
 
+@pytest.mark.parametrize(
+    "n,field,value,message",
+    [
+        (1, "dimension", True, "'dimension' field"),
+        (2, "dimension", 2.0, "'dimension' field"),
+        (2, "orientation", {"v1 v2 v3": True}, "sign must be 1 or -1"),
+        (2, "orientation", {"v1 v2 v3": 1.0}, "sign must be 1 or -1"),
+        (2, "orientation", {"v1 v2": -1}, "'v1 v2' is not a facet"),
+        (2, "orientation", {"v1 v2 v5": 1}, "'v1 v2 v5' is not a facet"),
+        (2, "orientation", {"v1 v2 v3": 1, "v2 v1 v3": 1}, "facet \\[v1 v2 v3\\] twice"),
+    ],
+)
+def test_complex_json_refuses_bad_dimension_and_orientation(n, field, value, message):
+    obj = json.loads(complex_to_json(standard_sphere(n)))
+    obj[field] = value
+    with pytest.raises(ValueError, match=message):
+        complex_from_json(json.dumps(obj))
+
+
 def test_map_file_round_trip():
     bundle = build_join_cone_sphere(3, 2)
     text = map_to_text(bundle.vertex_map)

@@ -131,3 +131,22 @@ def test_malformed_bundle_exits_2(tmp_path, text):
     path = tmp_path / "bundle.json"
     path.write_text(text)
     assert run(["degree", "--bundle", str(path)]) == 2
+
+
+FACET = str(BUNDLE.source.facets[0])
+SWAPPED = " ".join(reversed(FACET.split()))
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"dimension": True, "facets": [["v1", "v2"], ["v1", "v3"], ["v2", "v3"]]},
+        {**VALID["complex"], "orientation": {FACET: True}},
+        {**VALID["complex"], "orientation": {"v1 v2": -1}},
+        {**VALID["complex"], "orientation": {FACET: 1, SWAPPED: -1}},
+    ],
+)
+def test_malformed_complex_exits_2(tmp_path, document):
+    path = tmp_path / "K.json"
+    path.write_text(json.dumps(document))
+    assert run(["verify", "sphere", "--in", str(path)]) == 2

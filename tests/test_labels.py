@@ -63,3 +63,36 @@ def test_round_trip(lab):
 @given(label_strategy, label_strategy)
 def test_order_is_total(a, b):
     assert (a < b) + (b < a) + (a == b) == 1
+
+
+def documented_key(lab):
+    return (
+        lab.base,
+        lab.class_index is not None,
+        lab.class_index or 0,
+        lab.item_index is not None,
+        lab.item_index or 0,
+        lab.primed,
+    )
+
+
+# small domains, so that equal labels come up often
+small_labels = st.one_of(
+    st.builds(
+        VertexLabel,
+        base=st.sampled_from(["a", "u", "up"]),
+        class_index=st.one_of(st.none(), st.integers(0, 2)),
+        item_index=st.integers(0, 2),
+        primed=st.booleans(),
+    ),
+    st.from_regex(r"(a|u|up)([0-2](_[0-2])?p?)?", fullmatch=True).map(parse_label),
+)
+
+
+@given(small_labels, small_labels)
+def test_label_is_its_documented_key(a, b):
+    assert a == documented_key(a) and hash(a) == hash(documented_key(a))
+    assert (a < b) == (documented_key(a) < documented_key(b))
+    assert (a == b) == (documented_key(a) == documented_key(b))
+    if documented_key(a) == documented_key(b):
+        assert hash(a) == hash(b)
