@@ -91,7 +91,7 @@ class Complex:
     def vertex_set(self) -> frozenset[VertexLabel]:
         return frozenset(self.vertices)
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return max(f.dimension for f in self.facets)
 

@@ -1,13 +1,22 @@
+from collections import Counter
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphere_forge import (
+    build_join_cone_sphere,
+    build_stacked_sphere,
     enumerate_2spheres,
     max_abs_degree,
     sphere_check,
     verify_small_sphere_bounds,
 )
-from sphere_forge.errors import OutOfRange
+from sphere_forge.complex_core import make_complex, simplex, standard_sphere
+from sphere_forge.errors import OutOfRange, PreconditionFailed
+from sphere_forge.labels import v_label
 from sphere_forge.minimality import degree_survey
+from sphere_forge.orientation import coherent_orientation
 
 
 @pytest.mark.parametrize("v,count", [(4, 1), (5, 1), (6, 2), (7, 5)])
@@ -94,11 +103,100 @@ def test_census_exports_in_standard_formats():
         assert loaded == entry.complex
 
 
-def test_single_thread_matches_threaded(monkeypatch):
-    entry = enumerate_2spheres(6)[0]
-    monkeypatch.setenv("SPHERE_FORGE_THREADS", "1")
-    serial = degree_survey(entry.complex)
-    monkeypatch.setenv("SPHERE_FORGE_THREADS", "4")
-    threaded = degree_survey(entry.complex)
-    assert serial.degrees == threaded.degrees
-    assert serial.max_abs == threaded.max_abs
+def _reference_survey(K):
+    """The plain product scan over all 4^v assignments, re-sorting every
+    triangle of each: (degrees, max |degree|, lexicographically first
+    witness assignment as a tuple of target indices)."""
+    vertices = K.vertices
+    index = {lab: i for i, lab in enumerate(vertices)}
+    triangles = [tuple(sorted(index[lab] for lab in facet)) for facet in K.facets]
+    oriented = coherent_orientation(K, K.facets[0], 1)
+    tri_signs = [oriented.signs[facet] for facet in K.facets]
+    target = coherent_orientation(
+        standard_sphere(2), simplex([v_label(1), v_label(2), v_label(3)]), 1
+    )
+    target_signs = {
+        frozenset(w.item_index - 1 for w in facet): sign
+        for facet, sign in target.signs.items()
+    }
+    facet_sign = [target_signs[frozenset({0, 1, 2, 3} - {o})] for o in range(4)]
+
+    best = 0
+    witness = None
+    degrees = Counter()
+    for assignment in product(range(4), repeat=len(vertices)):
+        if len(set(assignment)) != 4:
+            continue
+        totals = [0, 0, 0, 0]
+        for (i, j, k), s in zip(triangles, tri_signs):
+            x, y, z = assignment[i], assignment[j], assignment[k]
+            if x == y or y == z or x == z:
+                continue
+            parity = 1
+            if x > y:
+                x, y = y, x
+                parity = -parity
+            if y > z:
+                y, z = z, y
+                parity = -parity
+            if x > y:
+                x, y = y, x
+                parity = -parity
+            totals[6 - x - y - z] += s * parity
+        values = {facet_sign[o] * totals[o] for o in range(4)}
+        assert len(values) == 1
+        deg = values.pop()
+        degrees[deg] += 1
+        if abs(deg) > best:
+            best = abs(deg)
+            witness = assignment
+    return degrees, best, witness
+
+
+def _assert_matches_reference(K):
+    degrees, best, witness = _reference_survey(K)
+    survey = degree_survey(K)
+    assert survey.degrees == degrees
+    assert survey.max_abs == best
+    if witness is None:
+        assert survey.witness is None
+    else:
+        got = tuple(survey.witness.assignment[lab].item_index - 1 for lab in K.vertices)
+        assert got == witness
+
+
+@pytest.mark.parametrize("v", [4, 5, 6, 7])
+def test_survey_matches_reference_scan_on_census(v):
+    for entry in enumerate_2spheres(v):
+        _assert_matches_reference(entry.complex)
+
+
+def test_survey_matches_reference_scan_on_constructions():
+    _assert_matches_reference(build_join_cone_sphere(2, 2).source)
+    _assert_matches_reference(build_stacked_sphere(2).source)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_survey_matches_reference_scan_on_relabelled_stacked(rng):
+    K = build_stacked_sphere(2).source
+    old = list(K.vertices)
+    new = old[:]
+    rng.shuffle(new)
+    sigma = dict(zip(old, new))
+    relabelled = make_complex([[sigma[lab] for lab in facet] for facet in K.facets])
+    _assert_matches_reference(relabelled)
+
+
+@pytest.mark.parametrize("v", [4, 5, 6, 7])
+def test_survey_counts_every_surjection_once(v):
+    surjections = 4**v - 4 * 3**v + 6 * 2**v - 4
+    for entry in enumerate_2spheres(v):
+        assert sum(degree_survey(entry.complex).degrees.values()) == surjections
+
+
+def test_survey_refuses_sources_not_of_dimension_two():
+    with pytest.raises(PreconditionFailed, match="dimension 3"):
+        degree_survey(standard_sphere(3))
+    with pytest.raises(PreconditionFailed, match="dimension 1"):
+        degree_survey(standard_sphere(1))
