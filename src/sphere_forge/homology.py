@@ -428,6 +428,8 @@ def sphere_check(K: Complex, n: int, level: str = LEVEL_NECESSARY) -> SphereChec
     for n >= 4 is out of reach, so certification requests fall back to
     the necessary battery with a note.
     """
+    if n < 0:
+        raise PreconditionFailed(f"sphere check needs n >= 0, got {n}")
     if level == "certify":
         level = LEVEL_CERTIFY
     if level not in (LEVEL_NECESSARY, LEVEL_CERTIFY):

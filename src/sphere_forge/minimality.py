@@ -1,10 +1,12 @@
 """Exhaustive verification of the small-sphere degree bounds in dimension 2.
 
 Triangulated 2-spheres on up to seven vertices are enumerated by a
-deficit-driven backtracking search (grow triangles over the smallest
-open edge), deduplicated by canonical relabelling, and then the vertex
-assignments into the 4-vertex sphere are surveyed exhaustively, one per
-orbit of the target's symmetry group S4: S(v, 4) surjective
+backtracking search that glues triangles over the smallest open edge
+and keeps a closed surface when its Euler characteristic is 2.  Each
+result is named by a canonical code, the least breadth-first walk from
+a facet flag, so one entry is kept per isomorphism class.  Then the
+vertex assignments into the 4-vertex sphere are surveyed exhaustively,
+one per orbit of the target's symmetry group S4: S(v, 4) surjective
 representatives instead of 4^v assignments (350 instead of 16 384 at
 v = 7, 34 105 instead of 1 048 576 for a 10-vertex source).
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import permutations
 
 from .complex_core import Complex, make_complex, simplex, standard_sphere
 from .errors import OutOfRange, PreconditionFailed
@@ -49,119 +51,92 @@ def _search_triangulations(v: int, descending: bool) -> set[frozenset[IntTriangl
 
     Every isomorphism class has a representative of this shape (relabel
     any facet to (0,1,2), then rename fresh vertices in discovery
-    order), so the harvest is complete up to isomorphism.  Growth over
-    the smallest open edge keeps the facet graph connected by
-    construction.
+    order), so the harvest is complete up to isomorphism.  Each triangle
+    is glued along the smallest open edge, so a closed result is a
+    strongly connected surface in which every edge lies on two
+    triangles, and chi = 2 alone makes it a sphere: un-pinching its
+    vertices gives a connected closed surface of chi <= 2, and each
+    pinch lowers chi by one.
     """
-    target_triangles = 2 * v - 4
     found: set[frozenset[IntTriangle]] = set()
     triangles: list[IntTriangle] = [(0, 1, 2)]
-    triangle_set = {(0, 1, 2)}
     edge_count: Counter = Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
-    used = [True, True, True] + [False] * (v - 3)
-
-    def link_is_single_cycle() -> bool:
-        rim: dict[int, dict[int, list[int]]] = {}
-        for a, b, c in triangles:
-            for x, rest in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-                rim.setdefault(x, {}).setdefault(rest[0], []).append(rest[1])
-                rim.setdefault(x, {}).setdefault(rest[1], []).append(rest[0])
-        for x, graph in rim.items():
-            if any(len(nb) != 2 for nb in graph.values()):
-                return False
-            start = next(iter(graph))
-            prev, cur = None, start
-            seen = 0
-            while True:
-                seen += 1
-                a, b = graph[cur]
-                nxt = b if a == prev else a
-                prev, cur = cur, nxt
-                if cur == start:
-                    break
-            if seen != len(graph):
-                return False
-        return True
+    top = 3  # vertices 0..top-1 are in use
 
     def recurse():
-        open_edge = None
-        for e, cnt in sorted(edge_count.items()):
-            if cnt == 1:
-                open_edge = e
-                break
-        if open_edge is None:
-            # closed; keep it when all v vertices occur, chi == 2, and
-            # every vertex link is one cycle
-            if all(used) and len(edge_count) - len(triangles) == v - 2:
-                if link_is_single_cycle():
-                    found.add(frozenset(triangles))
+        nonlocal top
+        open_edges = [e for e, cnt in edge_count.items() if cnt == 1]
+        if not open_edges:
+            if top == v and len(edge_count) - len(triangles) == v - 2:
+                found.add(frozenset(triangles))
             return
-        if len(triangles) >= target_triangles:
+        if len(triangles) >= 2 * v - 4:
             return
-        a, b = open_edge
-        highest = max(i for i, flag in enumerate(used) if flag)
-        candidates = [w for w in range(min(highest + 2, v)) if w != a and w != b]
+        a, b = open_edge = min(open_edges)
+        candidates = [w for w in range(min(top + 1, v)) if w != a and w != b]
         if descending:
             candidates.reverse()
         for w in candidates:
-            tri = tuple(sorted((a, b, w)))
-            if tri in triangle_set:
-                continue
-            e1 = tuple(sorted((a, w)))
-            e2 = tuple(sorted((b, w)))
+            e1 = (min(a, w), max(a, w))
+            e2 = (min(b, w), max(b, w))
             if edge_count[e1] >= 2 or edge_count[e2] >= 2:
                 continue
-            triangles.append(tri)
-            triangle_set.add(tri)
-            edge_count[open_edge] += 1
-            edge_count[e1] += 1
-            edge_count[e2] += 1
-            fresh = not used[w]
-            used[w] = True
+            triangles.append(tuple(sorted((a, b, w))))
+            for e in (open_edge, e1, e2):
+                edge_count[e] += 1
+            fresh = w == top
+            top += fresh
             recurse()
-            if fresh:
-                used[w] = False
+            top -= fresh
             triangles.pop()
-            triangle_set.discard(tri)
-            edge_count[open_edge] -= 1
-            for e in (e1, e2):
+            for e in (open_edge, e1, e2):
                 edge_count[e] -= 1
                 if not edge_count[e]:
                     del edge_count[e]
-        return
 
     recurse()
     return found
 
 
-def _canonical_form(triangles: frozenset[IntTriangle], v: int):
-    """Isomorphism-invariant encoding: vertices of equal degree share a
-    fixed block of new names (blocks ordered by degree), and the least
-    relabelled facet list over all block bijections is taken."""
-    degree: Counter = Counter()
+def _canonical_form(triangles: frozenset[IntTriangle]) -> tuple:
+    """Isomorphism-invariant key: (sorted degree sequence, code).
+
+    A flag is a facet with an ordering of its vertices.  From a flag
+    the walk goes breadth first across edges, naming each vertex the
+    first time it meets it; the code is the facet list, in the order
+    the walk meets the facets, under those names.  The key takes the
+    least code over the flags whose vertex-degree triple is least.
+    """
+    degree = Counter(x for tri in triangles for x in tri)
+    # the two apexes over edge (x, y) sum to rim[x, y]
+    rim: Counter = Counter()
     for tri in triangles:
-        degree.update(tri)
-    by_degree: dict[int, list[int]] = {}
-    for vertex in range(v):
-        by_degree.setdefault(degree[vertex], []).append(vertex)
-    classes = [by_degree[d] for d in sorted(by_degree)]
-    blocks = []
-    offset = 0
-    for cls in classes:
-        blocks.append(range(offset, offset + len(cls)))
-        offset += len(cls)
-    best = None
-    for perms in product(*(permutations(b) for b in blocks)):
-        relabel = [0] * v
-        for cls, names in zip(classes, perms):
-            for src, dst in zip(cls, names):
-                relabel[src] = dst
-        encoded = tuple(
-            sorted(tuple(sorted((relabel[a], relabel[b], relabel[c]))) for a, b, c in triangles)
-        )
-        if best is None or encoded < best:
-            best = encoded
-    return tuple(sorted(degree.values())), best
+        for x, y, z in permutations(tri):
+            rim[x, y] += z
+
+    def walk(flag: IntTriangle) -> tuple:
+        name = dict(zip(flag, range(3)))
+        queue = [flag]
+        # directed edges of the facets met, each facet oriented
+        # coherently with the flag
+        met = {flag[:2], flag[1:], (flag[2], flag[0])}
+        for x, y, z in queue:
+            for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+                if (q, p) not in met:
+                    w = rim[p, q] - r
+                    name.setdefault(w, len(name))
+                    met.update(((q, p), (p, w), (w, q)))
+                    queue.append((q, p, w))
+        return tuple((name[x], name[y], name[z]) for x, y, z in queue)
+
+    triple = {
+        flag: tuple(degree[x] for x in flag)
+        for tri in triangles
+        for flag in permutations(tri)
+    }
+    least = min(triple.values())
+    code = min(walk(flag) for flag, t in triple.items() if t == least)
+    return tuple(sorted(degree.values())), code
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,29 +155,22 @@ def census_label(i: int) -> VertexLabel:
 def enumerate_2spheres(v: int, descending: bool = False) -> tuple[CensusEntry, ...]:
     """One census entry per isomorphism class of v-vertex 2-spheres.
 
-    Only 4 <= v <= 7 is supported; larger censuses blow the search
-    budget this module promises.  ``descending`` flips the branching
-    order, giving an independent run that must reproduce the same keys.
+    Only 4 <= v <= 7 is supported: that is the range the degree bounds
+    need and the census sizes (1, 1, 2, 5) are tested over.
+    ``descending`` flips the branching order, giving an independent run
+    that must reproduce the same keys.
     """
     if not 4 <= v <= 7:
         raise OutOfRange(f"census supports 4 <= v <= 7, got {v}")
-    classes: dict[tuple, frozenset[IntTriangle]] = {}
-    for labelled in _search_triangulations(v, descending):
-        key = _canonical_form(labelled, v)
-        if key not in classes:
-            classes[key] = frozenset(key[1])
-    entries = []
-    for key in sorted(classes):
-        triangles = sorted(classes[key])
-        facets = [[census_label(i) for i in tri] for tri in triangles]
-        entries.append(
-            CensusEntry(
-                complex=make_complex(facets),
-                vertex_count=v,
-                canonical_key=key,
-            )
+    keys = {_canonical_form(t) for t in _search_triangulations(v, descending)}
+    return tuple(
+        CensusEntry(
+            complex=make_complex([[census_label(i) for i in tri] for tri in key[1]]),
+            vertex_count=v,
+            canonical_key=key,
         )
-    return tuple(entries)
+        for key in sorted(keys)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +368,7 @@ def verify_small_sphere_bounds(max_v: int = 7) -> MinimalityReport:
                     f"census entry on {v} vertices fails the sphere battery (bug)"
                 )
                 continue
-            survey = degree_survey(entry.complex)
-            if any(survey.degrees[d] != survey.degrees[-d] for d in survey.degrees):
-                counterexamples.append(
-                    f"degree distribution not symmetric on {v} vertices (bug)"
-                )
-            best = max(best, survey.max_abs)
+            best = max(best, degree_survey(entry.complex).max_abs)
         max_by_v[v] = best
 
     bound2 = all(max_by_v.get(v, 0) <= 1 for v in range(4, min(max_v, 6) + 1))

@@ -144,6 +144,7 @@ SWAPPED = " ".join(reversed(FACET.split()))
         {**VALID["complex"], "orientation": {FACET: True}},
         {**VALID["complex"], "orientation": {"v1 v2": -1}},
         {**VALID["complex"], "orientation": {FACET: 1, SWAPPED: -1}},
+        {"facets": []},
     ],
 )
 def test_malformed_complex_exits_2(tmp_path, document):

@@ -15,7 +15,11 @@ from sphere_forge import (
 from sphere_forge.complex_core import make_complex, simplex, standard_sphere
 from sphere_forge.errors import OutOfRange, PreconditionFailed
 from sphere_forge.labels import v_label
-from sphere_forge.minimality import degree_survey
+from sphere_forge.minimality import (
+    _canonical_form,
+    _search_triangulations,
+    degree_survey,
+)
 from sphere_forge.orientation import coherent_orientation
 
 
@@ -29,6 +33,29 @@ def test_census_two_orders_agree():
         ascending = {e.canonical_key for e in enumerate_2spheres(v)}
         descending = {e.canonical_key for e in enumerate_2spheres(v, descending=True)}
         assert ascending == descending
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_canonical_form_separates_eight_vertex_classes(descending):
+    """v = 8 has 14 classes (OEIS A000109), and degree sequences alone
+    tell only 13 of them apart."""
+    keys = {_canonical_form(t) for t in _search_triangulations(8, descending)}
+    assert len(keys) == 14
+    assert len({degrees for degrees, _code in keys}) == 13
+
+
+CENSUS_KEYS = [e.canonical_key for v in range(4, 8) for e in enumerate_2spheres(v)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CENSUS_KEYS), st.randoms(use_true_random=False))
+def test_canonical_form_ignores_relabelling(key, rng):
+    degrees, code = key
+    v = len(degrees)
+    sigma = list(range(v))
+    rng.shuffle(sigma)
+    relabelled = frozenset(tuple(sorted(sigma[x] for x in tri)) for tri in code)
+    assert _canonical_form(relabelled) == key
 
 
 def test_census_entries_are_spheres():
