@@ -1,5 +1,12 @@
 """Command-line surface: build constructions, compute degrees, verify.
 
+Each subcommand's parser binds its runner (``set_defaults(run=...)``)
+and gives every option the ``dest`` of the runner parameter it feeds,
+so :func:`main` drops ``run``, ``command`` and ``format`` from the parsed
+namespace and calls ``run(**rest)`` without naming any option.  The
+constructions ``build`` offers, and the flags each one needs, are
+listed once in :data:`CONSTRUCTIONS`.
+
 Exit codes: 0 when every requested check passes, 1 when a check fails,
 2 on usage or input errors.  Reports render as text by default or as
 canonical JSON with ``--format json``.
@@ -8,7 +15,6 @@ canonical JSON with ``--format json``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,15 +38,25 @@ from .errors import (
 )
 from .formats import (
     bundle_from_json,
-    bundle_to_json,
+    bundle_to_json_obj,
     complex_from_json,
-    complex_to_json,
+    complex_to_json_obj,
     dumps_canonical,
     map_from_text,
 )
 from .homology import CheckItem, sphere_check
 from .minimality import verify_small_sphere_bounds
 from .simplicial_map import VertexMap, degree_by_counting, degree_by_cycle
+
+# name -> (builder, the flags it needs, in argument order); ``delta``
+# builds a disc, every other name a ConstructionBundle
+CONSTRUCTIONS = {
+    "delta": (build_delta, ("d",)),
+    "join-cone": (build_join_cone_sphere, ("n", "d")),
+    "double-cone": (build_double_cone_sphere, ("n", "d", "variant")),
+    "facet-cone": (build_facet_cone_sphere, ("n", "k")),
+    "stacked": (build_stacked_sphere, ("n",)),
+}
 
 
 @dataclass(frozen=True)
@@ -59,15 +75,6 @@ def _check_lines(items) -> list[str]:
     return [f"  [{'pass' if c.ok else 'FAIL'}] {c.name}: {c.detail}" for c in items]
 
 
-def _summary_lines(bundle: ConstructionBundle) -> list[str]:
-    fv, euler = f_vector_and_euler(bundle.source)
-    return [
-        f"{bundle.label}: degree {bundle.expected_degree}, "
-        f"{len(bundle.source.vertices)} vertices, {len(bundle.source.facets)} facets",
-        f"f-vector {fv.counts} (chi = {euler})",
-    ]
-
-
 def run_build(
     construction: str,
     n: int | None = None,
@@ -77,46 +84,33 @@ def run_build(
     out: str | None = None,
 ) -> CommandResult:
     """Build one construction and optionally write it to ``out``."""
-
-    def need(value, flag):
-        if value is None:
+    if construction not in CONSTRUCTIONS:
+        raise SphereForgeError(f"unknown construction {construction!r}")
+    builder, flags = CONSTRUCTIONS[construction]
+    given = {"n": n, "d": d, "k": k, "variant": variant}
+    for flag in flags:
+        if given[flag] is None:
             raise SphereForgeError(f"--{flag} is required for {construction}")
-        return value
+    built = builder(*(given[flag] for flag in flags))
 
     if construction == "delta":
-        disc = build_delta(need(d, "d"))
-        counts = disc_sign_census(disc)
-        fv, euler = f_vector_and_euler(disc.complex)
-        payload = json.loads(complex_to_json(disc.complex, disc.signs))
-        text = "\n".join(
-            [
-                f"delta d={disc.d}: {fv[0]} vertices, {fv[2]} triangles "
-                f"({counts.positives} positive, {counts.negatives} negative)",
-                f"f-vector {fv.counts} (chi = {euler})",
-            ]
+        counts = disc_sign_census(built)
+        fv, euler = f_vector_and_euler(built.complex)
+        payload = complex_to_json_obj(built.complex, built.signs)
+        head = (
+            f"delta d={built.d}: {fv[0]} vertices, {fv[2]} triangles "
+            f"({counts.positives} positive, {counts.negatives} negative)"
         )
-        if out:
-            Path(out).write_text(dumps_canonical(payload))
-            text += f"\nwrote {out}"
-        return CommandResult(0, text, payload)
-
-    if construction == "join-cone":
-        bundle = build_join_cone_sphere(need(n, "n"), need(d, "d"))
-    elif construction == "double-cone":
-        bundle = build_double_cone_sphere(
-            need(n, "n"), need(d, "d"), need(variant, "variant")
-        )
-    elif construction == "facet-cone":
-        bundle = build_facet_cone_sphere(need(n, "n"), need(k, "k"))
-    elif construction == "stacked":
-        bundle = build_stacked_sphere(need(n, "n"))
     else:
-        raise SphereForgeError(f"unknown construction {construction!r}")
-
-    payload = json.loads(bundle_to_json(bundle))
-    text = "\n".join(_summary_lines(bundle))
+        fv, euler = f_vector_and_euler(built.source)
+        payload = bundle_to_json_obj(built)
+        head = (
+            f"{built.label}: degree {built.expected_degree}, "
+            f"{len(built.source.vertices)} vertices, {len(built.source.facets)} facets"
+        )
+    text = f"{head}\nf-vector {fv.counts} (chi = {euler})"
     if out:
-        Path(out).write_text(bundle_to_json(bundle))
+        Path(out).write_text(dumps_canonical(payload))
         text += f"\nwrote {out}"
     return CommandResult(0, text, payload)
 
@@ -209,7 +203,6 @@ def run_verify(
     n: int | None = None,
     d: int | None = None,
     level: str = "necessary",
-    max_v: int = 7,
 ) -> CommandResult:
     """Dispatch to one of the verification suites."""
     if what == "sphere":
@@ -245,7 +238,7 @@ def run_verify(
         return CommandResult(0 if ok else 1, "\n".join(lines + _check_lines(checks)), data)
 
     if what == "minimality":
-        report = verify_small_sphere_bounds(max_v=max_v)
+        report = verify_small_sphere_bounds()
         sizes = ", ".join(f"v={v}: {c}" for v, c in sorted(report.census_sizes.items()))
         lines = [
             f"census sizes: {sizes}",
@@ -287,26 +280,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build", help="build a construction")
-    build.add_argument(
-        "--construction",
-        required=True,
-        choices=["delta", "join-cone", "double-cone", "facet-cone", "stacked"],
-    )
+    build.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
     build.add_argument("--n", type=int)
     build.add_argument("--d", type=int)
     build.add_argument("--k", type=int)
     build.add_argument("--variant", choices=["even", "odd"])
     build.add_argument("--out")
-    build.add_argument("--format", choices=["text", "json"], default="text")
 
     degree = sub.add_parser("degree", help="compute the degree of a map")
-    degree.add_argument("--bundle")
-    degree.add_argument("--in", dest="in_path")
+    degree.add_argument("--bundle", dest="bundle_path", metavar="BUNDLE")
+    degree.add_argument("--in", dest="complex_path", metavar="IN_PATH")
     degree.add_argument("--map", dest="map_path")
     degree.add_argument(
         "--method", choices=["counting", "cycle", "both"], default="both"
     )
-    degree.add_argument("--format", choices=["text", "json"], default="text")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument(
@@ -318,48 +305,27 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--level", choices=["necessary", "certify"], default="necessary"
     )
-    verify.add_argument("--max-v", type=int, default=7)
-    verify.add_argument("--format", choices=["text", "json"], default="text")
+
+    for command, run in ((build, run_build), (degree, run_degree), (verify, run_verify)):
+        command.add_argument("--format", choices=["text", "json"], default="text")
+        command.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    kwargs = vars(_build_parser().parse_args(argv))
+    run, fmt = kwargs.pop("run"), kwargs.pop("format")
+    del kwargs["command"]
     try:
-        if args.command == "build":
-            result = run_build(
-                args.construction,
-                n=args.n,
-                d=args.d,
-                k=args.k,
-                variant=args.variant,
-                out=args.out,
-            )
-        elif args.command == "degree":
-            result = run_degree(
-                bundle_path=args.bundle,
-                complex_path=args.in_path,
-                map_path=args.map_path,
-                method=args.method,
-            )
-        else:
-            result = run_verify(
-                args.what,
-                in_path=args.in_path,
-                n=args.n,
-                d=args.d,
-                level=args.level,
-                max_v=args.max_v,
-            )
+        result = run(**kwargs)
     except (InconsistentAlg, NonOrientable, KernelRankNotOne, NotClosed) as exc:
         # the input parsed fine but fails a mathematical check
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (SphereForgeError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (SphereForgeError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(result.render(args.format))
+    sys.stdout.write(result.render(fmt))
     return result.exit_code
 
 

@@ -19,7 +19,7 @@ operations on closed complexes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -274,15 +274,7 @@ class PseudomanifoldReport:
         return self.pure and self.ridge_bound_ok and self.closed and self.connected
 
     def as_dict(self) -> dict:
-        return {
-            "pure": self.pure,
-            "max_ridge_multiplicity": self.max_ridge_multiplicity,
-            "ridge_bound_ok": self.ridge_bound_ok,
-            "closed": self.closed,
-            "connected": self.connected,
-            "boundary_ridges": self.boundary_ridges,
-            "is_closed_pseudomanifold": self.is_closed_pseudomanifold,
-        }
+        return {**asdict(self), "is_closed_pseudomanifold": self.is_closed_pseudomanifold}
 
 
 def pseudomanifold_check(K: Complex) -> PseudomanifoldReport:

@@ -68,12 +68,13 @@ class ConstructionBundle:
 @dataclass(frozen=True)
 class BundleVerification:
     """Outcome of :func:`verify_bundle`: the named checks, the sphere
-    report behind the ``sphere_check`` item, and both oracles' degrees."""
+    report behind the ``sphere_check`` item, and both oracles' degrees
+    (None when the source fails the sphere battery)."""
 
     checks: tuple[CheckItem, ...]
     sphere: SphereCheckReport
-    counting_degree: int
-    cycle_degree: int
+    counting_degree: int | None
+    cycle_degree: int | None
 
     @property
     def passed(self) -> bool:
@@ -87,6 +88,8 @@ def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
     for n <= 3), agreement of the counting and cycle degree oracles, the
     expected degree when the bundle names one, and that the coherent
     fundamental cycle equals the top kernel generator up to one sign.
+    Both oracles assume a sphere, so a source that fails the battery
+    stops the run there.
     """
     source = bundle.source
     n = source.dimension
@@ -100,6 +103,8 @@ def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
     ]
     sphere = sphere_check(source, n, level)
     checks.append(CheckItem("sphere_check", sphere.passed, f"level {level}"))
+    if not sphere.passed:
+        return BundleVerification(tuple(checks), sphere, None, None)
 
     counting = degree_by_counting(bundle).degree
     cycle = degree_by_cycle(bundle)

@@ -42,9 +42,6 @@ class PolygonCycle:
     def __len__(self):
         return len(self.vertices)
 
-    def __getitem__(self, i: int) -> VertexLabel:
-        return self.vertices[i % len(self.vertices)]
-
 
 @dataclass(frozen=True)
 class ReductionRecord:

@@ -161,6 +161,11 @@ def bundle_to_json_obj(bundle: ConstructionBundle) -> dict:
 def bundle_from_json_obj(obj) -> ConstructionBundle:
     source, _ = complex_from_json_obj(_field(obj, "source", "bundle"), "source")
     target, _ = complex_from_json_obj(_field(obj, "target", "bundle"), "target")
+    if source.dimension != target.dimension:
+        raise ValueError(
+            f"source has dimension {source.dimension} but target has dimension "
+            f"{target.dimension}"
+        )
     pairs = _field(obj, "map", "bundle", list)
     assignment = _assignment(_labels(pair, "a map entry") for pair in pairs)
     source_base = _labels(_field(obj, "source_base", "bundle"), "source_base")

@@ -16,7 +16,7 @@ exactly as long as the complex does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .complex_core import (
@@ -386,7 +386,7 @@ class CheckItem:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Triangulated 2-spheres on up to seven vertices are enumerated by a
 backtracking search that glues triangles over the smallest open edge
-and keeps a closed surface when its Euler characteristic is 2.  Each
-result is named by a canonical code, the least breadth-first walk from
-a facet flag, so one entry is kept per isomorphism class.  Then the
+and keeps each closed surface that uses every vertex.  Each result is
+named by a canonical code, the least breadth-first walk from a facet
+flag, so one entry is kept per isomorphism class.  Then the
 vertex assignments into the 4-vertex sphere are surveyed exhaustively,
 one per orbit of the target's symmetry group S4: S(v, 4) surjective
 representatives instead of 4^v assignments (350 instead of 16 384 at
@@ -19,7 +19,7 @@ and 3 through the packaged constructions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import permutations
 
@@ -54,9 +54,10 @@ def _search_triangulations(v: int, descending: bool) -> set[frozenset[IntTriangl
     order), so the harvest is complete up to isomorphism.  Each triangle
     is glued along the smallest open edge, so a closed result is a
     strongly connected surface in which every edge lies on two
-    triangles, and chi = 2 alone makes it a sphere: un-pinching its
-    vertices gives a connected closed surface of chi <= 2, and each
-    pinch lowers chi by one.
+    triangles, and chi = 2 makes it a sphere: un-pinching its vertices
+    gives a connected closed surface of chi <= 2, and each pinch lowers
+    chi by one.  A closed result on all v vertices needs no chi test:
+    its F <= 2v - 4 triangles and 3F/2 edges give chi = v - F/2 >= 2.
     """
     found: set[frozenset[IntTriangle]] = set()
     triangles: list[IntTriangle] = [(0, 1, 2)]
@@ -67,7 +68,7 @@ def _search_triangulations(v: int, descending: bool) -> set[frozenset[IntTriangl
         nonlocal top
         open_edges = [e for e, cnt in edge_count.items() if cnt == 1]
         if not open_edges:
-            if top == v and len(edge_count) - len(triangles) == v - 2:
+            if top == v:
                 found.add(frozenset(triangles))
             return
         if len(triangles) >= 2 * v - 4:
@@ -322,33 +323,23 @@ class MinimalityReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "census_sizes": dict(self.census_sizes),
-            "orders_agree": self.orders_agree,
-            "max_degree_by_vertices": dict(self.max_degree_by_vertices),
-            "degree2_bound_ok": self.degree2_bound_ok,
-            "degree3_bound_ok": self.degree3_bound_ok,
-            "degree2_attained_at_7": self.degree2_attained_at_7,
-            "degree3_attained_at_8": self.degree3_attained_at_8,
-            "counterexamples": list(self.counterexamples),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
-def verify_small_sphere_bounds(max_v: int = 7) -> MinimalityReport:
-    """Exhaustive sweep: census sizes, the two degree bounds, and the
-    attainment witnesses from the constructions.
+def verify_small_sphere_bounds() -> MinimalityReport:
+    """Exhaustive sweep over the 2-spheres on 4..7 vertices: census
+    sizes, the two degree bounds, and the attainment witnesses from the
+    constructions.
 
-    A counterexample here would mean an implementation bug, not a
-    refutation; it is reported as such instead of raised.
+    A census entry failing the sphere battery would mean an
+    implementation bug, not a refutation; it is reported as a
+    counterexample instead of raised.
     """
     from .constructions import build_join_cone_sphere, build_stacked_sphere
 
-    if not 4 <= max_v <= 7:
-        raise OutOfRange(f"minimality sweep supports 4 <= max_v <= 7, got {max_v}")
     census: dict[int, tuple[CensusEntry, ...]] = {}
     orders_agree = True
-    for v in range(4, max_v + 1):
+    for v in range(4, 8):
         ascending = enumerate_2spheres(v)
         descending = enumerate_2spheres(v, descending=True)
         if {e.canonical_key for e in ascending} != {
@@ -371,14 +362,6 @@ def verify_small_sphere_bounds(max_v: int = 7) -> MinimalityReport:
             best = max(best, degree_survey(entry.complex).max_abs)
         max_by_v[v] = best
 
-    bound2 = all(max_by_v.get(v, 0) <= 1 for v in range(4, min(max_v, 6) + 1))
-    bound3 = all(max_by_v.get(v, 0) <= 2 for v in range(4, max_v + 1))
-    for v in range(4, min(max_v, 6) + 1):
-        if max_by_v[v] >= 2:
-            counterexamples.append(f"|degree| = 2 reached with {v} <= 6 vertices (bug)")
-    if max_v >= 7 and max_by_v.get(7, 0) >= 3:
-        counterexamples.append("|degree| = 3 reached with 7 vertices (bug)")
-
     degree2 = degree_by_counting(build_join_cone_sphere(2, 2)).degree == 2
     degree3 = degree_by_counting(build_stacked_sphere(2)).degree == 3
 
@@ -386,8 +369,8 @@ def verify_small_sphere_bounds(max_v: int = 7) -> MinimalityReport:
         census_sizes={v: len(entries) for v, entries in census.items()},
         orders_agree=orders_agree,
         max_degree_by_vertices=max_by_v,
-        degree2_bound_ok=bound2,
-        degree3_bound_ok=bound3,
+        degree2_bound_ok=all(max_by_v[v] <= 1 for v in range(4, 7)),
+        degree3_bound_ok=all(max_by_v[v] <= 2 for v in range(4, 8)),
         degree2_attained_at_7=degree2,
         degree3_attained_at_8=degree3,
         counterexamples=tuple(counterexamples),

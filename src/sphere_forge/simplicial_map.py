@@ -260,18 +260,19 @@ def compose(f: VertexMap, g: VertexMap) -> VertexMap:
     return VertexMap({x: g.assignment[y] for x, y in f.assignment.items()})
 
 
-def swap_map(n: int) -> "ConstructionBundle":
-    """Self-map of the standard sphere exchanging the last two vertices;
-    its degree is -1 in every dimension."""
+def _self_map(n: int, name: str, degree: int) -> "ConstructionBundle":
+    """Self-map bundle of the standard n-sphere named ``name``: the
+    identity for degree 1, the exchange of the last two vertices for
+    degree -1."""
     from .constructions import ConstructionBundle
 
     if n < 1:
-        raise PreconditionFailed("swap_map needs n >= 1")
+        raise PreconditionFailed(f"{name}_map needs n >= 1")
     sphere = standard_sphere(n)
     verts = [v_label(i) for i in range(1, n + 3)]
     assignment = {v: v for v in verts}
-    assignment[verts[-2]] = verts[-1]
-    assignment[verts[-1]] = verts[-2]
+    if degree == -1:
+        assignment[verts[-2]], assignment[verts[-1]] = verts[-1], verts[-2]
     base = tuple(verts[: n + 1])
     return ConstructionBundle(
         source=sphere,
@@ -279,28 +280,18 @@ def swap_map(n: int) -> "ConstructionBundle":
         vertex_map=VertexMap(assignment),
         source_base=base,
         target_base=base,
-        expected_degree=-1,
+        expected_degree=degree,
         expected_vertices=n + 2,
-        label=f"swap n={n}",
+        label=f"{name} n={n}",
     )
+
+
+def swap_map(n: int) -> "ConstructionBundle":
+    """Self-map of the standard sphere exchanging the last two vertices;
+    its degree is -1 in every dimension."""
+    return _self_map(n, "swap", -1)
 
 
 def identity_map(n: int) -> "ConstructionBundle":
     """Identity self-map bundle of the standard n-sphere (degree +1)."""
-    from .constructions import ConstructionBundle
-
-    if n < 1:
-        raise PreconditionFailed("identity_map needs n >= 1")
-    sphere = standard_sphere(n)
-    verts = [v_label(i) for i in range(1, n + 3)]
-    base = tuple(verts[: n + 1])
-    return ConstructionBundle(
-        source=sphere,
-        target=sphere,
-        vertex_map=VertexMap({v: v for v in verts}),
-        source_base=base,
-        target_base=base,
-        expected_degree=1,
-        expected_vertices=n + 2,
-        label=f"identity n={n}",
-    )
+    return _self_map(n, "identity", 1)

@@ -1,12 +1,18 @@
+import argparse
+import inspect
 import json
+import shlex
+from pathlib import Path
 
-from sphere_forge.cli import main, run_build, run_degree, run_verify
+import pytest
+
+from sphere_forge.cli import _build_parser, main, run_build, run_degree, run_verify
 from sphere_forge.formats import (
     bundle_to_json,
     complex_to_json,
     map_to_text,
 )
-from sphere_forge import build_join_cone_sphere, swap_map
+from sphere_forge import build_join_cone_sphere, identity_map, swap_map
 
 
 def test_build_writes_bundle(tmp_path, capsys):
@@ -173,11 +179,41 @@ def test_verify_bundle_vertex_mapped_twice(tmp_path, capsys):
     assert capsys.readouterr().err == "error: vertex u1_1 mapped twice\n"
 
 
+TETRAHEDRON = [["v1", "v2", "v3"], ["v1", "v2", "v4"], ["v1", "v3", "v4"], ["v2", "v3", "v4"]]
+
+
+@pytest.mark.parametrize(
+    "facets, images",
+    [
+        # two disjoint tetrahedron boundaries
+        (
+            TETRAHEDRON + [[t.replace("v", "u") for t in f] for f in TETRAHEDRON],
+            {f"u{i}": f"v{i}" for i in range(1, 5)},
+        ),
+        # a tetrahedron boundary with a dangling edge: not pure
+        (TETRAHEDRON + [["u1", "v1"]], {"u1": "v2"}),
+    ],
+)
+def test_verify_bundle_non_sphere_source_fails_sphere_check(tmp_path, capsys, facets, images):
+    obj = json.loads(bundle_to_json(identity_map(2)))
+    obj["source"] = {"facets": facets}
+    obj["map"] += [[src, dst] for src, dst in images.items()]
+    del obj["expected_vertices"]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(obj))
+    rc = main(["verify", "bundle", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    assert captured.out.endswith("  [FAIL] sphere_check: level certify_low_dim\n")
+    assert main(["verify", "bundle", "--in", str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
 def test_verify_minimality_restricted(capsys):
-    rc = main(["verify", "minimality", "--max-v", "5", "--format", "json"])
+    rc = main(["verify", "minimality", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert payload["census_sizes"] == {"4": 1, "5": 1}
+    assert payload["census_sizes"] == {"4": 1, "5": 1, "6": 2, "7": 5}
 
 
 def test_round_trip_build_read_verify(tmp_path):
@@ -210,6 +246,35 @@ def test_round_trip_build_read_verify(tmp_path):
 def test_missing_file_is_exit_2(capsys):
     assert main(["degree", "--bundle", "/nonexistent/x.json"]) == 2
     assert main(["verify", "sphere", "--in", "/nonexistent/x.json"]) == 2
+
+
+def _bind(namespace):
+    """Bind a parsed namespace to its runner's signature, as main does."""
+    kwargs = vars(namespace)
+    run = kwargs.pop("run")
+    del kwargs["command"], kwargs["format"]
+    inspect.signature(run).bind(**kwargs)
+
+
+def test_every_subcommand_binds_to_its_runner():
+    parser = _build_parser()
+    (commands,) = [
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    required = {"build": ["--construction", "stacked"], "degree": [], "verify": ["sphere"]}
+    assert set(required) == set(commands)
+    for command, args in required.items():
+        _bind(parser.parse_args([command, *args]))
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("sphere-forge ")]
+    assert len(lines) >= 8
+    parser = _build_parser()
+    for line in lines:
+        _bind(parser.parse_args(shlex.split(line)[1:]))
 
 
 def test_run_helpers_return_results():

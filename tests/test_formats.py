@@ -200,3 +200,13 @@ def test_bundle_json_refuses_a_vertex_mapped_twice():
     obj["map"].insert(0, ["u1_1", "v4"])
     with pytest.raises(ValueError, match="^vertex u1_1 mapped twice$"):
         bundle_from_json(json.dumps(obj))
+
+
+def test_bundle_json_refuses_mismatched_dimensions():
+    obj = json.loads(bundle_to_json(swap_map(2)))
+    obj["source"] = {"facets": [["v1", "v2"], ["v2", "v3"], ["v3", "v4"], ["v1", "v4"]]}
+    obj["source_base"] = ["v1", "v2"]
+    with pytest.raises(
+        ValueError, match="^source has dimension 1 but target has dimension 2$"
+    ):
+        bundle_from_json(json.dumps(obj))

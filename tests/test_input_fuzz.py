@@ -125,6 +125,8 @@ def test_map_file_fuzz(workdir, text):
         '{"source": 5}',
         json.dumps({**VALID["bundle"], "source": {"facets": [[1, 2, 3]]}}),
         "[" * 100000 + "]" * 100000,
+        # a 1-dimensional source against the 2-sphere target
+        json.dumps({**VALID["bundle"], "source": {"facets": [["v1", "v2"], ["v2", "v3"]]}}),
     ],
 )
 def test_malformed_bundle_exits_2(tmp_path, text):

@@ -115,8 +115,8 @@ def test_seven_vertex_construction_attains_two():
 
 
 def test_verify_report_restricted():
-    report = verify_small_sphere_bounds(max_v=6)
-    assert report.census_sizes == {4: 1, 5: 1, 6: 2}
+    report = verify_small_sphere_bounds()
+    assert report.census_sizes == {4: 1, 5: 1, 6: 2, 7: 5}
     assert report.degree2_bound_ok
     assert report.passed
 
