@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .complex_core import Complex, f_vector_and_euler
+from .complex_core import Complex, f_vector_and_euler, standard_sphere
 from .constructions import (
     ConstructionBundle,
     build_double_cone_sphere,
@@ -122,8 +122,6 @@ def _adhoc_bundle(K: Complex, f: VertexMap) -> ConstructionBundle:
     the least target facet and the least source facet with a
     nondegenerate image (any facet if the map collapses everything).
     """
-    from .complex_core import standard_sphere
-
     target = standard_sphere(K.dimension)
     source_base = K.facets[0].vertices
     for facet in K.facets:
@@ -322,7 +320,7 @@ def main(argv=None) -> int:
         # the input parsed fine but fails a mathematical check
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (SphereForgeError, ValueError, OSError, KeyError) as exc:
+    except (SphereForgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(result.render(fmt))

@@ -9,7 +9,9 @@ kernels, the product check) reads those columns; a dense grid is only
 ever materialized on request through :attr:`IntegerMatrix.entries`.
 
 Smith reduction reads each pivot from one row, the first remaining one
-(see :func:`smith_normal_form`).  Face bases and boundary matrices are
+(see :func:`smith_normal_form`).  Kernels run on the same row store and
+the same column-clearing step, pivoting on the shortest row (see
+:func:`kernel_basis`).  Face bases and boundary matrices are
 built once per complex and kept in :attr:`Complex.memo`, so they live
 exactly as long as the complex does.
 """
@@ -192,6 +194,25 @@ def _row_axpy(rows, cols, target: int, source: int, factor: int):
         del rows[target]
 
 
+def _clear_column(rows, cols, pi: int, pj: int) -> int:
+    """Clear column pj of every row but pivot row pi; a smaller
+    remainder met on the way becomes the pivot.  Returns the pivot row,
+    now alone in column pj."""
+    while True:
+        pivot = rows[pi][pj]
+        for i in sorted(cols[pj]):
+            if i == pi:
+                continue
+            q = rows[i][pj] // pivot
+            if q:
+                _row_axpy(rows, cols, i, pi, -q)
+            if i in rows and pj in rows[i]:
+                pi = i
+                break
+        else:
+            return pi
+
+
 def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     """Invariant factors of M by unimodular row/column operations.
 
@@ -218,22 +239,8 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     while rows:
         pi, pj = _pick_pivot(rows, cols)
         while True:
+            pi = _clear_column(rows, cols, pi, pj)
             pivot = rows[pi][pj]
-            # clear the pivot column
-            moved = False
-            for i in sorted(cols[pj]):
-                if i == pi:
-                    continue
-                q = rows[i][pj] // pivot
-                if q:
-                    _row_axpy(rows, cols, i, pi, -q)
-                if i in rows and pj in rows[i]:
-                    # remainder is smaller than the pivot: adopt it
-                    pi = i
-                    moved = True
-                    break
-            if moved:
-                continue
             # column is clear; clear the pivot row (each column op only
             # touches row pi because column pj holds the pivot alone)
             prow = rows[pi]
@@ -285,47 +292,32 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
 def kernel_basis(M: IntegerMatrix) -> list[tuple[int, ...]]:
     """A lattice basis of the right kernel ``{x : Mx = 0}``.
 
-    Column elimination with unimodular operations tracked on an
-    identity block; the surviving zero columns read off the kernel.
+    Row reduction of the transpose with an identity block appended, in
+    the row store of :func:`smith_normal_form`: column j of M becomes
+    row j, its identity entry keyed ``M.rows + j``.  For each row index
+    r of M, :func:`_clear_column` clears the rows holding r down to one,
+    pivoting on the shortest (then lowest) so that merges add the
+    smaller row into the larger, and that row is set aside.  The rows
+    left over hold only identity keys and read off the kernel.
     """
-    columns = [dict(column) for column in M.columns]
-    tracking: list[dict[int, int]] = [{j: 1} for j in range(M.cols)]
-    active = set(range(M.cols))
-
-    def col_axpy(dst: int, src: int, factor: int):
-        for store in (columns, tracking):
-            d = store[dst]
-            for key, w in store[src].items():
-                nv = d.get(key, 0) + factor * w
-                if nv:
-                    d[key] = nv
-                elif key in d:
-                    del d[key]
-
+    rows = {j: {**dict(column), M.rows + j: 1} for j, column in enumerate(M.columns)}
+    cols: dict[int, set[int]] = {key: set() for key in range(M.rows + M.cols)}
+    for j, row in rows.items():
+        for key in row:
+            cols[key].add(j)
     for r in range(M.rows):
-        live = sorted(j for j in active if r in columns[j])
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda j: (abs(columns[j][r]), j))
-            pivot_col = live[0]
-            pivot_val = columns[pivot_col][r]
-            rest = []
-            for j in live[1:]:
-                q = columns[j][r] // pivot_val
-                if q:
-                    col_axpy(j, pivot_col, -q)
-                if r in columns[j]:
-                    rest.append(j)
-            live = [pivot_col] + rest
-        active.discard(live[0])
+        if cols[r]:
+            pi = min(cols[r], key=lambda i: (len(rows[i]), i))
+            pi = _clear_column(rows, cols, pi, r)
+            for key in rows.pop(pi):
+                cols[key].discard(pi)
 
     basis = []
-    for j in sorted(active):
-        assert not columns[j], "active column not cleared: elimination bug"
+    for row in rows.values():
+        assert min(row) >= M.rows, "kernel row not cleared: elimination bug"
         vec = [0] * M.cols
-        for jj, c in tracking[j].items():
-            vec[jj] = c
+        for key, c in row.items():
+            vec[key - M.rows] = c
         # deterministic sign: first nonzero coordinate positive
         lead = next((c for c in vec if c), 1)
         if lead < 0:

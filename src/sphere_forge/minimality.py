@@ -24,6 +24,7 @@ from functools import cache
 from itertools import permutations
 
 from .complex_core import Complex, make_complex, simplex, standard_sphere
+from .constructions import build_join_cone_sphere, build_stacked_sphere
 from .errors import OutOfRange, PreconditionFailed
 from .homology import sphere_check
 from .labels import VertexLabel, parse_label, v_label
@@ -335,8 +336,6 @@ def verify_small_sphere_bounds() -> MinimalityReport:
     implementation bug, not a refutation; it is reported as a
     counterexample instead of raised.
     """
-    from .constructions import build_join_cone_sphere, build_stacked_sphere
-
     census: dict[int, tuple[CensusEntry, ...]] = {}
     orders_agree = True
     for v in range(4, 8):

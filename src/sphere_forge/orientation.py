@@ -84,10 +84,18 @@ def coherent_orientation(
     if base_sign not in (1, -1):
         raise PreconditionFailed("base sign must be +1 or -1")
     report = pseudomanifold_check(K)
-    if not (report.pure and report.ridge_bound_ok and report.connected):
+    failed = [
+        name
+        for name, ok in (
+            ("not pure", report.pure),
+            ("a ridge in more than two facets", report.ridge_bound_ok),
+            ("not connected", report.connected),
+        )
+        if not ok
+    ]
+    if failed:
         raise PreconditionFailed(
-            "orientation needs a pure, connected complex with every ridge "
-            f"in at most two facets (got {report.as_dict()})"
+            f"orientation needs a pure, connected complex: {', '.join(failed)}"
         )
     facets = K.facets
     try:

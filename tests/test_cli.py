@@ -282,3 +282,38 @@ def test_run_helpers_return_results():
     assert result.exit_code == 0 and "degree 4" in result.text
     report = run_verify("disc-signs", d=4)
     assert report.exit_code == 0
+
+
+def test_program_key_error_is_not_an_input_error(monkeypatch):
+    def broken_runner(**kwargs):
+        raise KeyError("a program bug")
+
+    monkeypatch.setattr("sphere_forge.cli.run_build", broken_runner)
+    with pytest.raises(KeyError):
+        main(["build", "--construction", "stacked", "--n", "2"])
+
+
+@pytest.mark.parametrize(
+    "facets, images, failed",
+    [
+        (
+            TETRAHEDRON + [[t.replace("v", "u") for t in f] for f in TETRAHEDRON],
+            {f"u{i}": f"v{i}" for i in range(1, 5)},
+            "not connected",
+        ),
+        (TETRAHEDRON + [["u1", "v1"]], {"u1": "v2"}, "not pure, not connected"),
+    ],
+)
+def test_degree_on_non_pseudomanifold_source_names_the_failure(
+    tmp_path, capsys, facets, images, failed
+):
+    obj = json.loads(bundle_to_json(identity_map(2)))
+    obj["source"] = {"facets": facets}
+    obj["map"] += [[src, dst] for src, dst in images.items()]
+    del obj["expected_vertices"]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(obj))
+    assert main(["degree", "--bundle", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "{" not in err
+    assert err.rstrip().endswith(f": {failed}")

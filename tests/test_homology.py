@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sphere_forge import (
     IntegerMatrix,
     boundary_matrix,
+    build_double_cone_sphere,
+    build_join_cone_sphere,
     coherent_orientation,
     fundamental_cycle,
     homology_groups,
@@ -246,6 +248,52 @@ def test_kernel_basis_solves():
     for vec in basis:
         for row in M.entries:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Small integer matrices, two thirds of them boundary-like (entries
+    in -1..1) so kernels of rank two or more come up often."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from((1, 1, 9)))
+    entries = st.integers(-bound, bound)
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    grid = draw(st.lists(row, min_size=rows, max_size=rows))
+    return IntegerMatrix.from_rows(grid)
+
+
+@given(kernel_inputs())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_is_a_lattice_basis(M):
+    basis = kernel_basis(M)
+    assert len(basis) == M.cols - smith_normal_form(M).rank
+    for vec in basis:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in M.entries)
+    if basis:
+        # all invariant factors 1: the vectors extend to a basis of Z^cols,
+        # so they span every integer solution, not only the rational ones
+        stacked = smith_normal_form(IntegerMatrix.from_rows(basis))
+        assert stacked.diagonal == (1,) * len(basis)
+
+
+# sha256 of the top kernel generator of every source and target below,
+# recorded while kernels still ran their own column elimination
+KERNEL_GENERATOR_DIGEST = "072f2252ed9eeb98b95cb53f691c4d7bd232eb809a336b6a929e5f3fd151cff2"
+
+
+def test_kernel_generator_digest():
+    """The C3-C6 and large bundles keep their top integer-homology
+    generators, coefficient for coefficient."""
+    large = [(build_join_cone_sphere, (5, 32)), (build_double_cone_sphere, (5, 4, "odd"))]
+    digest = hashlib.sha256()
+    for build, args in list(CONSTRUCTION_GRID) + large:
+        bundle = build(*args)
+        for role, K in (("source", bundle.source), ("target", bundle.target)):
+            gen = top_kernel_generator(K)
+            line = f"{bundle.label} {role} " + " ".join(f"{f}:{c}" for f, c in gen.items())
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == KERNEL_GENERATOR_DIGEST
 
 
 def test_homology_spheres():
