@@ -24,7 +24,6 @@ from .complex_core import (
     union,
 )
 from .constructions import (
-    ConstructionBundle,
     build_double_cone_sphere,
     build_facet_cone_sphere,
     build_join_cone_sphere,
@@ -57,9 +56,9 @@ from .orientation import (
     relative_sign,
 )
 from .simplicial_map import (
+    ConstructionBundle,
     DegreeReport,
     VertexMap,
-    alg_number,
     check_simplicial,
     compose,
     degree_by_counting,

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .complex_core import Complex, f_vector_and_euler, standard_sphere
 from .constructions import (
-    ConstructionBundle,
     build_double_cone_sphere,
     build_facet_cone_sphere,
     build_join_cone_sphere,
@@ -46,7 +45,7 @@ from .formats import (
 )
 from .homology import CheckItem, sphere_check
 from .minimality import verify_small_sphere_bounds
-from .simplicial_map import VertexMap, degree_by_counting, degree_by_cycle
+from .simplicial_map import ConstructionBundle, VertexMap, degree_by_counting, degree_by_cycle
 
 # name -> (builder, the flags it needs, in argument order); ``delta``
 # builds a disc, every other name a ConstructionBundle

@@ -1,10 +1,12 @@
 """The four sphere constructions, packaged as verifiable bundles.
 
-Each builder produces a triangulated n-sphere together with the vertex
-map onto the standard (n+2)-vertex sphere, the written-order base facets
-that pin the orientation convention, and the degree and vertex count the
-construction promises.  The expensive sphere and degree battery is
-:func:`verify_bundle`, which the CLI and the acceptance suite both run.
+Each builder produces a :class:`~.simplicial_map.ConstructionBundle`
+(the type lives beside the degree oracles that read it): a triangulated
+n-sphere together with the vertex map onto the standard (n+2)-vertex
+sphere, the written-order base facets that pin the orientation
+convention, and the degree and vertex count the construction promises.
+The expensive sphere and degree battery is :func:`verify_bundle`, which
+the CLI and the acceptance suite both run.
 
 All four follow the same scheme: triangulate an n-ball whose top cells
 hit the first target facet with multiplicity, then hand it to one
@@ -43,26 +45,7 @@ from .homology import (
 )
 from .labels import VertexLabel, u_label, u_pair, v_label
 from .orientation import coherent_orientation, fundamental_cycle
-from .simplicial_map import VertexMap, degree_by_counting, degree_by_cycle
-
-
-@dataclass(frozen=True, eq=False)
-class ConstructionBundle:
-    """A source sphere, a simplicial map to the standard sphere, and the
-    facts the construction is expected to satisfy."""
-
-    source: Complex
-    target: Complex
-    vertex_map: VertexMap
-    source_base: tuple[VertexLabel, ...]
-    target_base: tuple[VertexLabel, ...]
-    expected_degree: int | None
-    expected_vertices: int
-    label: str
-
-    @property
-    def n(self) -> int:
-        return self.source.dimension
+from .simplicial_map import ConstructionBundle, VertexMap, degree_by_counting, degree_by_cycle
 
 
 @dataclass(frozen=True)

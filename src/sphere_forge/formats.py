@@ -12,9 +12,8 @@ import json
 from typing import Mapping
 
 from .complex_core import Complex, Simplex, make_complex, simplex
-from .constructions import ConstructionBundle
 from .labels import VertexLabel, parse_label
-from .simplicial_map import VertexMap
+from .simplicial_map import ConstructionBundle, VertexMap
 
 
 def dumps_canonical(payload) -> str:

@@ -8,17 +8,19 @@ exactly ``k+1`` entries of +-1 -- and every consumer (Smith reduction,
 kernels, the product check) reads those columns; a dense grid is only
 ever materialized on request through :attr:`IntegerMatrix.entries`.
 
-Smith reduction reads each pivot from one row, the first remaining one
-(see :func:`smith_normal_form`).  Kernels run on the same row store and
-the same column-clearing step, pivoting on the shortest row (see
-:func:`kernel_basis`).  Face bases and boundary matrices are
-built once per complex and kept in :attr:`Complex.memo`, so they live
-exactly as long as the complex does.
+Smith reduction reads each pivot from one row, the first remaining one,
+reduces the matrix to a diagonal and then folds that diagonal into a
+divisibility chain (see :func:`smith_normal_form`).  Kernels run on the
+same row store and the same column-clearing step, pivoting on the
+shortest row (see :func:`kernel_basis`).  Face bases and boundary
+matrices are built once per complex and kept in :attr:`Complex.memo`,
+so they live exactly as long as the complex does.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import gcd
 from typing import Sequence
 
 from .complex_core import (
@@ -213,6 +215,18 @@ def _clear_column(rows, cols, pi: int, pj: int) -> int:
             return pi
 
 
+def _divisibility_chain(entries: list[int]) -> tuple[int, ...]:
+    """Fold positive diagonal entries into the divisibility chain of the
+    same diagonal matrix, pair by pair: diag(a, b) ~ diag(gcd, lcm).
+    The units, sorted first, already divide everything."""
+    d = sorted(entries)
+    for i in range(d.count(1), len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
+
+
 def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     """Invariant factors of M by unimodular row/column operations.
 
@@ -222,9 +236,10 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     column, whose elimination causes no fill-in.  This local,
     Markowitz-style choice reads one row per pivot, not every nonzero
     of the matrix.  A smaller remainder met while clearing the pivot
-    column becomes the pivot, and a non-unit pivot first absorbs any
-    row it does not divide, so every pivot order ends in the same
-    Smith form.
+    column or row becomes the pivot; once the pivot divides its row,
+    the row leaves as one diagonal entry.  The matrix thus ends
+    diagonal, and :func:`_divisibility_chain` folds the non-unit
+    entries into the Smith form.
     """
     # working copy: rows in ascending order (row operations only ever
     # write into rows that still exist, so the first row stays the
@@ -241,48 +256,21 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
         while True:
             pi = _clear_column(rows, cols, pi, pj)
             pivot = rows[pi][pj]
-            # column is clear; clear the pivot row (each column op only
-            # touches row pi because column pj holds the pivot alone)
-            prow = rows[pi]
-            dirty = None
-            for j in list(prow):
-                if j == pj:
-                    continue
-                rem = prow[j] % pivot
-                if rem:
-                    prow[j] = rem
-                    dirty = j
-                    break
-                del prow[j]
-                cols[j].discard(pi)
-                if not cols[j]:
-                    del cols[j]
-            if dirty is not None:
-                pj = dirty
-                continue
-            if pivot not in (1, -1):
-                # pivot must divide every remaining entry for the
-                # divisibility chain; merge an offending row and retry
-                offender = None
-                for i, r in rows.items():
-                    if i == pi:
-                        continue
-                    for j, v in r.items():
-                        if v % pivot:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is not None:
-                    _row_axpy(rows, cols, pi, offender, 1)
-                    continue
-            break
-        diagonal.append(abs(rows[pi][pj]))
-        del rows[pi]
-        cols[pj].discard(pi)
-        if not cols[pj]:
-            del cols[pj]
-    return SNFResult(tuple(diagonal), len(diagonal))
+            # column pj holds the pivot alone, so a column operation
+            # touches row pi only: an entry the pivot does not divide
+            # shrinks to its remainder, which becomes the pivot
+            j = next((j for j, v in rows[pi].items() if v % pivot), None)
+            if j is None:
+                break
+            rows[pi][j] %= pivot
+            pj = j
+        # the pivot divides the rest of its row, which column operations clear
+        for j in rows.pop(pi):
+            cols[j].discard(pi)
+            if not cols[j]:
+                del cols[j]
+        diagonal.append(abs(pivot))
+    return SNFResult(_divisibility_chain(diagonal), len(diagonal))
 
 
 # ---------------------------------------------------------------------------

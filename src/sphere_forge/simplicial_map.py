@@ -1,10 +1,14 @@
-"""Simplicial maps, signed preimage counting, and the two degree oracles.
+"""Simplicial maps, the bundle type, and the two degree oracles.
 
-The degree of a bundled map is computed two independent ways:
+A :class:`ConstructionBundle` is a source sphere, a vertex map onto a
+target sphere, and the written-order base facets that pin both
+orientations; the builders in :mod:`constructions` produce it.  The
+degree of a bundled map is computed two independent ways:
 
 * ``degree_by_counting`` orients source and target from the bundle's
-  base facets by sign propagation, then counts positive-minus-negative
-  preimages of every target facet; all counts must agree.
+  base facets by sign propagation, then, in one pass over the source
+  facets, counts positive-minus-negative preimages of every target
+  facet; all counts must agree.
 * ``degree_by_cycle`` finds the top integer homology generator of the
   source directly from the kernel of the boundary matrix (no sign
   propagation), pushes it forward, and reads the multiple of the target
@@ -18,12 +22,11 @@ plain permutation parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .complex_core import Complex, Simplex, simplex, standard_sphere
 from .errors import (
     DomainMismatch,
-    FaceNotInComplex,
     InconsistentAlg,
     KernelRankNotOne,
     MapNotTotal,
@@ -33,9 +36,6 @@ from .errors import (
 from .homology import top_kernel_generator
 from .labels import VertexLabel, v_label
 from .orientation import OrientedComplex, coherent_orientation, relative_sign
-
-if TYPE_CHECKING:
-    from .constructions import ConstructionBundle
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +49,25 @@ class VertexMap:
 
     def items(self):
         return self.assignment.items()
+
+
+@dataclass(frozen=True, eq=False)
+class ConstructionBundle:
+    """A source sphere, a simplicial map to the standard sphere, and the
+    facts the construction is expected to satisfy."""
+
+    source: Complex
+    target: Complex
+    vertex_map: VertexMap
+    source_base: tuple[VertexLabel, ...]
+    target_base: tuple[VertexLabel, ...]
+    expected_degree: int | None
+    expected_vertices: int
+    label: str
+
+    @property
+    def n(self) -> int:
+        return self.source.dimension
 
 
 class SimplicialCheck(NamedTuple):
@@ -77,66 +96,14 @@ def check_simplicial(f: VertexMap, K: Complex, L: Complex) -> SimplicialCheck:
     return SimplicialCheck(ok, tuple(degenerate))
 
 
-class AlgResult(NamedTuple):
-    alg: int
-    alpha_plus: tuple[Simplex, ...]
-    alpha_minus: tuple[Simplex, ...]
-
-
-def _signed_preimages(
-    f: VertexMap, OK: OrientedComplex, OL: OrientedComplex
-) -> dict[Simplex, AlgResult]:
-    """Signed preimage counts of every target facet in one pass.
-
-    Each nondegenerate source facet goes, in source-facet order, to the
-    positive or negative side of the target facet its image spans,
-    according to its own sign times the parity of its image
-    arrangement; each count is then flipped for negative target facets.
-    """
-    plus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in OL.complex.facets}
-    minus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in OL.complex.facets}
-    for tau in OK.complex.facets:
-        image = f.image(tau)
-        sigma = Simplex(sorted(image))
-        if len(set(image)) != len(image) or sigma not in plus:
-            continue
-        induced = OK.signs[tau] * relative_sign(image, sigma)
-        (plus if induced > 0 else minus)[sigma].append(tau)
-    return {
-        sigma: AlgResult(
-            OL.signs[sigma] * (len(plus[sigma]) - len(minus[sigma])),
-            tuple(plus[sigma]),
-            tuple(minus[sigma]),
-        )
-        for sigma in plus
-    }
-
-
-def alg_number(
-    f: VertexMap, OK: OrientedComplex, OL: OrientedComplex, target: Simplex
-) -> AlgResult:
-    """Signed count of nondegenerate preimage facets of one target facet.
-
-    A preimage facet joins the positive or negative side according to
-    its own sign times the parity of its image arrangement; the count is
-    then flipped for negative target facets.
-    """
-    chk = check_simplicial(f, OK.complex, OL.complex)
-    if not chk.ok:
-        raise NotSimplicial("map does not send simplices to simplices")
-    if target not in set(OL.complex.facets):
-        raise FaceNotInComplex(f"[{target}] is not a target facet")
-    return _signed_preimages(f, OK, OL)[target]
-
-
 @dataclass(frozen=True, eq=False)
 class DegreeReport:
     """Per-facet signed counts plus the common degree."""
 
     degree: int
     per_facet: Mapping[Simplex, int]
-    alpha_plus: Mapping[Simplex, tuple[Simplex, ...]]
-    alpha_minus: Mapping[Simplex, tuple[Simplex, ...]]
+    alpha_plus: Mapping[Simplex, Sequence[Simplex]]
+    alpha_minus: Mapping[Simplex, Sequence[Simplex]]
     method: str
     degenerate_facets: tuple[Simplex, ...] = ()
 
@@ -163,11 +130,15 @@ def _oriented_from_base(K: Complex, base: Sequence[VertexLabel]) -> OrientedComp
     return coherent_orientation(K, base_facet, base_sign)
 
 
-def degree_by_counting(bundle: "ConstructionBundle") -> DegreeReport:
+def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
     """Degree as the common signed preimage count over all target facets.
 
     Orients the target with the bundle's target base positive in its
-    written order, likewise the source; disagreement between facets
+    written order, likewise the source.  Each nondegenerate source
+    facet goes, in source-facet order, to the positive or negative side
+    of the target facet its image spans, according to its own sign
+    times the parity of its image arrangement; each count is then
+    flipped for negative target facets.  Disagreement between facets
     raises InconsistentAlg since it can only mean an orientation or
     construction bug.
     """
@@ -177,8 +148,16 @@ def degree_by_counting(bundle: "ConstructionBundle") -> DegreeReport:
         raise NotSimplicial("bundle map does not send simplices to simplices")
     OK = _oriented_from_base(K, bundle.source_base)
     OL = _oriented_from_base(L, bundle.target_base)
-    results = _signed_preimages(f, OK, OL)
-    per = {sigma: r.alg for sigma, r in results.items()}
+    plus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in L.facets}
+    minus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in L.facets}
+    for tau in K.facets:
+        image = f.image(tau)
+        sigma = Simplex(sorted(image))
+        if len(set(image)) != len(image) or sigma not in plus:
+            continue
+        induced = OK.signs[tau] * relative_sign(image, sigma)
+        (plus if induced > 0 else minus)[sigma].append(tau)
+    per = {sigma: OL.signs[sigma] * (len(plus[sigma]) - len(minus[sigma])) for sigma in plus}
     values = set(per.values())
     if len(values) != 1:
         raise InconsistentAlg(
@@ -188,31 +167,37 @@ def degree_by_counting(bundle: "ConstructionBundle") -> DegreeReport:
     return DegreeReport(
         degree=values.pop(),
         per_facet=per,
-        alpha_plus={sigma: r.alpha_plus for sigma, r in results.items()},
-        alpha_minus={sigma: r.alpha_minus for sigma, r in results.items()},
+        alpha_plus=plus,
+        alpha_minus=minus,
         method="counting",
         degenerate_facets=chk.degenerate_facets,
     )
 
 
-def degree_by_cycle(bundle: "ConstructionBundle") -> int:
+def degree_by_cycle(bundle: ConstructionBundle) -> int:
     """Degree through top homology, independent of sign propagation.
 
-    The source fundamental cycle comes out of the boundary-matrix kernel
-    (raising KernelRankNotOne if that kernel is not a line), gets
-    normalized to evaluate +1 on the source base in its written order,
-    and is pushed forward facet by facet with permutation signs;
-    degenerate facets contribute nothing.  The result is read off
-    against the target's kernel generator normalized the same way.
+    Source and target must be pure, and each base a facet.  The source
+    fundamental cycle comes out of the boundary-matrix kernel (raising
+    KernelRankNotOne if that kernel is not a line), gets normalized to
+    evaluate +1 on the source base in its written order, and is pushed
+    forward facet by facet with permutation signs; degenerate facets
+    contribute nothing.  The result is read off against the target's
+    kernel generator normalized the same way.
     """
     K, L, f = bundle.source, bundle.target, bundle.vertex_map
     chk = check_simplicial(f, K, L)
     if not chk.ok:
         raise NotSimplicial("bundle map does not send simplices to simplices")
+    for name, complex_ in (("source", K), ("target", L)):
+        if not complex_.is_pure:
+            raise PreconditionFailed(f"cycle degree needs a pure {name}")
 
     def normalized_generator(complex_, base_written):
-        gen = top_kernel_generator(complex_)
         base_facet = simplex(base_written)
+        if base_facet not in complex_.facets:
+            raise PreconditionFailed(f"base [{base_facet}] is not a facet")
+        gen = top_kernel_generator(complex_)
         coeff = gen.get(base_facet, 0)
         if coeff not in (1, -1):
             raise KernelRankNotOne(
@@ -260,12 +245,10 @@ def compose(f: VertexMap, g: VertexMap) -> VertexMap:
     return VertexMap({x: g.assignment[y] for x, y in f.assignment.items()})
 
 
-def _self_map(n: int, name: str, degree: int) -> "ConstructionBundle":
+def _self_map(n: int, name: str, degree: int) -> ConstructionBundle:
     """Self-map bundle of the standard n-sphere named ``name``: the
     identity for degree 1, the exchange of the last two vertices for
     degree -1."""
-    from .constructions import ConstructionBundle
-
     if n < 1:
         raise PreconditionFailed(f"{name}_map needs n >= 1")
     sphere = standard_sphere(n)
@@ -286,12 +269,12 @@ def _self_map(n: int, name: str, degree: int) -> "ConstructionBundle":
     )
 
 
-def swap_map(n: int) -> "ConstructionBundle":
+def swap_map(n: int) -> ConstructionBundle:
     """Self-map of the standard sphere exchanging the last two vertices;
     its degree is -1 in every dimension."""
     return _self_map(n, "swap", -1)
 
 
-def identity_map(n: int) -> "ConstructionBundle":
+def identity_map(n: int) -> ConstructionBundle:
     """Identity self-map bundle of the standard n-sphere (degree +1)."""
     return _self_map(n, "identity", 1)

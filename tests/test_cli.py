@@ -317,3 +317,33 @@ def test_degree_on_non_pseudomanifold_source_names_the_failure(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "{" not in err
     assert err.rstrip().endswith(f": {failed}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degree", "--method", "cycle", "--bundle"],
+        ["degree", "--method", "counting", "--bundle"],
+        ["degree", "--method", "both", "--bundle"],
+        ["verify", "bundle", "--in"],
+    ],
+)
+def test_base_that_is_not_a_facet_is_an_input_error(tmp_path, capsys, argv):
+    obj = json.loads(bundle_to_json(build_join_cone_sphere(2, 2)))
+    obj["target_base"] = ["v1", "v2", "v9"]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(obj))
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err == "error: base [v1 v2 v9] is not a facet\n"
+
+
+def test_cycle_degree_refuses_non_pure_source(tmp_path, capsys):
+    # a dangling edge leaves the top kernel a line, so only the purity
+    # check stops the cycle oracle
+    cplx = tmp_path / "K.json"
+    cplx.write_text(json.dumps({"facets": TETRAHEDRON + [["v4", "v5"]]}))
+    mp = tmp_path / "f.map"
+    mp.write_text("v1 v1\nv2 v2\nv3 v3\nv4 v4\nv5 v1\n")
+    rc = main(["degree", "--in", str(cplx), "--map", str(mp), "--method", "cycle"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cycle degree needs a pure source\n"

@@ -146,9 +146,10 @@ def test_snf_divisibility_chain():
     [
         # no unit in the first row: the remainder 1 met below takes over
         ([[2, 4], [1, 3]], (1, 2)),
-        # coprime pivots: the first absorbs the row it does not divide
+        # a diagonal that is not a divisibility chain: gcd/lcm folding
         ([[2, 0], [0, 3]], (1, 6)),
         ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
     ],
 )
 def test_snf_non_unit_pivots(rows, diagonal):

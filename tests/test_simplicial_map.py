@@ -5,7 +5,6 @@ import pytest
 from sphere_forge import (
     ConstructionBundle,
     VertexMap,
-    alg_number,
     build_double_cone_sphere,
     build_facet_cone_sphere,
     build_join_cone_sphere,
@@ -20,10 +19,9 @@ from sphere_forge import (
     standard_sphere,
     swap_map,
 )
-from sphere_forge.errors import DomainMismatch, MapNotTotal, NotSimplicial
+from sphere_forge.errors import DomainMismatch, InconsistentAlg, MapNotTotal, NotSimplicial
 from sphere_forge.labels import parse_label, v_label
 from sphere_forge.orientation import OrientedComplex
-from sphere_forge.simplicial_map import _signed_preimages
 
 from fixtures import labels, simplex_of
 
@@ -83,37 +81,27 @@ def test_check_simplicial_failure():
     assert not result.ok
 
 
-def oriented_pair(bundle):
-    from sphere_forge.simplicial_map import _oriented_from_base
-
-    return (
-        _oriented_from_base(bundle.source, bundle.source_base),
-        _oriented_from_base(bundle.target, bundle.target_base),
-    )
-
-
 def test_alg_number_degree4_example():
-    bundle = build_join_cone_sphere(3, 4)
-    OK, OL = oriented_pair(bundle)
-    result = alg_number(bundle.vertex_map, OK, OL, target_facet(1, 2, 3, 4))
-    assert result.alg == 4
-    assert len(result.alpha_plus) == 7
-    assert len(result.alpha_minus) == 3
-    plus_sets = {t.vertex_set for t in result.alpha_plus}
-    minus_sets = {t.vertex_set for t in result.alpha_minus}
+    report = degree_by_counting(build_join_cone_sphere(3, 4))
+    sigma = target_facet(1, 2, 3, 4)
+    assert report.per_facet[sigma] == 4
+    assert len(report.alpha_plus[sigma]) == 7
+    assert len(report.alpha_minus[sigma]) == 3
+    plus_sets = {t.vertex_set for t in report.alpha_plus[sigma]}
+    minus_sets = {t.vertex_set for t in report.alpha_minus[sigma]}
     assert frozenset(labels("u1_1 u2_1 u3_1 u4")) in plus_sets
     assert frozenset(labels("u1_1 u2_2 u3_1 u4")) in minus_sets
 
-    result = alg_number(bundle.vertex_map, OK, OL, target_facet(1, 2, 4, 5))
-    assert result.alg == 4
-    assert len(result.alpha_plus) == 4 and len(result.alpha_minus) == 0
+    sigma = target_facet(1, 2, 4, 5)
+    assert report.per_facet[sigma] == 4
+    assert len(report.alpha_plus[sigma]) == 4 and len(report.alpha_minus[sigma]) == 0
 
 
 def test_alg_number_identity():
     bundle = identity_map(3)
-    OK, OL = oriented_pair(bundle)
+    report = degree_by_counting(bundle)
     for facet in bundle.target.facets:
-        assert alg_number(bundle.vertex_map, OK, OL, facet).alg == 1
+        assert report.per_facet[facet] == 1
 
 
 def test_degree_by_counting_examples():
@@ -303,22 +291,25 @@ def test_non_surjective_degree_zero():
     assert degree_by_cycle(bundle2) == 0
 
 
-def test_inconsistent_alg_guard():
-    # corrupt one facet sign: the per-facet counts must stop agreeing
-    bundle = build_join_cone_sphere(2, 2)
-    from sphere_forge.simplicial_map import _oriented_from_base
+def test_inconsistent_alg_guard(monkeypatch):
+    # corrupt one source facet sign: the per-facet counts must stop agreeing
+    from sphere_forge import simplicial_map
+    from sphere_forge.orientation import coherent_orientation
 
-    OK = _oriented_from_base(bundle.source, bundle.source_base)
-    OL = _oriented_from_base(bundle.target, bundle.target_base)
-    broken_signs = dict(OK.signs)
-    victim = next(iter(broken_signs))
-    broken_signs[victim] = -broken_signs[victim]
-    broken = OrientedComplex(OK.complex, broken_signs, OK.base_facet, OK.base_sign)
-    per_facet = {
-        sigma: result.alg
-        for sigma, result in _signed_preimages(bundle.vertex_map, broken, OL).items()
-    }
-    assert len(set(per_facet.values())) > 1
+    bundle = build_join_cone_sphere(2, 2)
+
+    def broken_orientation(K, base, base_sign=1):
+        oriented = coherent_orientation(K, base, base_sign)
+        if K is not bundle.source:
+            return oriented
+        signs = dict(oriented.signs)
+        victim = next(iter(signs))
+        signs[victim] = -signs[victim]
+        return OrientedComplex(K, signs, oriented.base_facet, oriented.base_sign)
+
+    monkeypatch.setattr(simplicial_map, "coherent_orientation", broken_orientation)
+    with pytest.raises(InconsistentAlg):
+        degree_by_counting(bundle)
 
 
 def test_degree_requires_simplicial():
@@ -344,3 +335,4 @@ def test_degree_requires_simplicial():
     )
     with pytest.raises(NotSimplicial):
         degree_by_counting(bundle)
+
