@@ -43,6 +43,8 @@ class Simplex(tuple):
     (-1)-dimensional empty simplex.
     """
 
+    __slots__ = ()
+
     @property
     def vertices(self) -> tuple[VertexLabel, ...]:
         return self
@@ -51,7 +53,7 @@ class Simplex(tuple):
     def dimension(self) -> int:
         return len(self) - 1
 
-    @cached_property
+    @property
     def vertex_set(self) -> frozenset[VertexLabel]:
         return frozenset(self)
 
@@ -152,7 +154,7 @@ def make_complex(facet_list: Iterable[Sequence[VertexLabel]]) -> Complex:
     kept: list[Simplex] = []
     kept_sets: list[frozenset] = []
     for s in ordered:
-        vs = s.vertex_set
+        vs = frozenset(s)
         if any(vs <= t for t in kept_sets):
             continue
         kept.append(s)
@@ -241,10 +243,8 @@ def link(face: Simplex, K: Complex) -> Complex:
     The star is derivable as ``face * link(face, K)`` and is not a
     separate operation.
     """
-    fs = face.vertex_set
-    residues = [
-        Simplex(x for x in f if x not in fs) for f in K.facets if fs <= f.vertex_set
-    ]
+    fs = set(face)
+    residues = [Simplex(x for x in f if x not in fs) for f in K.facets if fs.issubset(f)]
     if not residues:
         raise FaceNotInComplex(f"[{face}] is not a face of the complex")
     return Complex(tuple(sorted(residues)))

@@ -8,13 +8,18 @@ exactly ``k+1`` entries of +-1 -- and every consumer (Smith reduction,
 kernels, the product check) reads those columns; a dense grid is only
 ever materialized on request through :attr:`IntegerMatrix.entries`.
 
-Smith reduction reads each pivot from one row, the first remaining one,
-reduces the matrix to a diagonal and then folds that diagonal into a
-divisibility chain (see :func:`smith_normal_form`).  Kernels run on the
-same row store and the same column-clearing step, pivoting on the
-shortest row (see :func:`kernel_basis`).  Face bases and boundary
-matrices are built once per complex and kept in :attr:`Complex.memo`,
-so they live exactly as long as the complex does.
+Smith reduction first reduces columns by their lowest entry against the
+columns whose lowest entry is a unit; each of those gives an invariant
+factor 1.  Only the columns left on a non-unit lowest entry reach the
+row-store elimination, which reads each pivot from one row and folds the
+diagonal it ends on into a divisibility chain (see
+:func:`smith_normal_form`).  Kernels run on the same row store and the
+same column-clearing step, pivoting on the shortest row (see
+:func:`kernel_basis`).  Face bases and boundary matrices are built once
+per complex and kept in :attr:`Complex.memo`, so they live exactly as
+long as the complex does.  The sphere battery keeps one table of link
+reports per top-level call, so each distinct link is certified once
+(see :func:`sphere_check`).
 """
 
 from __future__ import annotations
@@ -57,10 +62,6 @@ class IntegerMatrix:
             tuple((i, r[j]) for i, r in enumerate(data) if r[j]) for j in range(ncols)
         )
         return cls(len(data), ncols, columns)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, ((),) * cols)
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -227,29 +228,41 @@ def _divisibility_chain(entries: list[int]) -> tuple[int, ...]:
     return tuple(d)
 
 
-def smith_normal_form(M: IntegerMatrix) -> SNFResult:
-    """Invariant factors of M by unimodular row/column operations.
+def _subtract(col: dict[int, int], factor: int, pivot: dict[int, int]) -> None:
+    """col -= factor * pivot, dropping the entries that cancel."""
+    for i, w in pivot.items():
+        nv = col.get(i, 0) - factor * w
+        if nv:
+            col[i] = nv
+        else:
+            del col[i]
 
-    Each pivot is read from one row, the first remaining one: its entry
-    of least absolute value, ties broken toward the shortest column and
-    then the lowest column, stopping early at a unit alone in its
-    column, whose elimination causes no fill-in.  This local,
-    Markowitz-style choice reads one row per pivot, not every nonzero
-    of the matrix.  A smaller remainder met while clearing the pivot
-    column or row becomes the pivot; once the pivot divides its row,
-    the row leaves as one diagonal entry.  The matrix thus ends
-    diagonal, and :func:`_divisibility_chain` folds the non-unit
-    entries into the Smith form.
-    """
+
+def _reduce_fully(col: dict[int, int], units: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Clear every entry of col that sits in the low row of a unit
+    column, lowest row first: a unit column has no entry below its low,
+    so a cleared row never fills again."""
+    while True:
+        hit = max((i for i in col if i in units), default=None)
+        if hit is None:
+            return col
+        pivot = units[hit]
+        _subtract(col, col[hit] * pivot[hit], pivot)
+
+
+def _eliminate(columns: list[dict[int, int]]) -> list[int]:
+    """The diagonal that unimodular row and column operations reduce
+    these columns to, by the one-row pivot rule of
+    :func:`smith_normal_form`."""
     # working copy: rows in ascending order (row operations only ever
     # write into rows that still exist, so the first row stays the
     # least), and the set of rows each column meets
     by_row: dict[int, dict[int, int]] = {}
-    for j, column in enumerate(M.columns):
-        for i, v in column:
+    for j, column in enumerate(columns):
+        for i, v in column.items():
             by_row.setdefault(i, {})[j] = v
     rows = {i: by_row[i] for i in sorted(by_row)}
-    cols = {j: {i for i, _ in column} for j, column in enumerate(M.columns) if column}
+    cols = {j: set(column) for j, column in enumerate(columns) if column}
     diagonal: list[int] = []
     while rows:
         pi, pj = _pick_pivot(rows, cols)
@@ -270,6 +283,50 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
             if not cols[j]:
                 del cols[j]
         diagonal.append(abs(pivot))
+    return diagonal
+
+
+def smith_normal_form(M: IntegerMatrix) -> SNFResult:
+    """Invariant factors of M by unimodular row/column operations, in
+    two stages.
+
+    Stage 1 reduces the columns left to right by their lowest entry:
+    while a column's lowest nonzero row is the low of an earlier column
+    whose entry there is +-1, that column is subtracted to clear it.
+    The columns that end on a unit low form, on their low rows, a
+    triangular minor with unit diagonal, so each contributes an
+    invariant factor 1; columns that reduce to zero contribute nothing.
+
+    Stage 2 takes the columns that end on a non-unit low.  Reduced fully
+    against the unit columns, they vanish on every unit low row, so row
+    operations clear the unit columns without touching them and M is
+    equivalent to the identity beside this residual.  The residual alone
+    goes to :func:`_eliminate`: each pivot is read from one row, the
+    first remaining one -- its entry of least absolute value, ties
+    broken toward the shortest column and then the lowest column,
+    stopping early at a unit alone in its column, whose elimination
+    causes no fill-in.  A smaller remainder met while clearing the pivot
+    column or row becomes the pivot; once the pivot divides its row, the
+    row leaves as one diagonal entry.  :func:`_divisibility_chain` folds
+    the non-unit diagonal entries into the Smith form.
+    """
+    units: dict[int, dict[int, int]] = {}  # low row -> column with +-1 there
+    residual: list[dict[int, int]] = []
+    for column in M.columns:
+        col = dict(column)
+        while col:
+            low = max(col)
+            pivot = units.get(low)
+            if pivot is None:
+                if col[low] in (1, -1):
+                    units[low] = col
+                else:
+                    residual.append(col)
+                break
+            _subtract(col, col[low] * pivot[low], pivot)
+    diagonal = [1] * len(units)
+    if residual:
+        diagonal += _eliminate([_reduce_fully(col, units) for col in residual])
     return SNFResult(_divisibility_chain(diagonal), len(diagonal))
 
 
@@ -396,7 +453,13 @@ def _expected_betti(n: int) -> tuple[int, ...]:
     return (1,) + (0,) * (n - 1) + (1,)
 
 
-def sphere_check(K: Complex, n: int, level: str = LEVEL_NECESSARY) -> SphereCheckReport:
+def sphere_check(
+    K: Complex,
+    n: int,
+    level: str = LEVEL_NECESSARY,
+    *,
+    _links: dict[tuple[Complex, int], SphereCheckReport] | None = None,
+) -> SphereCheckReport:
     """Necessary sphere conditions, with recursive link certification
     for n <= 3.
 
@@ -407,7 +470,15 @@ def sphere_check(K: Complex, n: int, level: str = LEVEL_NECESSARY) -> SphereChec
     with 3-sphere homology is accepted as certification.  Recognition
     for n >= 4 is out of reach, so certification requests fall back to
     the necessary battery with a note.
+
+    One top-level call keeps one table of link reports, keyed by
+    ``(link complex, n)`` and passed down the recursion as ``_links``
+    (callers never pass it).  Each distinct link is thus certified once,
+    although the recursion meets it more often: on a 3-sphere the edge
+    link lk_K(vw) is met as lk_{lk v}(w) and again as lk_{lk w}(v).
     """
+    if _links is not None and (K, n) in _links:
+        return _links[(K, n)]
     if n < 0:
         raise PreconditionFailed(f"sphere check needs n >= 0, got {n}")
     if level == "certify":
@@ -471,10 +542,13 @@ def sphere_check(K: Complex, n: int, level: str = LEVEL_NECESSARY) -> SphereChec
                 "only the necessary battery ran"
             )
         else:
+            links = {} if _links is None else _links
             bad_links = []
             for vertex in K.vertices:
                 lk = link(Simplex((vertex,)), K)
-                sub = sphere_check(lk, n - 1, LEVEL_CERTIFY)
+                sub = links[(lk, n - 1)] = sphere_check(
+                    lk, n - 1, LEVEL_CERTIFY, _links=links
+                )
                 if not sub.passed:
                     bad_links.append(str(vertex))
             items.append(

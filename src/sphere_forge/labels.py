@@ -18,6 +18,7 @@ fixes simplex normal forms and all boundary-operator signs.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 _LABEL_RE = re.compile(r"^([a-z]+)(?:([0-9]+)_([0-9]+)|([0-9]+))?(p)?$")
 
@@ -87,11 +88,14 @@ class VertexLabel(tuple):
         return f"VertexLabel({str(self)!r})"
 
 
+@cache
 def parse_label(text: str) -> VertexLabel:
     """Parse a label string; raises ValueError on anything off-grammar.
 
     A trailing ``p`` counts as the prime marker only after digits, so a
-    purely alphabetic name like ``up`` is a plain base.
+    purely alphabetic name like ``up`` is a plain base.  Each string is
+    parsed once and its (immutable) label shared; a bad string raises
+    on every call, since exceptions are not cached.
     """
     m = _LABEL_RE.fullmatch(text)
     if not m:

@@ -1,6 +1,8 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from sphere_forge import (
     sphere_check,
     standard_sphere,
 )
-from sphere_forge.complex_core import cone, link
+from sphere_forge.complex_core import cone, join, link
 from sphere_forge.errors import KernelRankNotOne, PreconditionFailed
 from sphere_forge.homology import (
     face_basis,
@@ -57,11 +59,13 @@ def rank_over_rationals(M):
     return rank
 
 
-def det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+def determinant(m):
+    """Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * determinant([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
     )
 
 
@@ -124,7 +128,7 @@ def test_snf_hand_example():
 
 
 def test_snf_zero_matrix():
-    result = smith_normal_form(IntegerMatrix.zeros(3, 5))
+    result = smith_normal_form(IntegerMatrix.from_rows([[0] * 5 for _ in range(3)]))
     assert result.diagonal == () and result.rank == 0
 
 
@@ -150,6 +154,11 @@ def test_snf_divisibility_chain():
         ([[2, 0], [0, 3]], (1, 6)),
         ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
         ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+        # the unit low of column 0 leaves column 1 on the non-unit low 2,
+        # and clearing row 0 against the unit low leaves diag(1, 2)
+        ([[1, 1], [0, 2]], (1, 2)),
+        # no unit low at all: the whole matrix goes to the elimination
+        ([[2, 1], [0, 2]], (1, 4)),
     ],
 )
 def test_snf_non_unit_pivots(rows, diagonal):
@@ -207,6 +216,38 @@ def test_snf_grid_digest():
     assert digest.hexdigest() == SNF_GRID_DIGEST
 
 
+def invariant_factors_by_minors(rows):
+    """The reference for Smith forms: d_1 * ... * d_k is the gcd of all
+    k x k minors (the k-th determinantal divisor)."""
+    factors, previous = [], 1
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        divisor = 0
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(len(rows[0])), k):
+                divisor = gcd(divisor, determinant([[rows[i][j] for j in cs] for i in rs]))
+        if divisor == 0:
+            break
+        factors.append(divisor // previous)
+        previous = divisor
+    return tuple(factors)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_snf_matches_determinantal_divisors(rows):
+    expected = invariant_factors_by_minors(rows)
+    result = smith_normal_form(IntegerMatrix.from_rows(rows))
+    assert (result.diagonal, result.rank) == (expected, len(expected))
+
+
 small_matrix = st.lists(
     st.lists(st.integers(-9, 9), min_size=1, max_size=4),
     min_size=1,
@@ -232,7 +273,7 @@ def test_snf_invariant_under_permutations(rows, rng):
 )
 @settings(max_examples=60, deadline=None)
 def test_snf_product_equals_determinant(rows):
-    d = det3(rows)
+    d = determinant(rows)
     if d == 0:
         return
     diag = smith_normal_form(IntegerMatrix.from_rows(rows)).diagonal
@@ -372,6 +413,40 @@ def test_sphere_check_high_dim_note():
 def test_sphere_check_rejects_projective_plane():
     report = sphere_check(complex_of(PROJECTIVE_PLANE), 2, "certify_low_dim")
     assert not report.passed
+
+
+def test_sphere_check_certifies_each_distinct_link_once(monkeypatch):
+    """On a 3-sphere each edge link is met from both of its vertex links;
+    the link table runs homology once per distinct complex: the source,
+    its 30 vertex links and 106 distinct edge links, against
+    1 + 30 + 238 without the table."""
+    from sphere_forge import homology
+
+    seen = []
+    groups = homology.homology_groups
+    monkeypatch.setattr(homology, "homology_groups", lambda K: seen.append(K) or groups(K))
+    report = sphere_check(build_double_cone_sphere(3, 4, "odd").source, 3, "certify_low_dim")
+    assert report.passed
+    assert len(seen) == len(set(seen)) == 137
+
+
+def test_sphere_check_reports_every_vertex_on_a_repeated_failing_link(monkeypatch):
+    """Both apexes of the suspension of RP^2 have RP^2 as link, so the
+    second is a table hit on a failing report; RP^2's torsion takes the
+    Smith form past its unit lows."""
+    from sphere_forge import homology
+
+    eliminated = []
+    eliminate = homology._eliminate
+    monkeypatch.setattr(
+        homology, "_eliminate", lambda cols: eliminated.append(cols) or eliminate(cols)
+    )
+    suspension = join(complex_of(PROJECTIVE_PLANE), make_complex([labels("a"), labels("b")]))
+    report = sphere_check(suspension, 3, "certify_low_dim")
+    links = next(item for item in report.items if item.name == "vertex_links")
+    assert not links.ok
+    assert links.detail == "links failing: a, b"
+    assert eliminated
 
 
 @pytest.mark.parametrize(
