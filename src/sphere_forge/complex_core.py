@@ -1,9 +1,13 @@
 """Pure simplicial complexes stored as facet sets.
 
-A complex is represented by its inclusion-maximal simplices only; faces
-are enumerated on demand and kept on the complex, as are the objects
-later layers derive from it (:attr:`Complex.memo`); everything a complex
-hands out is immutable.  A simplex is its vertex tuple in label order
+A complex is represented by its inclusion-maximal simplices only.  Its
+faces are enumerated once, on demand, as one integer face lattice
+(:attr:`Complex.face_lattice`): the vertices are numbered in label
+order and each face is the ascending tuple of its vertex numbers, so
+integer order is label order and the lattice hashes and compares small
+ints instead of labels.  The lattice is kept on the complex, as are the
+objects later layers derive from it (:attr:`Complex.memo`); everything a
+complex hands out is immutable.  A simplex is its vertex tuple in label order
 (:class:`Simplex` subclasses ``tuple``), so it equals, hashes and sorts
 as that tuple and a plain tuple of the same labels finds it in any dict
 or set.  Canonical ordering of vertices inside a simplex, and of facets
@@ -21,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -107,13 +111,18 @@ class Complex:
         return self.facets == (EMPTY_SIMPLEX,)
 
     @cached_property
-    def _faces_by_dim(self) -> dict[int, frozenset[Simplex]]:
-        per: dict[int, set[Simplex]] = {-1: {EMPTY_SIMPLEX}}
+    def face_lattice(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every face as an ascending tuple of vertex numbers, vertex i
+        being ``self.vertices[i]``: entry ``k + 1`` holds the k-faces,
+        sorted.  Numbering follows label order, so the sorted integer
+        tuples list the faces in label order too."""
+        number = {v: i for i, v in enumerate(self.vertices)}
+        per: list[set[tuple[int, ...]]] = [set() for _ in range(self.dimension + 2)]
         for f in self.facets:
-            for k in range(0, f.dimension + 1):
-                bucket = per.setdefault(k, set())
-                bucket.update(Simplex(c) for c in combinations(f, k + 1))
-        return {k: frozenset(s) for k, s in per.items()}
+            face = tuple(number[v] for v in f)
+            for size in range(len(face) + 1):
+                per[size].update(combinations(face, size))
+        return tuple(tuple(sorted(s)) for s in per)
 
     @cached_property
     def ridge_facets(self) -> dict[tuple[VertexLabel, ...], tuple[int, ...]]:
@@ -148,14 +157,20 @@ def make_complex(facet_list: Iterable[Sequence[VertexLabel]]) -> Complex:
     Input facets are sorted, deduplicated, and non-maximal ones are
     absorbed (construction code routinely unions cones whose faces
     overlap).  An input with no nonempty facet yields the empty complex.
+    Only a strictly longer facet can absorb one, and taken longest first
+    those are a prefix of the facets kept so far; on pure input that
+    prefix is empty and no pair is compared.
     """
     sims = {simplex(f) for f in facet_list}
     ordered = sorted(sims, key=lambda s: (-len(s), s))
     kept: list[Simplex] = []
     kept_sets: list[frozenset] = []
+    size = longer = 0
     for s in ordered:
+        if len(s) != size:
+            size, longer = len(s), len(kept)
         vs = frozenset(s)
-        if any(vs <= t for t in kept_sets):
+        if any(vs <= t for t in islice(kept_sets, longer)):
             continue
         kept.append(s)
         kept_sets.append(vs)
@@ -177,10 +192,12 @@ def union(*complexes: Complex) -> Complex:
 
 
 def faces(K: Complex, k: int) -> frozenset[Simplex]:
-    """All k-faces of K; empty set when k is out of range."""
+    """All k-faces of K; empty set when k is out of range.  Built from
+    :attr:`Complex.face_lattice` on every call."""
     if k < -1 or k > K.dimension:
         return frozenset()
-    return K._faces_by_dim.get(k, frozenset())
+    labels = K.vertices
+    return frozenset(Simplex([labels[i] for i in f]) for f in K.face_lattice[k + 1])
 
 
 @dataclass(frozen=True)
@@ -199,7 +216,7 @@ class FVector:
 
 
 def f_vector_and_euler(K: Complex) -> tuple[FVector, int]:
-    fv = FVector(tuple(len(faces(K, k)) for k in range(-1, K.dimension + 1)))
+    fv = FVector(tuple(map(len, K.face_lattice)))
     return fv, fv.euler
 
 

@@ -5,39 +5,42 @@ sphere sanity battery all run over arbitrary-precision Python integers;
 no floating point and no modular shortcuts anywhere.  Matrices are
 stored sparse by column from the start -- a boundary column carries
 exactly ``k+1`` entries of +-1 -- and every consumer (Smith reduction,
-kernels, the product check) reads those columns; a dense grid is only
-ever materialized on request through :attr:`IntegerMatrix.entries`.
+kernels) reads those columns; a dense grid is only ever materialized on
+request through :attr:`IntegerMatrix.entries`.  Boundary matrices are
+built on the complex's integer face lattice
+(:attr:`Complex.face_lattice`), so row lookups hash tuples of small ints.
 
 Smith reduction first reduces columns by their lowest entry against the
 columns whose lowest entry is a unit; each of those gives an invariant
 factor 1.  Only the columns left on a non-unit lowest entry reach the
 row-store elimination, which reads each pivot from one row and folds the
 diagonal it ends on into a divisibility chain (see
-:func:`smith_normal_form`).  Kernels run on the same row store and the
-same column-clearing step, pivoting on the shortest row (see
-:func:`kernel_basis`).  Face bases and boundary matrices are built once
-per complex and kept in :attr:`Complex.memo`, so they live exactly as
-long as the complex does.  The sphere battery keeps one table of link
+:func:`smith_normal_form`).  Homology reduces the boundary matrices from
+the top dimension down, and each unit low of one clears a column of the
+next, which is never reduced (see :func:`homology_groups`).  Kernels run
+on the same row store and the same column-clearing step, pivoting on the
+shortest row (see :func:`kernel_basis`).  Face bases and boundary
+matrices are built once per complex and kept in :attr:`Complex.memo`, so
+they live exactly as long as the complex does.  The sphere battery keeps one table of link
 reports per top-level call, so each distinct link is certified once
 (see :func:`sphere_check`).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
 from .complex_core import (
     Complex,
     Simplex,
-    faces,
     f_vector_and_euler,
     link,
     pseudomanifold_check,
 )
 from .errors import KernelRankNotOne, PreconditionFailed
-from .orientation import Chain
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,16 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Nonzero invariant factors ``d_1 | d_2 | ... | d_r`` and the rank r."""
+    """Nonzero invariant factors ``d_1 | d_2 | ... | d_r`` and the rank r.
+
+    ``unit_lows`` holds the rows on which the reduction's unit columns
+    end (see :func:`smith_normal_form`); it is a by-product of one
+    reduction, not part of the Smith form, so equality ignores it.
+    """
 
     diagonal: tuple[int, ...]
     rank: int
+    unit_lows: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,10 +103,14 @@ class HomologyGroup:
 
 def face_basis(K: Complex, k: int) -> tuple[Simplex, ...]:
     """The k-faces of K in canonical order (the row/column order used
-    by :func:`boundary_matrix`), sorted once per complex."""
+    by :func:`boundary_matrix`), empty when k is out of range.  Read off
+    :attr:`Complex.face_lattice`, whose integer order is label order,
+    once per complex."""
     key = ("face_basis", k)
     if key not in K.memo:
-        K.memo[key] = tuple(sorted(faces(K, k)))
+        labels = K.vertices
+        lattice = K.face_lattice[k + 1] if -1 <= k <= K.dimension else ()
+        K.memo[key] = tuple(Simplex([labels[i] for i in f]) for f in lattice)
     return K.memo[key]
 
 
@@ -120,47 +133,16 @@ def boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
 
 
 def _build_boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
-    row_index = {s: i for i, s in enumerate(face_basis(K, k - 1))}
-    columns = []
-    for s in face_basis(K, k):
-        # omitting a later vertex gives an earlier face, so walking i
-        # downwards lists the rows in ascending order
-        columns.append(
-            tuple(
-                (row_index[s[:i] + s[i + 1 :]], -1 if i % 2 else 1)
-                for i in reversed(range(len(s)))
-            )
-        )
-    return IntegerMatrix(len(row_index), len(columns), tuple(columns))
-
-
-def matrix_product_is_zero(A: IntegerMatrix, B: IntegerMatrix) -> bool:
-    """Sparse check that ``A @ B == 0`` without forming the dense product."""
-    if A.cols != B.rows:
-        raise PreconditionFailed("inner dimensions differ")
-    for column in B.columns:
-        acc: dict[int, int] = {}
-        for r, v in column:
-            for i, w in A.columns[r]:
-                acc[i] = acc.get(i, 0) + v * w
-        if any(acc.values()):
-            return False
-    return True
-
-
-def chain_boundary(chain: Chain) -> Chain:
-    """Boundary of an integer chain under the alternating-sign face rule."""
-    out: dict[Simplex, int] = {}
-    for s, c in chain.coefficients.items():
-        if c == 0:
-            continue
-        for i in range(len(s)):
-            face = Simplex(s[:i] + s[i + 1 :])
-            out[face] = out.get(face, 0) + ((-c) if i % 2 else c)
-    return Chain(
-        coefficients={s: c for s, c in out.items() if c != 0},
-        degree=chain.degree - 1,
+    lattice = K.face_lattice
+    row_index = {f: i for i, f in enumerate(lattice[k])}
+    # combinations(face, k) omits the last vertex first and the first
+    # vertex last: ascending rows, with signs (-1)**k, ..., -1, 1
+    signs = tuple(-1 if i % 2 else 1 for i in reversed(range(k + 1)))
+    columns = tuple(
+        tuple(zip(map(row_index.__getitem__, combinations(face, k)), signs))
+        for face in lattice[k + 1]
     )
+    return IntegerMatrix(len(row_index), len(columns), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +268,9 @@ def _eliminate(columns: list[dict[int, int]]) -> list[int]:
     return diagonal
 
 
-def smith_normal_form(M: IntegerMatrix) -> SNFResult:
+def smith_normal_form(
+    M: IntegerMatrix, *, _skip: frozenset[int] = frozenset()
+) -> SNFResult:
     """Invariant factors of M by unimodular row/column operations, in
     two stages.
 
@@ -296,6 +280,7 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     The columns that end on a unit low form, on their low rows, a
     triangular minor with unit diagonal, so each contributes an
     invariant factor 1; columns that reduce to zero contribute nothing.
+    Their low rows come back as ``unit_lows``.
 
     Stage 2 takes the columns that end on a non-unit low.  Reduced fully
     against the unit columns, they vanish on every unit low row, so row
@@ -309,10 +294,24 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     column or row becomes the pivot; once the pivot divides its row, the
     row leaves as one diagonal entry.  :func:`_divisibility_chain` folds
     the non-unit diagonal entries into the Smith form.
+
+    ``_skip`` names columns that stage 1 passes over (the clearing of
+    :func:`homology_groups`; callers never pass it otherwise).  It must
+    name only columns i that are an integer combination of columns
+    before them.  That holds for M = boundary k when i is a unit low of
+    boundary k+1: the reduced column there is a boundary z = +-e_i +
+    (terms above row i), so 0 = boundary_k z writes column i through
+    columns before it.  Subtracting those combinations, from the
+    highest skipped column down, zeroes the skipped columns by
+    unimodular column operations, so M has the Smith form of the
+    columns that remain.  A non-unit low c*e_i writes only c times
+    column i that way, which is why such columns are never skipped.
     """
     units: dict[int, dict[int, int]] = {}  # low row -> column with +-1 there
     residual: list[dict[int, int]] = []
-    for column in M.columns:
+    for j, column in enumerate(M.columns):
+        if j in _skip:
+            continue
         col = dict(column)
         while col:
             low = max(col)
@@ -327,7 +326,7 @@ def smith_normal_form(M: IntegerMatrix) -> SNFResult:
     diagonal = [1] * len(units)
     if residual:
         diagonal += _eliminate([_reduce_fully(col, units) for col in residual])
-    return SNFResult(_divisibility_chain(diagonal), len(diagonal))
+    return SNFResult(_divisibility_chain(diagonal), len(diagonal), frozenset(units))
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +378,20 @@ def homology_groups(K: Complex) -> tuple[HomologyGroup, ...]:
     """Unreduced integral homology in dimensions ``0..dim K`` via SNF.
 
     H_0 counts connected components; torsion of H_k comes from the
-    invariant factors of the (k+1)-st boundary matrix.
+    invariant factors of the (k+1)-st boundary matrix.  The boundary
+    matrices are reduced from the top down, each one skipping the
+    columns that the unit lows of the one above clear (see
+    :func:`smith_normal_form`).
     """
     n = K.dimension
     if n < 0:
         return ()
-    snf = {k: smith_normal_form(boundary_matrix(K, k)) for k in range(1, n + 1)}
-    counts = [len(faces(K, k)) for k in range(0, n + 1)]
+    snf: dict[int, SNFResult] = {}
+    cleared: frozenset[int] = frozenset()
+    for k in range(n, 0, -1):
+        snf[k] = smith_normal_form(boundary_matrix(K, k), _skip=cleared)
+        cleared = snf[k].unit_lows
+    counts = [len(fs) for fs in K.face_lattice[1:]]
     groups = []
     for k in range(0, n + 1):
         rank_k = snf[k].rank if k >= 1 else 0

@@ -6,6 +6,7 @@ each target facet for the (n=3, d=4) join-cone bundle.
 """
 
 from sphere_forge import (
+    Simplex,
     build_double_cone_sphere,
     build_facet_cone_sphere,
     build_join_cone_sphere,
@@ -14,6 +15,8 @@ from sphere_forge import (
     parse_label,
     simplex,
 )
+from sphere_forge.errors import PreconditionFailed
+from sphere_forge.orientation import Chain
 
 
 def labels(text):
@@ -30,6 +33,35 @@ def simplex_of(text):
 
 def facet_set(facet_strings):
     return frozenset(frozenset(labels(f)) for f in facet_strings)
+
+
+def matrix_product_is_zero(A, B):
+    """Sparse check that ``A @ B == 0`` without forming the dense product."""
+    if A.cols != B.rows:
+        raise PreconditionFailed("inner dimensions differ")
+    for column in B.columns:
+        acc = {}
+        for r, v in column:
+            for i, w in A.columns[r]:
+                acc[i] = acc.get(i, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
+
+
+def chain_boundary(chain):
+    """Boundary of an integer chain under the alternating-sign face rule."""
+    out = {}
+    for s, c in chain.coefficients.items():
+        if c == 0:
+            continue
+        for i in range(len(s)):
+            face = Simplex(s[:i] + s[i + 1 :])
+            out[face] = out.get(face, 0) + ((-c) if i % 2 else c)
+    return Chain(
+        coefficients={s: c for s, c in out.items() if c != 0},
+        degree=chain.degree - 1,
+    )
 
 
 # the 3d-vertex discs for d = 2, 3, 4 with their sign split

@@ -37,10 +37,16 @@ from sphere_forge import (
 from sphere_forge.cli import run_degree
 from sphere_forge.errors import NonOrientable
 from sphere_forge.formats import bundle_to_json
-from sphere_forge.homology import matrix_product_is_zero
 from sphere_forge.labels import v_label
 
-from fixtures import DEGREE4_ALPHA, DEGREE4_ALPHA_SIX, PROJECTIVE_PLANE, complex_of, facet_set
+from fixtures import (
+    DEGREE4_ALPHA,
+    DEGREE4_ALPHA_SIX,
+    PROJECTIVE_PLANE,
+    complex_of,
+    facet_set,
+    matrix_product_is_zero,
+)
 
 
 def report_line(cid, ok, elapsed, detail):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +24,11 @@ from sphere_forge.errors import (
     NotPure,
     VertexCollision,
 )
+from sphere_forge.homology import face_basis
 from sphere_forge.labels import parse_label, v_label
 
 from fixtures import (
+    CONSTRUCTION_GRID,
     DELTA2_NEGATIVE,
     DELTA2_POSITIVE,
     DELTA4_TRIANGLES,
@@ -272,3 +275,64 @@ def test_simplex_is_its_vertex_tuple():
         assert type(ridge) is tuple
         assert DELTA2.ridge_facets[Simplex(ridge)] == members
     assert DELTA2.ridge_facets[simplex_of("u1_1 u3_1")] == (0, 1)
+
+
+@given(
+    st.lists(
+        st.sets(st.integers(1, 7), max_size=5).map(sorted), min_size=1, max_size=12
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_make_complex_keeps_exactly_the_maximal_facets(facet_lists):
+    """Against a brute-force filter that compares every pair."""
+    facets = {frozenset(v_label(i) for i in f) for f in facet_lists}
+    maximal = [f for f in facets if not any(f < g for g in facets)]
+    K = make_complex([[v_label(i) for i in f] for f in facet_lists])
+    assert K.facets == tuple(sorted(simplex(f) for f in maximal))
+
+
+def faces_by_label_combinations(K, k):
+    return {Simplex(c) for f in K.facets for c in combinations(f, k + 1)}
+
+
+def assert_lattice_in_label_order(K):
+    """Face bases are the sorted faces, and the f-vector counts the
+    faces that label combinations of the facets give."""
+    for k in range(-1, K.dimension + 1):
+        expected = faces_by_label_combinations(K, k)
+        assert faces(K, k) == expected
+        assert face_basis(K, k) == tuple(sorted(expected))
+    fv, euler = f_vector_and_euler(K)
+    counts = tuple(len(faces_by_label_combinations(K, k)) for k in range(-1, K.dimension + 1))
+    assert fv.counts == counts
+    assert euler == sum((-1) ** i * c for i, c in enumerate(counts[1:]))
+
+
+def test_face_lattice_order_on_construction_sources():
+    for build, args in CONSTRUCTION_GRID:
+        assert_lattice_in_label_order(build(*args).source)
+
+
+MIXED_LABELS = "a b u4 u4p u1_3 u1_3p u12 v2 v10".split()
+
+
+@given(
+    st.permutations(MIXED_LABELS),
+    st.lists(st.sets(st.integers(0, 8), min_size=1, max_size=4), min_size=1, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_face_lattice_order_under_relabelling(names, facet_sets):
+    """Labels of every shape (plain, indexed, class/index, primed) in
+    any assignment to vertex numbers."""
+    K = make_complex([[parse_label(names[i]) for i in f] for f in facet_sets])
+    assert_lattice_in_label_order(K)
+
+
+def test_faces_out_of_range():
+    for K in (DELTA2, standard_sphere(0), empty_complex()):
+        assert faces(K, -1) == frozenset({EMPTY_SIMPLEX})
+        assert face_basis(K, -1) == (EMPTY_SIMPLEX,)
+        for k in (-2, K.dimension + 1, K.dimension + 5):
+            assert faces(K, k) == frozenset()
+            assert face_basis(K, k) == ()
+    assert f_vector_and_euler(empty_complex())[0].counts == (1,)

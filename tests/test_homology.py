@@ -22,13 +22,9 @@ from sphere_forge import (
     sphere_check,
     standard_sphere,
 )
-from sphere_forge.complex_core import cone, join, link
+from sphere_forge.complex_core import cone, faces, join, link
 from sphere_forge.errors import KernelRankNotOne, PreconditionFailed
-from sphere_forge.homology import (
-    face_basis,
-    matrix_product_is_zero,
-    top_kernel_generator,
-)
+from sphere_forge.homology import HomologyGroup, face_basis, top_kernel_generator
 from sphere_forge.labels import parse_label
 
 from fixtures import (
@@ -37,6 +33,7 @@ from fixtures import (
     PROJECTIVE_PLANE,
     complex_of,
     labels,
+    matrix_product_is_zero,
 )
 
 
@@ -372,6 +369,93 @@ def test_euler_equals_alternating_betti():
         _, euler = f_vector_and_euler(K)
         groups = homology_groups(K)
         assert euler == sum((-1) ** k * g.betti for k, g in enumerate(groups))
+
+
+def homology_by_full_snf(K):
+    """The reference for homology_groups: every boundary matrix whole
+    through smith_normal_form, no column skipped."""
+    n = K.dimension
+    snf = {k: smith_normal_form(boundary_matrix(K, k)) for k in range(1, n + 1)}
+    rank = {k: snf[k].rank for k in snf}
+    return tuple(
+        HomologyGroup(
+            len(faces(K, k)) - rank.get(k, 0) - rank.get(k + 1, 0),
+            tuple(d for d in snf[k + 1].diagonal if d > 1) if k < n else (),
+        )
+        for k in range(n + 1)
+    )
+
+
+@st.composite
+def relabelled_projective_planes(draw):
+    names = draw(st.permutations([f"v{i}" for i in range(1, 8)]))
+    rename = dict(zip(sorted({v for f in PROJECTIVE_PLANE for v in f.split()}), names))
+    return make_complex([[parse_label(rename[v]) for v in f.split()] for f in PROJECTIVE_PLANE])
+
+
+@given(st.one_of(pure_complexes(), relabelled_projective_planes()))
+@settings(max_examples=80, deadline=None)
+def test_clearing_keeps_homology(K):
+    """Skipping the columns cleared by the unit lows of the boundary
+    matrix above leaves every Smith form, and so the homology, as the
+    whole matrices give it."""
+    assert homology_groups(K) == homology_by_full_snf(K)
+    for k in range(1, K.dimension):
+        cleared = smith_normal_form(boundary_matrix(K, k + 1)).unit_lows
+        M = boundary_matrix(K, k)
+        assert smith_normal_form(M, _skip=cleared) == smith_normal_form(M)
+
+
+def test_only_unit_lows_clear():
+    """In Z --A--> Z^2 --B--> Z (B A = 0) the column of A is a cycle
+    z = a e_1 + e_0 of B.  With a = +-1, z writes column 1 of B through
+    column 0 and skipping it keeps B's Smith form; with a = -2 only twice
+    column 1 is written so, and skipping it would turn (1) into (2)."""
+    A, B = IntegerMatrix.from_rows([[2], [1]]), IntegerMatrix.from_rows([[1, -2]])
+    assert smith_normal_form(A).unit_lows == frozenset({1})
+    assert smith_normal_form(B, _skip=frozenset({1})) == smith_normal_form(B)
+    A, B = IntegerMatrix.from_rows([[1], [-2]]), IntegerMatrix.from_rows([[2, 1]])
+    assert smith_normal_form(A).unit_lows == frozenset()
+    assert smith_normal_form(B).diagonal == (1,)
+    assert smith_normal_form(B, _skip=frozenset({1})).diagonal == (2,)
+
+
+def test_clearing_keeps_torsion():
+    rp2 = complex_of(PROJECTIVE_PLANE)
+    suspension = join(rp2, make_complex([labels("a"), labels("b")]))
+    for K in (rp2, suspension):
+        assert homology_groups(K) == homology_by_full_snf(K)
+    assert homology_groups(suspension)[2].torsion == (2,)
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        standard_sphere(4),
+        build_join_cone_sphere(3, 4).source,
+        build_double_cone_sphere(4, 2, "odd").source,
+    ],
+    ids=["standard n=4", "join-cone n=3 d=4", "double-cone n=4 d=2 odd"],
+)
+def test_clearing_leaves_only_the_fundamental_cycle_at_zero(monkeypatch, K):
+    """Reduced top down, boundary k keeps f_k - r_{k+1} columns, of which
+    r_k end on a low; the other f_k - r_{k+1} - r_k = beta_k end at zero.
+    On an n-sphere beta_k = 0 for 0 < k < n and f_n - r_n = beta_n = 1, so
+    one column in all ends at zero: the fundamental cycle, in boundary n."""
+    from sphere_forge import homology
+
+    zero_columns = []
+    snf = homology.smith_normal_form
+
+    def counted(M, *, _skip=frozenset()):
+        result = snf(M, _skip=_skip)
+        assert len(result.unit_lows) == result.rank  # every low a unit: no stage 2
+        zero_columns.append(M.cols - len(_skip) - result.rank)
+        return result
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    homology_groups(K)
+    assert zero_columns == [1] + [0] * (K.dimension - 1)
 
 
 def test_top_kernel_matches_fundamental_cycle():

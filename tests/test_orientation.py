@@ -12,13 +12,13 @@ from sphere_forge import (
     standard_sphere,
 )
 from sphere_forge.errors import NonOrientable, NotAPermutation, NotClosed, PreconditionFailed
-from sphere_forge.homology import chain_boundary
 from sphere_forge.labels import v_label
 
 from fixtures import (
     DELTA2_NEGATIVE,
     DELTA2_POSITIVE,
     PROJECTIVE_PLANE,
+    chain_boundary,
     complex_of,
     simplex_of,
 )
