@@ -1,9 +1,8 @@
-"""File formats: facet-list text, canonical JSON, and map files.
+"""File formats: canonical JSON and map files.
 
-JSON is the interchange format; the text facet list exists for fixtures
-and eyeballing.  Serialization is deterministic (sorted keys, canonical
-facet order, two-space indent, trailing newline) so that build -> write
--> read -> write round-trips byte-identically.
+JSON is the interchange format.  Serialization is deterministic (sorted
+keys, canonical facet order, two-space indent, trailing newline) so that
+build -> write -> read -> write round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -18,25 +17,6 @@ from .simplicial_map import ConstructionBundle, VertexMap
 
 def dumps_canonical(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Facet-list text format
-
-
-def complex_to_text(K: Complex) -> str:
-    """One facet per line, labels separated by single spaces."""
-    return "".join(f"{facet}\n" for facet in K.facets)
-
-
-def complex_from_text(text: str) -> Complex:
-    facets = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        facets.append([parse_label(tok) for tok in line.split()])
-    return make_complex(facets)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +145,10 @@ def bundle_from_json_obj(obj) -> ConstructionBundle:
             f"source has dimension {source.dimension} but target has dimension "
             f"{target.dimension}"
         )
-    pairs = _field(obj, "map", "bundle", list)
-    assignment = _assignment(_labels(pair, "a map entry") for pair in pairs)
+    pairs = [_labels(pair, "a map entry") for pair in _field(obj, "map", "bundle", list)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("each 'map' entry must be a [from, to] label pair")
+    assignment = _assignment(pairs)
     source_base = _labels(_field(obj, "source_base", "bundle"), "source_base")
     if "target_base" in obj:
         target_base = _labels(obj["target_base"], "target_base")
@@ -187,7 +169,7 @@ def bundle_from_json_obj(obj) -> ConstructionBundle:
         target_base=target_base,
         expected_degree=_field(obj, "expected_degree", "bundle", (int, type(None))),
         expected_vertices=expected_vertices,
-        label=str(obj.get("label", "bundle")),
+        label=_field(obj, "label", "bundle", str) if "label" in obj else "bundle",
     )
 
 

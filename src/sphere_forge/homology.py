@@ -17,9 +17,11 @@ row-store elimination, which reads each pivot from one row and folds the
 diagonal it ends on into a divisibility chain (see
 :func:`smith_normal_form`).  Homology reduces the boundary matrices from
 the top dimension down, and each unit low of one clears a column of the
-next, which is never reduced (see :func:`homology_groups`).  Kernels run
-on the same row store and the same column-clearing step, pivoting on the
-shortest row (see :func:`kernel_basis`).  Face bases and boundary
+next, which is never reduced (see :func:`homology_groups`).  Kernels
+are the same left-to-right reduction by lowest entries, except that a
+non-unit low is not set aside: Euclid's algorithm on that row lets the
+remainder take it over, and each column carries its combination of
+input columns (see :func:`kernel_basis`).  Face bases and boundary
 matrices are built once per complex and kept in :attr:`Complex.memo`, so
 they live exactly as long as the complex does.  The sphere battery keeps one table of link
 reports per top-level call, so each distinct link is certified once
@@ -149,49 +151,28 @@ def _build_boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
 # Smith normal form
 
 
-def _pick_pivot(rows, cols):
-    """The next pivot, read from the first remaining row alone (the
-    rule is spelled out in :func:`smith_normal_form`)."""
+def _pick_pivot(rows):
+    """The next pivot, read from the first remaining row alone: its
+    entry of least absolute value, the lowest column on ties."""
     i, row = next(iter(rows.items()))
-    best = None
-    for j, v in row.items():
-        key = (-v if v < 0 else v, len(cols[j]), j)
-        if best is None or key < best:
-            best = key
-            if key[0] == 1 and key[1] == 1:
-                break
-    return i, best[2]
+    return i, min(row, key=lambda j: (abs(row[j]), j))
 
 
-def _row_axpy(rows, cols, target: int, source: int, factor: int):
-    """row[target] += factor * row[source] with index upkeep."""
-    src = rows[source]
-    dst = rows.setdefault(target, {})
-    for j, w in src.items():
-        nv = dst.get(j, 0) + factor * w
-        if nv:
-            dst[j] = nv
-            cols[j].add(target)
-        elif j in dst:
-            del dst[j]
-            cols[j].discard(target)
-    if not dst:
-        del rows[target]
-
-
-def _clear_column(rows, cols, pi: int, pj: int) -> int:
-    """Clear column pj of every row but pivot row pi; a smaller
-    remainder met on the way becomes the pivot.  Returns the pivot row,
-    now alone in column pj."""
+def _clear_column(rows, pi: int, pj: int) -> int:
+    """Clear column pj of every row but pivot row pi, scanning the rows
+    in ascending order for the ones that hold pj; a smaller remainder
+    met on the way becomes the pivot.  Returns the pivot row, now alone
+    in column pj.  Rows that clearing empties stay behind as empty
+    dicts for the caller to drop."""
     while True:
         pivot = rows[pi][pj]
-        for i in sorted(cols[pj]):
-            if i == pi:
+        for i, row in rows.items():
+            if i == pi or pj not in row:
                 continue
-            q = rows[i][pj] // pivot
+            q = row[pj] // pivot
             if q:
-                _row_axpy(rows, cols, i, pi, -q)
-            if i in rows and pj in rows[i]:
+                _subtract(row, q, rows[pi])
+            if pj in row:
                 pi = i
                 break
         else:
@@ -235,21 +216,19 @@ def _reduce_fully(col: dict[int, int], units: dict[int, dict[int, int]]) -> dict
 def _eliminate(columns: list[dict[int, int]]) -> list[int]:
     """The diagonal that unimodular row and column operations reduce
     these columns to, by the one-row pivot rule of
-    :func:`smith_normal_form`."""
-    # working copy: rows in ascending order (row operations only ever
-    # write into rows that still exist, so the first row stays the
-    # least), and the set of rows each column meets
+    :func:`smith_normal_form`, on a store of rows in ascending order
+    (operations only ever write into rows that still exist, so the
+    first row stays the least)."""
     by_row: dict[int, dict[int, int]] = {}
     for j, column in enumerate(columns):
         for i, v in column.items():
             by_row.setdefault(i, {})[j] = v
     rows = {i: by_row[i] for i in sorted(by_row)}
-    cols = {j: set(column) for j, column in enumerate(columns) if column}
     diagonal: list[int] = []
     while rows:
-        pi, pj = _pick_pivot(rows, cols)
+        pi, pj = _pick_pivot(rows)
         while True:
-            pi = _clear_column(rows, cols, pi, pj)
+            pi = _clear_column(rows, pi, pj)
             pivot = rows[pi][pj]
             # column pj holds the pivot alone, so a column operation
             # touches row pi only: an entry the pivot does not divide
@@ -260,11 +239,9 @@ def _eliminate(columns: list[dict[int, int]]) -> list[int]:
             rows[pi][j] %= pivot
             pj = j
         # the pivot divides the rest of its row, which column operations clear
-        for j in rows.pop(pi):
-            cols[j].discard(pi)
-            if not cols[j]:
-                del cols[j]
+        del rows[pi]
         diagonal.append(abs(pivot))
+        rows = {i: row for i, row in rows.items() if row}
     return diagonal
 
 
@@ -280,7 +257,11 @@ def smith_normal_form(
     The columns that end on a unit low form, on their low rows, a
     triangular minor with unit diagonal, so each contributes an
     invariant factor 1; columns that reduce to zero contribute nothing.
-    Their low rows come back as ``unit_lows``.
+    Their low rows come back as ``unit_lows``.  A column whose low is
+    not a unit is parked for stage 2 rather than reduced further by
+    Euclid's algorithm against the column holding that row, as
+    :func:`kernel_basis` does: on dense random matrices that lets the
+    intermediate entries grow to tens of thousands of bits.
 
     Stage 2 takes the columns that end on a non-unit low.  Reduced fully
     against the unit columns, they vanish on every unit low row, so row
@@ -288,12 +269,11 @@ def smith_normal_form(
     equivalent to the identity beside this residual.  The residual alone
     goes to :func:`_eliminate`: each pivot is read from one row, the
     first remaining one -- its entry of least absolute value, ties
-    broken toward the shortest column and then the lowest column,
-    stopping early at a unit alone in its column, whose elimination
-    causes no fill-in.  A smaller remainder met while clearing the pivot
-    column or row becomes the pivot; once the pivot divides its row, the
-    row leaves as one diagonal entry.  :func:`_divisibility_chain` folds
-    the non-unit diagonal entries into the Smith form.
+    broken toward the lowest column.  A smaller remainder met while
+    clearing the pivot column or row becomes the pivot; once the pivot
+    divides its row, the row leaves as one diagonal entry.
+    :func:`_divisibility_chain` folds the non-unit diagonal entries into
+    the Smith form.
 
     ``_skip`` names columns that stage 1 passes over (the clearing of
     :func:`homology_groups`; callers never pass it otherwise).  It must
@@ -336,37 +316,41 @@ def smith_normal_form(
 def kernel_basis(M: IntegerMatrix) -> list[tuple[int, ...]]:
     """A lattice basis of the right kernel ``{x : Mx = 0}``.
 
-    Row reduction of the transpose with an identity block appended, in
-    the row store of :func:`smith_normal_form`: column j of M becomes
-    row j, its identity entry keyed ``M.rows + j``.  For each row index
-    r of M, :func:`_clear_column` clears the rows holding r down to one,
-    pivoting on the shortest (then lowest) so that merges add the
-    smaller row into the larger, and that row is set aside.  The rows
-    left over hold only identity keys and read off the kernel.
+    One pass over M's columns, left to right, reducing each by its
+    lowest entry against the earlier column that ends on the same row,
+    as stage 1 of :func:`smith_normal_form` does.  Each column carries
+    its combination of input columns, starting as ``{j: 1}`` and
+    updated by the same subtraction.  Where the quotient leaves a
+    nonzero remainder, the remainder's column takes the row over and the
+    displaced column keeps reducing (Euclid's algorithm on that row).
+    Every step is a unimodular column operation and the columns left
+    standing end on distinct rows, so the combinations of the columns
+    that reach zero are a lattice basis of the kernel.
     """
-    rows = {j: {**dict(column), M.rows + j: 1} for j, column in enumerate(M.columns)}
-    cols: dict[int, set[int]] = {key: set() for key in range(M.rows + M.cols)}
-    for j, row in rows.items():
-        for key in row:
-            cols[key].add(j)
-    for r in range(M.rows):
-        if cols[r]:
-            pi = min(cols[r], key=lambda i: (len(rows[i]), i))
-            pi = _clear_column(rows, cols, pi, r)
-            for key in rows.pop(pi):
-                cols[key].discard(pi)
-
+    lows: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     basis = []
-    for row in rows.values():
-        assert min(row) >= M.rows, "kernel row not cleared: elimination bug"
-        vec = [0] * M.cols
-        for key, c in row.items():
-            vec[key - M.rows] = c
-        # deterministic sign: first nonzero coordinate positive
-        lead = next((c for c in vec if c), 1)
-        if lead < 0:
-            vec = [-c for c in vec]
-        basis.append(tuple(vec))
+    for j, column in enumerate(M.columns):
+        col, comb = dict(column), {j: 1}
+        while col:
+            low = max(col)
+            if low not in lows:
+                lows[low] = col, comb
+                break
+            pivot, pivot_comb = lows[low]
+            q = col[low] // pivot[low]
+            if q:
+                _subtract(col, q, pivot)
+                _subtract(comb, q, pivot_comb)
+            if low in col:
+                lows[low] = col, comb
+                col, comb = pivot, pivot_comb
+        if not col:
+            vec = [comb.get(k, 0) for k in range(M.cols)]
+            # deterministic sign: first nonzero coordinate positive
+            lead = next((c for c in vec if c), 1)
+            if lead < 0:
+                vec = [-c for c in vec]
+            basis.append(tuple(vec))
     return basis
 
 
@@ -454,8 +438,6 @@ class SphereCheckReport:
 
 
 def _expected_betti(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (2,)
     return (1,) + (0,) * (n - 1) + (1,)
 
 

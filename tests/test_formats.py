@@ -16,31 +16,13 @@ from sphere_forge.formats import (
     bundle_from_json,
     bundle_to_json,
     complex_from_json,
-    complex_from_text,
     complex_to_json,
-    complex_to_text,
     dumps_canonical,
     map_from_text,
     map_to_text,
 )
 
-from fixtures import complex_of, labels, PROJECTIVE_PLANE
-
-
-def test_text_round_trip():
-    K = complex_of(PROJECTIVE_PLANE)
-    assert complex_from_text(complex_to_text(K)) == K
-
-
-def test_text_comments_and_blanks():
-    text = "# comment line\n\nv1 v2 v3\nv1 v2 v4\n  # indented comment\n"
-    K = complex_from_text(text)
-    assert len(K.facets) == 2
-
-
-def test_text_bad_label():
-    with pytest.raises(ValueError):
-        complex_from_text("v1 V2 v3\n")
+from fixtures import labels
 
 
 def test_complex_json_round_trip_with_orientation():

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sphere_forge import (
     IntegerMatrix,
@@ -238,6 +238,8 @@ def invariant_factors_by_minors(rows):
         )
     )
 )
+@example([[2], [2]])  # clearing empties a residual row
+@example([[2, 4], [2, 4]])
 @settings(max_examples=200, deadline=None)
 def test_snf_matches_determinantal_divisors(rows):
     expected = invariant_factors_by_minors(rows)
@@ -303,6 +305,8 @@ def kernel_inputs(draw):
 
 
 @given(kernel_inputs())
+@example(IntegerMatrix.from_rows([[2, 3]]))  # a remainder takes the low row over
+@example(IntegerMatrix.from_rows([[4, 6, 9]]))
 @settings(max_examples=150, deadline=None)
 def test_kernel_basis_is_a_lattice_basis(M):
     basis = kernel_basis(M)

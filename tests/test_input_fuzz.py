@@ -135,6 +135,23 @@ def test_malformed_bundle_exits_2(tmp_path, text):
     assert run(["degree", "--bundle", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("map", [["u4"]], "each 'map' entry must be a [from, to] label pair"),
+        ("map", [["u4", "v4", "v1"]], "each 'map' entry must be a [from, to] label pair"),
+        ("label", {"x": 1}, "bundle needs a valid 'label' field"),
+    ],
+)
+def test_malformed_bundle_names_the_field(tmp_path, field, value, message):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({**VALID["bundle"], field: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["degree", "--bundle", str(path)])
+    assert (code, err.getvalue()) == (2, f"error: {message}\n")
+
+
 FACET = str(BUNDLE.source.facets[0])
 SWAPPED = " ".join(reversed(FACET.split()))
 

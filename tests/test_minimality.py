@@ -122,10 +122,9 @@ def test_verify_report_restricted():
 
 
 def test_census_exports_in_standard_formats():
-    from sphere_forge.formats import complex_from_text, complex_to_json, complex_to_text, complex_from_json
+    from sphere_forge.formats import complex_to_json, complex_from_json
 
     for entry in enumerate_2spheres(6):
-        assert complex_from_text(complex_to_text(entry.complex)) == entry.complex
         loaded, _ = complex_from_json(complex_to_json(entry.complex))
         assert loaded == entry.complex
 
