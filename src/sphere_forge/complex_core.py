@@ -5,15 +5,19 @@ faces are enumerated once, on demand, as one integer face lattice
 (:attr:`Complex.face_lattice`): the vertices are numbered in label
 order and each face is the ascending tuple of its vertex numbers, so
 integer order is label order and the lattice hashes and compares small
-ints instead of labels.  The lattice is kept on the complex, as are the
-objects later layers derive from it (:attr:`Complex.memo`); everything a
-complex hands out is immutable.  A simplex is its vertex tuple in label order
-(:class:`Simplex` subclasses ``tuple``), so it equals, hashes and sorts
-as that tuple and a plain tuple of the same labels finds it in any dict
-or set.  Canonical ordering of vertices inside a simplex, and of facets
-inside a complex, follows the label order from
-:mod:`sphere_forge.labels`, which makes every derived object (boundary
-matrices, reports, serialized files) deterministic.
+ints instead of labels; :func:`faces` reads the k-faces off it.  The
+ridges are indexed once too (:attr:`Complex.facet_ridges`), by facet
+and vertex position, and :func:`dual_walk` walks the facets across them
+for connectivity and orientation alike.  Both are kept on the complex,
+as are the boundary matrices later layers derive from it
+(:attr:`Complex.memo`); everything a complex hands out is immutable.
+A simplex is its vertex tuple in label order (:class:`Simplex`
+subclasses ``tuple``), so it equals, hashes and sorts as that tuple and
+a plain tuple of the same labels finds it in any dict or set.
+Canonical ordering of vertices inside a simplex, and of facets inside a
+complex, follows the label order from :mod:`sphere_forge.labels`, which
+makes every derived object (boundary matrices, reports, serialized
+files) deterministic.
 
 The complex whose only facet is the empty simplex acts as the join
 identity and doubles as "the empty complex" returned by boundary
@@ -22,11 +26,10 @@ operations on closed complexes.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateVertexInFacet,
@@ -125,23 +128,30 @@ class Complex:
         return tuple(tuple(sorted(s)) for s in per)
 
     @cached_property
-    def ridge_facets(self) -> dict[tuple[VertexLabel, ...], tuple[int, ...]]:
-        """Each ridge (a facet minus one vertex, as a vertex tuple, which
-        the :class:`Simplex` of those vertices also finds) mapped to the
-        ascending indices of the facets containing it.  The ridge of a
-        point is ``()``."""
-        by_ridge: dict[tuple[VertexLabel, ...], list[int]] = {}
-        for idx, f in enumerate(self.facets):
-            for r in combinations(f, len(f) - 1):
-                by_ridge.setdefault(r, []).append(idx)
-        return {r: tuple(members) for r, members in by_ridge.items()}
+    def facet_ridges(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """Entry ``[i][p]`` is the ridge facet i has without its vertex at
+        position p: the ``(facet, position)`` pairs of every facet on that
+        ridge, i included, in ascending facet order.  All slots of one
+        ridge share one tuple, and each ridge's labels are hashed once,
+        here.  The ridge of a point is ``()``."""
+        by_ridge: dict[tuple[VertexLabel, ...], list[tuple[int, int]]] = {}
+        for i, f in enumerate(self.facets):
+            last = len(f) - 1
+            # combinations omits the last vertex first
+            for back, r in enumerate(combinations(f, last)):
+                by_ridge.setdefault(r, []).append((i, last - back))
+        index = [[()] * len(f) for f in self.facets]
+        for members in map(tuple, by_ridge.values()):
+            for i, p in members:
+                index[i][p] = members
+        return tuple(map(tuple, index))
 
     @cached_property
     def memo(self) -> dict:
-        """Objects later layers derive from this complex and keep for
-        reuse (face bases and boundary matrices, keyed by kind and
-        dimension).  The dict lives and dies with the complex; every
-        entry must be immutable, since each caller gets the same one."""
+        """Boundary matrices, keyed by kind and dimension, that later
+        layers derive from this complex and keep for reuse.  The dict
+        lives and dies with the complex; every entry must be immutable,
+        since each caller gets the same one."""
         return {}
 
     def __iter__(self):
@@ -191,13 +201,34 @@ def union(*complexes: Complex) -> Complex:
     return make_complex(facets)
 
 
-def faces(K: Complex, k: int) -> frozenset[Simplex]:
-    """All k-faces of K; empty set when k is out of range.  Built from
-    :attr:`Complex.face_lattice` on every call."""
+def faces(K: Complex, k: int) -> tuple[Simplex, ...]:
+    """The k-faces of K in canonical order (the row/column order of the
+    boundary matrices), ``()`` when k is out of range.  Read off
+    :attr:`Complex.face_lattice`, whose integer order is label order."""
     if k < -1 or k > K.dimension:
-        return frozenset()
+        return ()
     labels = K.vertices
-    return frozenset(Simplex([labels[i] for i in f]) for f in K.face_lattice[k + 1])
+    return tuple(Simplex([labels[i] for i in f]) for f in K.face_lattice[k + 1])
+
+
+def dual_walk(K: Complex, start: int) -> Iterator[tuple[int, int, int, int]]:
+    """Breadth-first walk from facet ``start`` across shared ridges,
+    yielding ``(i, p, j, q)`` for every crossing out of each facet i it
+    reaches: facet j != i is on the ridge i has without its vertex at
+    position p, as j without its vertex at position q.  Facets are left
+    in discovery order, p ascending, j ascending."""
+    index = K.facet_ridges
+    reached = [False] * len(index)
+    reached[start] = True
+    order = [start]
+    for i in order:  # grows while it is walked
+        for p, slot in enumerate(index[i]):
+            for j, q in slot:
+                if j != i:
+                    yield i, p, j, q
+                    if not reached[j]:
+                        reached[j] = True
+                        order.append(j)
 
 
 @dataclass(frozen=True)
@@ -248,7 +279,12 @@ def boundary_complex(K: Complex) -> Complex:
         raise NotPure("boundary is defined for pure complexes only")
     if K.is_empty:
         return K
-    ridges = [Simplex(r) for r, members in K.ridge_facets.items() if len(members) == 1]
+    ridges = [
+        Simplex(f[:p] + f[p + 1 :])
+        for f, slots in zip(K.facets, K.facet_ridges)
+        for p, slot in enumerate(slots)
+        if len(slot) == 1
+    ]
     if not ridges:
         return empty_complex()
     return Complex(tuple(sorted(ridges)))
@@ -290,9 +326,6 @@ class PseudomanifoldReport:
     def is_closed_pseudomanifold(self) -> bool:
         return self.pure and self.ridge_bound_ok and self.closed and self.connected
 
-    def as_dict(self) -> dict:
-        return {**asdict(self), "is_closed_pseudomanifold": self.is_closed_pseudomanifold}
-
 
 def pseudomanifold_check(K: Complex) -> PseudomanifoldReport:
     """Check purity, the two-facets-per-ridge condition, and dual-graph
@@ -300,26 +333,11 @@ def pseudomanifold_check(K: Complex) -> PseudomanifoldReport:
     if K.is_empty:
         return PseudomanifoldReport(True, 0, True, True, True, 0)
     pure = K.is_pure
-    by_ridge = K.ridge_facets
-    max_mult = max(map(len, by_ridge.values())) if by_ridge else 0
-    boundary = sum(1 for members in by_ridge.values() if len(members) == 1)
-    closed = pure and boundary == 0 and max_mult == 2 if by_ridge else pure
-    # facet adjacency through shared ridges
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(K.facets))}
-    for members in by_ridge.values():
-        for a in members:
-            for b in members:
-                if a != b:
-                    adjacency[a].add(b)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    connected = len(seen) == len(K.facets)
+    sizes = [len(slot) for slots in K.facet_ridges for slot in slots]
+    max_mult = max(sizes)
+    boundary = sizes.count(1)
+    closed = pure and boundary == 0 and max_mult == 2
+    connected = len({0}.union(j for _, _, j, _ in dual_walk(K, 0))) == len(K.facets)
     return PseudomanifoldReport(
         pure=pure,
         max_ridge_multiplicity=max_mult,

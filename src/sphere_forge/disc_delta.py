@@ -154,9 +154,9 @@ def disc_sign_census(disc: DeltaDisc) -> DiscSignCensus:
     negatives = sum(1 for s in disc.signs.values() if s < 0)
 
     boundary_ok = all(
-        disc.signs[disc.complex.facets[holders[0]]] == 1
-        for holders in disc.complex.ridge_facets.values()
-        if len(holders) == 1
+        disc.signs[facet] == 1
+        for facet, slots in zip(disc.complex.facets, disc.complex.facet_ridges)
+        if any(len(slot) == 1 for slot in slots)
     )
 
     base = simplex(disc.trace[0].strip[0])

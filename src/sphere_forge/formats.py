@@ -149,6 +149,9 @@ def bundle_from_json_obj(obj) -> ConstructionBundle:
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("each 'map' entry must be a [from, to] label pair")
     assignment = _assignment(pairs)
+    stray = sorted(set(assignment) - source.vertex_set)
+    if stray:
+        raise ValueError(f"map entry for vertex {stray[0]}, which is not in the source")
     source_base = _labels(_field(obj, "source_base", "bundle"), "source_base")
     if "target_base" in obj:
         target_base = _labels(obj["target_base"], "target_base")

@@ -21,9 +21,9 @@ next, which is never reduced (see :func:`homology_groups`).  Kernels
 are the same left-to-right reduction by lowest entries, except that a
 non-unit low is not set aside: Euclid's algorithm on that row lets the
 remainder take it over, and each column carries its combination of
-input columns (see :func:`kernel_basis`).  Face bases and boundary
-matrices are built once per complex and kept in :attr:`Complex.memo`, so
-they live exactly as long as the complex does.  The sphere battery keeps one table of link
+input columns (see :func:`kernel_basis`).  Boundary matrices are built
+once per complex and kept in :attr:`Complex.memo`, so they live exactly
+as long as the complex does.  The sphere battery keeps one table of link
 reports per top-level call, so each distinct link is certified once
 (see :func:`sphere_check`).
 """
@@ -39,6 +39,7 @@ from .complex_core import (
     Complex,
     Simplex,
     f_vector_and_euler,
+    faces,
     link,
     pseudomanifold_check,
 )
@@ -77,9 +78,6 @@ class IntegerMatrix:
                 grid[i][j] = v
         return tuple(map(tuple, grid))
 
-    def entry(self, i: int, j: int) -> int:
-        return dict(self.columns[j]).get(i, 0)
-
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -101,19 +99,6 @@ class HomologyGroup:
 
     betti: int
     torsion: tuple[int, ...]
-
-
-def face_basis(K: Complex, k: int) -> tuple[Simplex, ...]:
-    """The k-faces of K in canonical order (the row/column order used
-    by :func:`boundary_matrix`), empty when k is out of range.  Read off
-    :attr:`Complex.face_lattice`, whose integer order is label order,
-    once per complex."""
-    key = ("face_basis", k)
-    if key not in K.memo:
-        labels = K.vertices
-        lattice = K.face_lattice[k + 1] if -1 <= k <= K.dimension else ()
-        K.memo[key] = tuple(Simplex([labels[i] for i in f]) for f in lattice)
-    return K.memo[key]
 
 
 def boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
@@ -399,7 +384,7 @@ def top_kernel_generator(K: Complex) -> dict[Simplex, int]:
         raise KernelRankNotOne(
             f"top boundary kernel has rank {len(basis)}, expected 1"
         )
-    return dict(zip(face_basis(K, n), basis[0]))
+    return dict(zip(faces(K, n), basis[0]))
 
 
 LEVEL_NECESSARY = "necessary"

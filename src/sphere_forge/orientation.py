@@ -6,16 +6,23 @@ coherently oriented when ``sign(s1) * sign(s2) == -(-1)**(p+q)`` where
 ``p`` and ``q`` are the 0-based positions (in sorted order) of the
 vertices opposite the shared ridge.  This is the transposition rule for
 induced orientations expressed directly on sorted vertex lists, which
-makes it exactly testable.
+makes it exactly testable.  Signs spread along
+:func:`~sphere_forge.complex_core.dual_walk`, which hands over p and q
+with each crossing.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complex_core import Complex, Simplex, boundary_complex, pseudomanifold_check
+from .complex_core import (
+    Complex,
+    Simplex,
+    boundary_complex,
+    dual_walk,
+    pseudomanifold_check,
+)
 from .errors import NonOrientable, NotAPermutation, NotClosed, PreconditionFailed
 
 
@@ -103,31 +110,13 @@ def coherent_orientation(
     except ValueError:
         raise PreconditionFailed(f"base [{base}] is not a facet") from None
 
-    by_ridge = K.ridge_facets
     signs: dict[int, int] = {base_idx: base_sign}
-    frontier = deque([base_idx])
-    while frontier:
-        cur = frontier.popleft()
-        vs = facets[cur]
-        for p in range(len(vs)):
-            ridge = vs[:p] + vs[p + 1 :]
-            for other in by_ridge[ridge]:
-                if other == cur:
-                    continue
-                other_vs = facets[other]
-                opposite = (set(other_vs) - set(ridge)).pop()
-                q = other_vs.index(opposite)
-                parity = -1 if (p + q) % 2 else 1
-                expected = -signs[cur] * parity
-                known = signs.get(other)
-                if known is None:
-                    signs[other] = expected
-                    frontier.append(other)
-                elif known != expected:
-                    raise NonOrientable(
-                        f"sign contradiction at facet [{facets[other]}]",
-                        witness=facets[other],
-                    )
+    for i, p, j, q in dual_walk(K, base_idx):
+        expected = -signs[i] * (-1) ** (p + q)
+        if signs.setdefault(j, expected) != expected:
+            raise NonOrientable(
+                f"sign contradiction at facet [{facets[j]}]", witness=facets[j]
+            )
     return OrientedComplex(
         complex=K,
         signs={facets[i]: s for i, s in sorted(signs.items())},

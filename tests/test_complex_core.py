@@ -1,11 +1,13 @@
 import math
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sphere_forge import (
     boundary_complex,
+    coherent_orientation,
     cone,
     faces,
     f_vector_and_euler,
@@ -21,10 +23,10 @@ from sphere_forge.complex_core import EMPTY_SIMPLEX, Simplex, empty_complex
 from sphere_forge.errors import (
     DuplicateVertexInFacet,
     FaceNotInComplex,
+    NonOrientable,
     NotPure,
     VertexCollision,
 )
-from sphere_forge.homology import face_basis
 from sphere_forge.labels import parse_label, v_label
 
 from fixtures import (
@@ -67,8 +69,8 @@ def test_faces_counts():
     assert len(faces(DELTA2, 0)) == 6
     assert len(faces(DELTA4, 1)) == 21
     # out of range is empty, dimension -1 is the empty simplex
-    assert faces(DELTA2, 5) == frozenset()
-    assert faces(DELTA2, -1) == frozenset({EMPTY_SIMPLEX})
+    assert faces(DELTA2, 5) == ()
+    assert faces(DELTA2, -1) == (EMPTY_SIMPLEX,)
 
 
 def test_faces_oracle_brute_force():
@@ -271,10 +273,11 @@ def test_simplex_is_its_vertex_tuple():
     assert {s: "simplex"}[plain] == "simplex"
     assert {plain: "tuple"}[s] == "tuple"
     assert s.vertices == plain and s.dimension == 2
-    for ridge, members in DELTA2.ridge_facets.items():
-        assert type(ridge) is tuple
-        assert DELTA2.ridge_facets[Simplex(ridge)] == members
-    assert DELTA2.ridge_facets[simplex_of("u1_1 u3_1")] == (0, 1)
+    # the ridge u1_1 u3_1 joins facets 0 and 1, each without its vertex 1
+    for i in (0, 1):
+        f = DELTA2.facets[i]
+        assert f[:1] + f[2:] == simplex_of("u1_1 u3_1")
+        assert DELTA2.facet_ridges[i][1] == ((0, 1), (1, 1))
 
 
 @given(
@@ -300,8 +303,7 @@ def assert_lattice_in_label_order(K):
     faces that label combinations of the facets give."""
     for k in range(-1, K.dimension + 1):
         expected = faces_by_label_combinations(K, k)
-        assert faces(K, k) == expected
-        assert face_basis(K, k) == tuple(sorted(expected))
+        assert faces(K, k) == tuple(sorted(expected))
     fv, euler = f_vector_and_euler(K)
     counts = tuple(len(faces_by_label_combinations(K, k)) for k in range(-1, K.dimension + 1))
     assert fv.counts == counts
@@ -330,9 +332,83 @@ def test_face_lattice_order_under_relabelling(names, facet_sets):
 
 def test_faces_out_of_range():
     for K in (DELTA2, standard_sphere(0), empty_complex()):
-        assert faces(K, -1) == frozenset({EMPTY_SIMPLEX})
-        assert face_basis(K, -1) == (EMPTY_SIMPLEX,)
+        assert faces(K, -1) == (EMPTY_SIMPLEX,)
         for k in (-2, K.dimension + 1, K.dimension + 5):
-            assert faces(K, k) == frozenset()
-            assert face_basis(K, k) == ()
+            assert faces(K, k) == ()
     assert f_vector_and_euler(empty_complex())[0].counts == (1,)
+
+
+def ridge_rule_holds(K, signs):
+    """Brute force: every two facets f, g on a common ridge have
+    ``signs[f] * signs[g] == -(-1)**(p + q)``, p and q the positions of
+    the vertex each has off the other."""
+    for f, g in combinations(K.facets, 2):
+        if len(f) == len(g) and len(set(f) & set(g)) == len(f) - 1:
+            (a,) = set(f) - set(g)
+            (b,) = set(g) - set(f)
+            if signs[f] * signs[g] != -((-1) ** (f.index(a) + g.index(b))):
+                return False
+    return True
+
+
+mixed_facets = st.lists(
+    st.sets(st.integers(1, 7), min_size=1, max_size=4), min_size=1, max_size=8
+)
+pure_facets = st.integers(1, 4).flatmap(
+    lambda size: st.lists(
+        st.sets(st.integers(1, 7), min_size=size, max_size=size), min_size=1, max_size=8
+    )
+)
+MOBIUS = [{i % 5 + 1, (i + 1) % 5 + 1, (i + 2) % 5 + 1} for i in range(5)]
+ANNULUS = [{1, 2, 4}, {2, 4, 5}, {2, 3, 5}, {3, 5, 6}, {1, 3, 6}, {1, 4, 6}]
+
+
+@given(st.one_of(mixed_facets, pure_facets))
+@example(MOBIUS)
+@example(ANNULUS)
+@example([{1, 2, 3}, {1, 2, 4}, {1, 2, 5}, {3, 4, 5}])
+@example([{1, 2, 3}, {4, 5, 6}, {1, 2, 7}])
+@example([{1, 2, 3}, {3, 4}, {5}])
+@example([{1}, {2}])
+@settings(max_examples=200, deadline=None)
+def test_ridge_index_against_pairwise_brute_force(facet_sets):
+    """The pseudomanifold report, the boundary and the orientation read
+    off the ridge index agree with counting every facet minus one vertex
+    and comparing every pair of facets."""
+    K = make_complex([[v_label(i) for i in f] for f in facet_sets])
+    count = Counter(f[:p] + f[p + 1 :] for f in K.facets for p in range(len(f)))
+    joined = {
+        (f, g)
+        for f in K.facets
+        for g in K.facets
+        if len(f) == len(g) and len(set(f) & set(g)) == len(f) - 1
+    }
+    reached = {K.facets[0]}
+    while True:
+        more = {g for f, g in joined if f in reached} - reached
+        if not more:
+            break
+        reached |= more
+    rep = pseudomanifold_check(K)
+    assert rep.max_ridge_multiplicity == max(count.values())
+    assert rep.boundary_ridges == sum(1 for c in count.values() if c == 1)
+    assert rep.connected == (len(reached) == len(K.facets))
+    if not K.is_pure:
+        return
+    boundary = sorted(Simplex(r) for r, c in count.items() if c == 1)
+    assert boundary_complex(K) == (
+        make_complex(boundary) if boundary else empty_complex()
+    )
+    if not rep.connected or rep.max_ridge_multiplicity > 2:
+        return
+    orientable = any(
+        ridge_rule_holds(K, dict(zip(K.facets, signs)))
+        for signs in product((1, -1), repeat=len(K.facets))
+    )
+    try:
+        oriented = coherent_orientation(K, K.facets[0], 1)
+    except NonOrientable:
+        assert not orientable
+    else:
+        assert oriented.signs[K.facets[0]] == 1
+        assert ridge_rule_holds(K, oriented.signs)

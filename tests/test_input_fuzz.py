@@ -141,6 +141,11 @@ def test_malformed_bundle_exits_2(tmp_path, text):
         ("map", [["u4"]], "each 'map' entry must be a [from, to] label pair"),
         ("map", [["u4", "v4", "v1"]], "each 'map' entry must be a [from, to] label pair"),
         ("label", {"x": 1}, "bundle needs a valid 'label' field"),
+        (
+            "map",
+            VALID["bundle"]["map"] + [["zz", "v1"]],
+            "map entry for vertex zz, which is not in the source",
+        ),
     ],
 )
 def test_malformed_bundle_names_the_field(tmp_path, field, value, message):
