@@ -53,7 +53,7 @@ from .orientation import (
     OrientedComplex,
     coherent_orientation,
     fundamental_cycle,
-    relative_sign,
+    sort_sign,
 )
 from .simplicial_map import (
     ConstructionBundle,

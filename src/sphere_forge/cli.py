@@ -38,6 +38,7 @@ from .errors import (
 from .formats import (
     bundle_from_json,
     bundle_to_json_obj,
+    check_map_domain,
     complex_from_json,
     complex_to_json_obj,
     dumps_canonical,
@@ -121,6 +122,7 @@ def _adhoc_bundle(K: Complex, f: VertexMap) -> ConstructionBundle:
     the least target facet and the least source facet with a
     nondegenerate image (any facet if the map collapses everything).
     """
+    check_map_domain(f.assignment, K)
     target = standard_sphere(K.dimension)
     source_base = K.facets[0].vertices
     for facet in K.facets:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .complex_core import Complex, Simplex, make_complex, simplex
 from .errors import BadLength, PreconditionFailed
 from .labels import VertexLabel, u_pair
-from .orientation import coherent_orientation, relative_sign
+from .orientation import coherent_orientation, sort_sign
 
 Triangle = tuple[VertexLabel, VertexLabel, VertexLabel]
 
@@ -164,7 +164,7 @@ def disc_sign_census(disc: DeltaDisc) -> DiscSignCensus:
     agrees = True
     for facet in disc.complex.facets:
         class_order = sorted(facet, key=lambda lab: (lab.class_index, lab))
-        expected = oriented.signs[facet] * relative_sign(class_order, facet)
+        expected = oriented.signs[facet] * sort_sign(class_order)
         if disc.signs[facet] != expected:
             agrees = False
             break

@@ -29,10 +29,6 @@ class FaceNotInComplex(SphereForgeError):
     """The named simplex is not a face of the complex."""
 
 
-class NotAPermutation(SphereForgeError):
-    """Two vertex sequences are not rearrangements of one another."""
-
-
 class NonOrientable(SphereForgeError):
     """Sign propagation ran into a contradiction.
 

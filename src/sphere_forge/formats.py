@@ -105,6 +105,14 @@ def _assignment(pairs) -> dict[VertexLabel, VertexLabel]:
     return assignment
 
 
+def check_map_domain(assignment: Mapping[VertexLabel, VertexLabel], source: Complex) -> None:
+    """Refuse a map entry for a vertex the source does not have, so a
+    typo in a source label cannot go unnoticed."""
+    stray = sorted(set(assignment) - source.vertex_set)
+    if stray:
+        raise ValueError(f"map entry for vertex {stray[0]}, which is not in the source")
+
+
 def map_from_text(text: str) -> VertexMap:
     pairs = []
     for line in text.splitlines():
@@ -149,9 +157,7 @@ def bundle_from_json_obj(obj) -> ConstructionBundle:
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("each 'map' entry must be a [from, to] label pair")
     assignment = _assignment(pairs)
-    stray = sorted(set(assignment) - source.vertex_set)
-    if stray:
-        raise ValueError(f"map entry for vertex {stray[0]}, which is not in the source")
+    check_map_domain(assignment, source)
     source_base = _labels(_field(obj, "source_base", "bundle"), "source_base")
     if "target_base" in obj:
         target_base = _labels(obj["target_base"], "target_base")

@@ -11,17 +11,18 @@ built on the complex's integer face lattice
 (:attr:`Complex.face_lattice`), so row lookups hash tuples of small ints.
 
 Smith reduction first reduces columns by their lowest entry against the
-columns whose lowest entry is a unit; each of those gives an invariant
-factor 1.  Only the columns left on a non-unit lowest entry reach the
-row-store elimination, which reads each pivot from one row and folds the
-diagonal it ends on into a divisibility chain (see
-:func:`smith_normal_form`).  Homology reduces the boundary matrices from
-the top dimension down, and each unit low of one clears a column of the
-next, which is never reduced (see :func:`homology_groups`).  Kernels
-are the same left-to-right reduction by lowest entries, except that a
-non-unit low is not set aside: Euclid's algorithm on that row lets the
-remainder take it over, and each column carries its combination of
-input columns (see :func:`kernel_basis`).  Boundary matrices are built
+columns whose lowest entry is a unit; when every column ends on a unit
+or at zero, each unit gives an invariant factor 1 and nothing more is
+done.  Otherwise every nonzero reduced column goes to the row-store
+elimination, which reads each pivot from one row and folds the diagonal
+it ends on into a divisibility chain (see :func:`smith_normal_form`).
+Homology reduces the boundary matrices from the top dimension down, and
+each unit low of one clears a column of the next, which is never
+reduced (see :func:`homology_groups`).  Kernels are the same
+left-to-right reduction by lowest entries, except that a non-unit low
+is not set aside: Euclid's algorithm on that row lets the remainder
+take it over, and each column carries its combination of input columns
+(see :func:`kernel_basis`).  Boundary matrices are built
 once per complex and kept in :attr:`Complex.memo`, so they live exactly
 as long as the complex does.  The sphere battery keeps one table of link
 reports per top-level call, so each distinct link is certified once
@@ -186,18 +187,6 @@ def _subtract(col: dict[int, int], factor: int, pivot: dict[int, int]) -> None:
             del col[i]
 
 
-def _reduce_fully(col: dict[int, int], units: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Clear every entry of col that sits in the low row of a unit
-    column, lowest row first: a unit column has no entry below its low,
-    so a cleared row never fills again."""
-    while True:
-        hit = max((i for i in col if i in units), default=None)
-        if hit is None:
-            return col
-        pivot = units[hit]
-        _subtract(col, col[hit] * pivot[hit], pivot)
-
-
 def _eliminate(columns: list[dict[int, int]]) -> list[int]:
     """The diagonal that unimodular row and column operations reduce
     these columns to, by the one-row pivot rule of
@@ -248,15 +237,16 @@ def smith_normal_form(
     :func:`kernel_basis` does: on dense random matrices that lets the
     intermediate entries grow to tens of thousands of bits.
 
-    Stage 2 takes the columns that end on a non-unit low.  Reduced fully
-    against the unit columns, they vanish on every unit low row, so row
-    operations clear the unit columns without touching them and M is
-    equivalent to the identity beside this residual.  The residual alone
-    goes to :func:`_eliminate`: each pivot is read from one row, the
-    first remaining one -- its entry of least absolute value, ties
-    broken toward the lowest column.  A smaller remainder met while
-    clearing the pivot column or row becomes the pivot; once the pivot
-    divides its row, the row leaves as one diagonal entry.
+    Stage 2 runs only when some column ends on a non-unit low.  Every
+    nonzero stage-1 column, unit and non-unit alike, then goes to
+    :func:`_eliminate`: each was its input column minus earlier reduced
+    columns, so together they are M times a unimodular matrix with the
+    zero and skipped columns dropped, and have M's Smith form.  Each
+    pivot is read from one row, the first remaining one -- its entry of
+    least absolute value, ties broken toward the lowest column.  A
+    smaller remainder met while clearing the pivot column or row becomes
+    the pivot; once the pivot divides its row, the row leaves as one
+    diagonal entry.
     :func:`_divisibility_chain` folds the non-unit diagonal entries into
     the Smith form.
 
@@ -288,9 +278,10 @@ def smith_normal_form(
                     residual.append(col)
                 break
             _subtract(col, col[low] * pivot[low], pivot)
-    diagonal = [1] * len(units)
     if residual:
-        diagonal += _eliminate([_reduce_fully(col, units) for col in residual])
+        diagonal = _eliminate([*units.values(), *residual])
+    else:
+        diagonal = [1] * len(units)
     return SNFResult(_divisibility_chain(diagonal), len(diagonal), frozenset(units))
 
 

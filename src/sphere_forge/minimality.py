@@ -28,7 +28,7 @@ from .constructions import build_join_cone_sphere, build_stacked_sphere
 from .errors import OutOfRange, PreconditionFailed
 from .homology import sphere_check
 from .labels import VertexLabel, parse_label, v_label
-from .orientation import coherent_orientation
+from .orientation import coherent_orientation, sort_sign
 from .simplicial_map import VertexMap, degree_by_counting
 
 IntTriangle = tuple[int, int, int]
@@ -237,14 +237,14 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         i, j, k = sorted(index[lab] for lab in facet)
         bucket[k].append((i, j, oriented.signs[facet]))
     # A triangle whose vertices take the distinct values (x, y, z) is a
-    # preimage of the target facet omitting o = 6 - x - y - z, with the
-    # parity of the sort of (x, y, z); totals[o] is kept times that
+    # preimage of the target facet omitting o = 6 - x - y - z, with sign
+    # sort_sign((x, y, z)); totals[o] is kept times that
     # facet's own sign, so every total reads the degree.
     facet_sign = _target_facet_signs()
     step = {}
     for x, y, z in permutations(range(4), 3):
         o = 6 - x - y - z
-        step[x, y, z] = (o, (-1) ** ((x > y) + (x > z) + (y > z)) * facet_sign[o])
+        step[x, y, z] = (o, sort_sign((x, y, z)) * facet_sign[o])
 
     assignment = [0] * v
     totals = [0, 0, 0, 0]

@@ -9,6 +9,10 @@ induced orientations expressed directly on sorted vertex lists, which
 makes it exactly testable.  Signs spread along
 :func:`~sphere_forge.complex_core.dual_walk`, which hands over p and q
 with each crossing.
+
+A vertex list in any other order carries the sign of its sort,
+:func:`sort_sign`, relative to the sorted one.  ``sort_sign`` is the
+only thing the two degree oracles in :mod:`simplicial_map` share.
 """
 
 from __future__ import annotations
@@ -23,39 +27,19 @@ from .complex_core import (
     dual_walk,
     pseudomanifold_check,
 )
-from .errors import NonOrientable, NotAPermutation, NotClosed, PreconditionFailed
+from .errors import NonOrientable, NotClosed, PreconditionFailed
 
 
-def relative_sign(arrangement: Sequence, reference: Sequence) -> int:
-    """+1 iff the permutation taking ``reference`` to ``arrangement`` is even."""
-    arr = tuple(arrangement)
-    ref = tuple(reference)
-    if len(arr) != len(ref):
-        raise NotAPermutation("sequences have different lengths")
-    pos: dict = {}
-    for i, x in enumerate(ref):
-        if x in pos:
-            raise NotAPermutation(f"reference repeats {x}")
-        pos[x] = i
-    try:
-        perm = [pos[x] for x in arr]
-    except KeyError as missing:
-        raise NotAPermutation(f"{missing.args[0]} not in reference") from None
-    if len(set(perm)) != len(perm):
-        raise NotAPermutation("arrangement repeats an element")
-    seen = [False] * len(perm)
+def sort_sign(seq: Sequence) -> int:
+    """Sign of the permutation that sorts ``seq``: +1 when it is even,
+    -1 when it is odd, and 0 when an item repeats."""
     sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
+    for i, x in enumerate(seq):
+        for y in seq[i + 1 :]:
+            if x == y:
+                return 0
+            if x > y:
+                sign = -sign
     return sign
 
 
@@ -65,8 +49,6 @@ class OrientedComplex:
 
     complex: Complex
     signs: Mapping[Simplex, int]
-    base_facet: Simplex
-    base_sign: int
 
 
 @dataclass(frozen=True)
@@ -120,8 +102,6 @@ def coherent_orientation(
     return OrientedComplex(
         complex=K,
         signs={facets[i]: s for i, s in sorted(signs.items())},
-        base_facet=base,
-        base_sign=base_sign,
     )
 
 

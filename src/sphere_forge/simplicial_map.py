@@ -15,8 +15,9 @@ degree of a bundled map is computed two independent ways:
   generator.
 
 Agreement of the two routes is the artifact's core trust mechanism, so
-nothing here is allowed to share orientation state between them beyond
-plain permutation parity.
+the two share nothing but :func:`~sphere_forge.orientation.sort_sign`,
+the parity of a vertex list against its sorted order (0 for a
+degenerate image).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .homology import top_kernel_generator
 from .labels import VertexLabel, v_label
-from .orientation import OrientedComplex, coherent_orientation, relative_sign
+from .orientation import OrientedComplex, coherent_orientation, sort_sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +126,7 @@ class DegreeReport:
 
 
 def _oriented_from_base(K: Complex, base: Sequence[VertexLabel]) -> OrientedComplex:
-    base_facet = simplex(base)
-    base_sign = relative_sign(base, base_facet)
-    return coherent_orientation(K, base_facet, base_sign)
+    return coherent_orientation(K, simplex(base), sort_sign(base))
 
 
 def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
@@ -137,7 +136,7 @@ def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
     written order, likewise the source.  Each nondegenerate source
     facet goes, in source-facet order, to the positive or negative side
     of the target facet its image spans, according to its own sign
-    times the parity of its image arrangement; each count is then
+    times the :func:`sort_sign` of its image; each count is then
     flipped for negative target facets.  Disagreement between facets
     raises InconsistentAlg since it can only mean an orientation or
     construction bug.
@@ -152,10 +151,11 @@ def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
     minus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in L.facets}
     for tau in K.facets:
         image = f.image(tau)
+        sign = sort_sign(image)
         sigma = Simplex(sorted(image))
-        if len(set(image)) != len(image) or sigma not in plus:
+        if not sign or sigma not in plus:
             continue
-        induced = OK.signs[tau] * relative_sign(image, sigma)
+        induced = OK.signs[tau] * sign
         (plus if induced > 0 else minus)[sigma].append(tau)
     per = {sigma: OL.signs[sigma] * (len(plus[sigma]) - len(minus[sigma])) for sigma in plus}
     values = set(per.values())
@@ -181,8 +181,8 @@ def degree_by_cycle(bundle: ConstructionBundle) -> int:
     fundamental cycle comes out of the boundary-matrix kernel (raising
     KernelRankNotOne if that kernel is not a line), gets normalized to
     evaluate +1 on the source base in its written order, and is pushed
-    forward facet by facet with permutation signs; degenerate facets
-    contribute nothing.  The result is read off against the target's
+    forward facet by facet with :func:`sort_sign`, which is 0 where
+    an image is degenerate.  The result is read off against the target's
     kernel generator normalized the same way.
     """
     K, L, f = bundle.source, bundle.target, bundle.vertex_map
@@ -203,8 +203,7 @@ def degree_by_cycle(bundle: ConstructionBundle) -> int:
             raise KernelRankNotOne(
                 f"kernel generator has coefficient {coeff} on [{base_facet}]"
             )
-        want = relative_sign(base_written, base_facet)
-        if coeff != want:
+        if coeff != sort_sign(base_written):
             gen = {s: -c for s, c in gen.items()}
         return gen
 
@@ -214,10 +213,9 @@ def degree_by_cycle(bundle: ConstructionBundle) -> int:
     pushed: dict[Simplex, int] = {s: 0 for s in L.facets}
     for tau, coeff in source_cycle.items():
         image = f.image(tau)
-        if len(set(image)) != len(image):
-            continue
-        sigma = simplex(image)
-        pushed[sigma] += coeff * relative_sign(image, sigma)
+        sign = sort_sign(image)
+        if sign:
+            pushed[simplex(image)] += coeff * sign
 
     target_base = simplex(bundle.target_base)
     degree = pushed[target_base] // target_cycle[target_base]

@@ -64,6 +64,31 @@ def chain_boundary(chain):
     )
 
 
+def cycle_sort_sign(seq):
+    """Reference permutation sign by cycle decomposition: the sign of
+    the permutation taking the sorted order of ``seq`` to ``seq``, 0 when
+    an item repeats."""
+    ref = sorted(seq)
+    if len(set(ref)) != len(ref):
+        return 0
+    pos = {x: i for i, x in enumerate(ref)}
+    perm = [pos[x] for x in seq]
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 # the 3d-vertex discs for d = 2, 3, 4 with their sign split
 DELTA2_POSITIVE = ["u1_1 u2_1 u3_1", "u1_2 u2_2 u3_1", "u1_1 u2_2 u3_2"]
 DELTA2_NEGATIVE = ["u1_1 u2_2 u3_1"]

@@ -109,6 +109,20 @@ def test_degree_corrupt_map(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["counting", "cycle", "both"])
+def test_degree_map_line_for_stray_vertex(tmp_path, capsys, method):
+    bundle = build_join_cone_sphere(2, 2)
+    cplx = tmp_path / "K.json"
+    cplx.write_text(complex_to_json(bundle.source))
+    mp = tmp_path / "f.map"
+    mp.write_text(map_to_text(bundle.vertex_map) + "zz v1\n")
+    rc = main(["degree", "--in", str(cplx), "--map", str(mp), "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: map entry for vertex zz, which is not in the source\n"
+
+
 def test_degree_missing_args():
     assert main(["degree"]) == 2
 

@@ -7,11 +7,11 @@ from sphere_forge import (
     coherent_orientation,
     fundamental_cycle,
     make_complex,
-    relative_sign,
     simplex,
+    sort_sign,
     standard_sphere,
 )
-from sphere_forge.errors import NonOrientable, NotAPermutation, NotClosed, PreconditionFailed
+from sphere_forge.errors import NonOrientable, NotClosed, PreconditionFailed
 from sphere_forge.labels import v_label
 
 from fixtures import (
@@ -20,35 +20,32 @@ from fixtures import (
     PROJECTIVE_PLANE,
     chain_boundary,
     complex_of,
+    cycle_sort_sign,
     simplex_of,
 )
 
 
 def test_relative_sign_basics():
-    assert relative_sign("abc", "abc") == 1
-    assert relative_sign("bac", "abc") == -1
-    assert relative_sign("bca", "abc") == 1
+    assert sort_sign("abc") == 1
+    assert sort_sign("bac") == -1
+    assert sort_sign("bca") == 1
+    assert sort_sign("aba") == 0
+    assert sort_sign("") == 1
 
 
-def test_relative_sign_rejects():
-    with pytest.raises(NotAPermutation):
-        relative_sign("ab", "abc")
-    with pytest.raises(NotAPermutation):
-        relative_sign("abd", "abc")
-    with pytest.raises(NotAPermutation):
-        relative_sign("aab", "abc")
-    with pytest.raises(NotAPermutation):
-        relative_sign("abc", "aab")
+@given(st.lists(st.integers(0, 6), max_size=8))
+@settings(max_examples=200)
+def test_sort_sign_matches_cycle_reference(seq):
+    sign = sort_sign(seq)
+    assert sign == cycle_sort_sign(seq)
+    assert (sign == 0) == (len(set(seq)) != len(seq))
 
 
 @given(st.permutations(list(range(7))), st.permutations(list(range(7))))
 @settings(max_examples=50)
 def test_relative_sign_multiplicative(p, q):
     composed = [p[q[i]] for i in range(7)]
-    base = list(range(7))
-    assert relative_sign(composed, base) == relative_sign(p, base) * relative_sign(
-        q, base
-    )
+    assert sort_sign(composed) == sort_sign(p) * sort_sign(q)
 
 
 def test_sphere_sign_pattern():

@@ -305,7 +305,7 @@ def test_inconsistent_alg_guard(monkeypatch):
         signs = dict(oriented.signs)
         victim = next(iter(signs))
         signs[victim] = -signs[victim]
-        return OrientedComplex(K, signs, oriented.base_facet, oriented.base_sign)
+        return OrientedComplex(K, signs)
 
     monkeypatch.setattr(simplicial_map, "coherent_orientation", broken_orientation)
     with pytest.raises(InconsistentAlg):
