@@ -8,6 +8,7 @@ from sphere_forge import (
     build_join_cone_sphere,
     build_stacked_sphere,
     enumerate_2spheres,
+    f_vector_and_euler,
     max_abs_degree,
     sphere_check,
     verify_small_sphere_bounds,
@@ -18,6 +19,7 @@ from sphere_forge.labels import v_label
 from sphere_forge.minimality import (
     _canonical_form,
     _search_triangulations,
+    census_label,
     degree_survey,
 )
 from sphere_forge.orientation import coherent_orientation
@@ -212,6 +214,55 @@ def test_survey_matches_reference_scan_on_relabelled_stacked(rng):
     sigma = dict(zip(old, new))
     relabelled = make_complex([[sigma[lab] for lab in facet] for facet in K.facets])
     _assert_matches_reference(relabelled)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_survey_matches_reference_scan_on_relabelled_join_cone(rng):
+    """Relabelling reorders the vertices, so the scan meets a different
+    sequence of partial assignments each time."""
+    K = build_join_cone_sphere(2, 2).source
+    old = list(K.vertices)
+    new = old[:]
+    rng.shuffle(new)
+    sigma = dict(zip(old, new))
+    relabelled = make_complex([[sigma[lab] for lab in facet] for facet in K.facets])
+    _assert_matches_reference(relabelled)
+
+
+def test_survey_matches_reference_scan_on_seven_vertex_torus():
+    """A closed orientable surface that is not a sphere."""
+    w = [census_label(i) for i in range(7)]
+    torus = make_complex(
+        [w[i], w[(i + a) % 7], w[(i + 3) % 7]] for i in range(7) for a in (1, 2)
+    )
+    assert f_vector_and_euler(torus)[1] == 0
+    _assert_matches_reference(torus)
+    assert degree_survey(torus).max_abs == 2
+
+
+def test_survey_of_ten_vertex_join_cone_is_pinned():
+    """Too big for the reference scan, so the distribution and witness
+    are pinned as the one-assignment-at-a-time backtracking scan gave
+    them."""
+    K = build_join_cone_sphere(2, 3).source
+    survey = degree_survey(K)
+    assert survey.degrees == Counter(
+        {0: 471144, 1: 166068, -1: 166068, 2: 7608, -2: 7608, 3: 12, -3: 12}
+    )
+    assert survey.max_abs == 3
+    assert {str(a): str(b) for a, b in survey.witness.assignment.items()} == {
+        "u4": "v1",
+        "u1_1": "v2",
+        "u1_2": "v2",
+        "u1_3": "v2",
+        "u2_1": "v3",
+        "u2_2": "v3",
+        "u2_3": "v3",
+        "u3_1": "v4",
+        "u3_2": "v4",
+        "u3_3": "v4",
+    }
 
 
 @pytest.mark.parametrize("v", [4, 5, 6, 7])
