@@ -23,9 +23,15 @@ from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import permutations
 
-from .complex_core import Complex, make_complex, simplex, standard_sphere
+from .complex_core import (
+    Complex,
+    make_complex,
+    pseudomanifold_check,
+    simplex,
+    standard_sphere,
+)
 from .constructions import build_join_cone_sphere, build_stacked_sphere
-from .errors import OutOfRange, PreconditionFailed
+from .errors import InconsistentAlg, NotClosed, OutOfRange, PreconditionFailed
 from .homology import sphere_check
 from .labels import VertexLabel, parse_label, v_label
 from .orientation import coherent_orientation, sort_sign
@@ -228,6 +234,19 @@ def degree_survey(K: Complex) -> DegreeSurvey:
             f"map survey needs a pure 2-dimensional complex, got dimension "
             f"{K.dimension}{'' if K.is_pure else ' (not pure)'}"
         )
+    report = pseudomanifold_check(K)
+    if not report.closed:
+        # a boundary edge leaves the signed counts of the target facets
+        # free to differ, so there is no degree to survey
+        problems = []
+        if report.boundary_ridges:
+            problems.append(f"{report.boundary_ridges} edges on one triangle")
+        if report.max_ridge_multiplicity > 2:
+            problems.append(f"an edge on {report.max_ridge_multiplicity} triangles")
+        raise NotClosed(
+            f"map survey needs a closed surface, every edge on two triangles: "
+            f"{', '.join(problems)}"
+        )
     vertices = K.vertices
     v = len(vertices)
     index = {lab: i for i, lab in enumerate(vertices)}
@@ -258,9 +277,10 @@ def degree_survey(K: Complex) -> DegreeSurvey:
             return  # too few vertices left to reach every target vertex
         if k == v:
             deg = totals[0]
-            assert totals[1] == totals[2] == totals[3] == deg, (
-                "inconsistent signed counts: orientation bug"
-            )
+            if not totals[1] == totals[2] == totals[3] == deg:
+                raise InconsistentAlg(
+                    f"signed counts {totals} disagree across target facets"
+                )
             degrees[deg] += 12
             degrees[-deg] += 12
             if abs(deg) > best:

@@ -14,7 +14,13 @@ from sphere_forge import (
     verify_small_sphere_bounds,
 )
 from sphere_forge.complex_core import make_complex, simplex, standard_sphere
-from sphere_forge.errors import OutOfRange, PreconditionFailed
+from sphere_forge import minimality
+from sphere_forge.errors import (
+    InconsistentAlg,
+    NotClosed,
+    OutOfRange,
+    PreconditionFailed,
+)
 from sphere_forge.labels import v_label
 from sphere_forge.minimality import (
     _canonical_form,
@@ -277,3 +283,27 @@ def test_survey_refuses_sources_not_of_dimension_two():
         degree_survey(standard_sphere(3))
     with pytest.raises(PreconditionFailed, match="dimension 1"):
         degree_survey(standard_sphere(1))
+
+
+def test_survey_refuses_a_surface_with_boundary():
+    """Two triangles on an edge are pure, connected and orientable, but
+    their signed counts differ across target facets."""
+    w = [census_label(i) for i in range(4)]
+    disc = make_complex([[w[0], w[1], w[2]], [w[1], w[2], w[3]]])
+    with pytest.raises(NotClosed, match="4 edges on one triangle"):
+        degree_survey(disc)
+    pinched = make_complex(
+        [[w[0], w[1], w[2]], [w[0], w[1], w[3]], [w[0], w[1], census_label(4)]]
+    )
+    with pytest.raises(NotClosed, match="an edge on 3 triangles"):
+        degree_survey(pinched)
+
+
+def test_survey_raises_when_signed_counts_disagree(monkeypatch):
+    """The totals check is an exception, not an assert, so it also runs
+    under ``python -O``."""
+    signs = minimality._target_facet_signs()
+    flipped = (-signs[0],) + signs[1:]
+    monkeypatch.setattr(minimality, "_target_facet_signs", lambda: flipped)
+    with pytest.raises(InconsistentAlg, match="disagree"):
+        degree_survey(enumerate_2spheres(4)[0].complex)
