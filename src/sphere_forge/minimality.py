@@ -210,8 +210,9 @@ class DegreeSurvey:
 
 
 def degree_survey(K: Complex) -> DegreeSurvey:
-    """Degree distribution of all simplicial vertex maps from a 2-sphere
-    K onto the standard 2-sphere ``v1 .. v4``.
+    """Degree distribution of all simplicial vertex maps from a closed
+    orientable surface K, a 2-sphere in every use here, onto the
+    standard 2-sphere ``v1 .. v4``.
 
     ``degrees[d]`` counts the surjective assignments of degree d over
     all 4^v assignments; non-surjective ones have degree zero and are
@@ -309,6 +310,7 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         # the fewest values used after vertex k that leave vertices
         # enough to use all four
         need = k + 5 - v
+        # states that agree on what bucket k reads take the same moves
         moves: dict[int, list[tuple[int, int]]] = {}
         nxt: dict[int, int] = {}
         for key, entry in states.items():

@@ -73,8 +73,6 @@ def test_census_entries_are_spheres():
             report = sphere_check(entry.complex, 2, "certify_low_dim")
             assert report.passed
             # closed-surface identities
-            from sphere_forge import f_vector_and_euler
-
             fv, euler = f_vector_and_euler(entry.complex)
             assert fv[2] == 2 * fv[0] - 4
             assert 2 * fv[1] == 3 * fv[2]
