@@ -4,15 +4,18 @@ Triangulated 2-spheres on up to seven vertices are enumerated by a
 backtracking search that glues triangles over the smallest open edge
 and keeps each closed surface that uses every vertex.  Each result is
 named by a canonical code, the least breadth-first walk from a facet
-flag, so one entry is kept per isomorphism class.  Then the
-vertex assignments into the 4-vertex sphere are surveyed exhaustively,
-one per orbit of the target's symmetry group S4 (S(v, 4) surjective
-representatives instead of 4^v assignments).  The survey scans the
-source vertices in label order and counts together the partial
-assignments that no later triangle can tell apart, so it holds a few
-hundred states where it would otherwise visit each representative:
-on the 10-vertex join-cone source, 1 634 states over the whole scan
-and at most 715 at once, for 34 105 representatives.
+flag, so one entry is kept per isomorphism class.  The two branching
+orders of the search find the same labelled triangulations, so each
+code is computed once, and a walk stops as soon as it is past the
+least code found so far.  Then the vertex assignments into the
+4-vertex sphere are surveyed exhaustively, one per orbit of the
+target's symmetry group S4 (S(v, 4) surjective representatives
+instead of 4^v assignments).  The survey scans the source vertices in
+label order and counts together the partial assignments that no later
+triangle can tell apart, so it holds a few hundred states where it
+would otherwise visit each representative: on the 10-vertex join-cone
+source, 1 634 states over the whole scan and at most 715 at once, for
+34 105 representatives.
 
 The facts verified: no 2-sphere with at most six vertices admits a map
 of absolute degree 2, and none with at most seven vertices admits
@@ -72,30 +75,39 @@ def _search_triangulations(v: int, descending: bool) -> set[frozenset[IntTriangl
     """
     found: set[frozenset[IntTriangle]] = set()
     triangles: list[IntTriangle] = [(0, 1, 2)]
-    edge_count: Counter = Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
+    # edge (a, b), a < b, is numbered a * v + b; edge_count holds the
+    # triangles on each edge, open_edges the edges on one triangle
+    edge_count = bytearray(v * v)
+    open_edges = {1, 2, v + 2}
+    for e in open_edges:
+        edge_count[e] = 1
     top = 3  # vertices 0..top-1 are in use
 
     def recurse():
         nonlocal top
-        open_edges = [e for e, cnt in edge_count.items() if cnt == 1]
         if not open_edges:
             if top == v:
                 found.add(frozenset(triangles))
             return
         if len(triangles) >= 2 * v - 4:
             return
-        a, b = open_edge = min(open_edges)
+        open_edge = min(open_edges)
+        a, b = divmod(open_edge, v)
         candidates = [w for w in range(min(top + 1, v)) if w != a and w != b]
         if descending:
             candidates.reverse()
         for w in candidates:
-            e1 = (min(a, w), max(a, w))
-            e2 = (min(b, w), max(b, w))
-            if edge_count[e1] >= 2 or edge_count[e2] >= 2:
+            e1 = a * v + w if a < w else w * v + a
+            e2 = b * v + w if b < w else w * v + b
+            if edge_count[e1] == 2 or edge_count[e2] == 2:
                 continue
             triangles.append(tuple(sorted((a, b, w))))
             for e in (open_edge, e1, e2):
                 edge_count[e] += 1
+                if edge_count[e] == 1:
+                    open_edges.add(e)
+                else:
+                    open_edges.remove(e)
             fresh = w == top
             top += fresh
             recurse()
@@ -103,52 +115,87 @@ def _search_triangulations(v: int, descending: bool) -> set[frozenset[IntTriangl
             triangles.pop()
             for e in (open_edge, e1, e2):
                 edge_count[e] -= 1
-                if not edge_count[e]:
-                    del edge_count[e]
+                if edge_count[e] == 1:
+                    open_edges.add(e)
+                else:
+                    open_edges.remove(e)
 
     recurse()
     return found
 
 
+@cache
 def _canonical_form(triangles: frozenset[IntTriangle]) -> tuple:
-    """Isomorphism-invariant key: (sorted degree sequence, code).
+    """Isomorphism-invariant key of a 2-sphere on the vertices 0..v-1:
+    (sorted degree sequence, code).
 
     A flag is a facet with an ordering of its vertices.  From a flag
     the walk goes breadth first across edges, naming each vertex the
     first time it meets it; the code is the facet list, in the order
     the walk meets the facets, under those names.  The key takes the
     least code over the flags whose vertex-degree triple is least.
-    """
-    degree = Counter(x for tri in triangles for x in tri)
-    # the two apexes over edge (x, y) sum to rim[x, y]
-    rim: Counter = Counter()
-    for tri in triangles:
-        for x, y, z in permutations(tri):
-            rim[x, y] += z
 
-    def walk(flag: IntTriangle) -> tuple:
-        name = dict(zip(flag, range(3)))
-        queue = [flag]
+    Both branching orders of the census search yield the same labelled
+    triangulations, so the key is memoised on the facet set and each
+    is computed once.  Degrees, apex sums and names are lists indexed
+    by vertex.  The least degree triple of a flag is the least sorted
+    degree triple of a facet, so the candidate flags are the facet
+    orderings that read it.  A facet's code entry is fixed when the
+    walk meets it, its three vertices being named by then, and every
+    code has one entry per facet.  So a walk stops at its first entry
+    above the least code so far, and one that gets an entry below it
+    runs to the end as the new least.  The minimum is over the same
+    flags, so the key is the one the full walks give.
+    """
+    v = 1 + max(max(tri) for tri in triangles)
+    degree = [0] * v
+    # the two apexes over edge {x, y} sum to rim[x * v + y]
+    rim = [0] * (v * v)
+    for x, y, z in triangles:
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            degree[p] += 1
+            rim[p * v + q] += r
+            rim[q * v + p] += r
+
+    def walk(a: int, b: int, c: int, least: list | None) -> list | None:
+        """The code from flag (a, b, c), or None once it is past ``least``."""
+        name = [-1] * v
+        name[a], name[b], name[c] = 0, 1, 2
+        named = 3
+        queue = [(a, b, c)]
+        code = [(0, 1, 2)]
+        below = least is None
         # directed edges of the facets met, each facet oriented
         # coherently with the flag
-        met = {flag[:2], flag[1:], (flag[2], flag[0])}
+        met = bytearray(v * v)
+        met[a * v + b] = met[b * v + c] = met[c * v + a] = 1
         for x, y, z in queue:
             for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-                if (q, p) not in met:
-                    w = rim[p, q] - r
-                    name.setdefault(w, len(name))
-                    met.update(((q, p), (p, w), (w, q)))
+                if not met[q * v + p]:
+                    w = rim[p * v + q] - r
+                    if name[w] < 0:
+                        name[w] = named
+                        named += 1
+                    entry = (name[q], name[p], name[w])
+                    if not below:
+                        other = least[len(code)]
+                        if entry > other:
+                            return None
+                        below = entry < other
+                    met[q * v + p] = met[p * v + w] = met[w * v + q] = 1
                     queue.append((q, p, w))
-        return tuple((name[x], name[y], name[z]) for x, y, z in queue)
+                    code.append(entry)
+        return code
 
-    triple = {
-        flag: tuple(degree[x] for x in flag)
-        for tri in triangles
-        for flag in permutations(tri)
-    }
-    least = min(triple.values())
-    code = min(walk(flag) for flag, t in triple.items() if t == least)
-    return tuple(sorted(degree.values())), code
+    least_degrees = min(sorted([degree[x], degree[y], degree[z]]) for x, y, z in triangles)
+    best = None
+    for tri in triangles:
+        for a, b, c in permutations(tri):
+            if [degree[a], degree[b], degree[c]] == least_degrees:
+                code = walk(a, b, c, best)
+                if code is not None:
+                    best = code
+    return tuple(sorted(degree)), tuple(best)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,9 @@ complexes.  The degree-4 alpha sets are the expected signed preimages of
 each target facet for the (n=3, d=4) join-cone bundle.
 """
 
+from collections import Counter
+from itertools import permutations
+
 from sphere_forge import (
     Simplex,
     build_double_cone_sphere,
@@ -87,6 +90,48 @@ def cycle_sort_sign(seq):
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def reference_canonical_form(triangles):
+    """Reference census key, (sorted degree sequence, code): the least
+    breadth-first walk code over every flag of least degree triple,
+    each walk run to the end.
+
+    A flag is a facet with an ordering of its vertices.  From a flag
+    the walk goes breadth first across edges, naming each vertex the
+    first time it meets it; the code is the facet list, in the order
+    the walk meets the facets, under those names.
+    """
+    degree = Counter(x for tri in triangles for x in tri)
+    # the two apexes over edge (x, y) sum to rim[x, y]
+    rim = Counter()
+    for tri in triangles:
+        for x, y, z in permutations(tri):
+            rim[x, y] += z
+
+    def walk(flag):
+        name = dict(zip(flag, range(3)))
+        queue = [flag]
+        # directed edges of the facets met, each facet oriented
+        # coherently with the flag
+        met = {flag[:2], flag[1:], (flag[2], flag[0])}
+        for x, y, z in queue:
+            for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+                if (q, p) not in met:
+                    w = rim[p, q] - r
+                    name.setdefault(w, len(name))
+                    met.update(((q, p), (p, w), (w, q)))
+                    queue.append((q, p, w))
+        return tuple((name[x], name[y], name[z]) for x, y, z in queue)
+
+    triple = {
+        flag: tuple(degree[x] for x in flag)
+        for tri in triangles
+        for flag in permutations(tri)
+    }
+    least = min(triple.values())
+    code = min(walk(flag) for flag, t in triple.items() if t == least)
+    return tuple(sorted(degree.values())), code
 
 
 # the 3d-vertex discs for d = 2, 3, 4 with their sign split

@@ -30,6 +30,8 @@ from sphere_forge.minimality import (
 )
 from sphere_forge.orientation import coherent_orientation
 
+from fixtures import reference_canonical_form
+
 
 @pytest.mark.parametrize("v,count", [(4, 1), (5, 1), (6, 2), (7, 5)])
 def test_census_sizes(v, count):
@@ -50,6 +52,32 @@ def test_canonical_form_separates_eight_vertex_classes(descending):
     keys = {_canonical_form(t) for t in _search_triangulations(8, descending)}
     assert len(keys) == 14
     assert len({degrees for degrees, _code in keys}) == 13
+
+
+@pytest.mark.parametrize("v", [4, 5, 6, 7, 8])
+def test_both_branching_orders_find_the_same_labelled_triangulations(v):
+    """Each order is complete on its own, which is what lets the census
+    compute one key per labelled triangulation for both runs."""
+    assert _search_triangulations(v, False) == _search_triangulations(v, True)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("v", [4, 5, 6, 7, 8])
+def test_canonical_form_matches_reference(v, descending):
+    """The census keys, and so the census order and its ``w`` labels,
+    are those of the full walks from every flag of least degree
+    triple."""
+    for triangles in _search_triangulations(v, descending):
+        assert _canonical_form(triangles) == reference_canonical_form(triangles)
+
+
+def test_canonical_form_matches_reference_where_walks_differ():
+    """On at most eight vertices every flag of least degree triple
+    walks to the same code.  Nine vertices is the first count where
+    some walks fall behind the least code so far and others overtake
+    it, so both ways out of the early stop are taken."""
+    for triangles in _search_triangulations(9, False):
+        assert _canonical_form(triangles) == reference_canonical_form(triangles)
 
 
 CENSUS_KEYS = [e.canonical_key for v in range(4, 8) for e in enumerate_2spheres(v)]
