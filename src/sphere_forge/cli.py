@@ -237,6 +237,10 @@ def run_verify(
         return CommandResult(0 if ok else 1, "\n".join(lines + _check_lines(checks)), data)
 
     if what == "minimality":
+        if n not in (None, 2):
+            raise SphereForgeError("verify minimality covers n = 2 only")
+        if d is not None or in_path:
+            raise SphereForgeError("verify minimality takes no --d or --in")
         report = verify_small_sphere_bounds()
         sizes = ", ".join(f"v={v}: {c}" for v, c in sorted(report.census_sizes.items()))
         lines = [

@@ -11,11 +11,13 @@ least code found so far.  Then the vertex assignments into the
 4-vertex sphere are surveyed exhaustively, one per orbit of the
 target's symmetry group S4 (S(v, 4) surjective representatives
 instead of 4^v assignments).  The survey scans the source vertices in
-label order and counts together the partial assignments that no later
-triangle can tell apart, so it holds a few hundred states where it
-would otherwise visit each representative: on the 10-vertex join-cone
-source, 1 634 states over the whole scan and at most 715 at once, for
-34 105 representatives.
+an order taken from the surface, growing one patch from a vertex of
+largest degree, and counts together the partial assignments that no
+later triangle can tell apart.  On 40 relabellings of the 10-vertex
+join-cone source its frontier held at most five vertices, where label
+order held up to nine.  The witness, the least assignment of largest
+|degree| in label order, is found by a second pass over the states
+that reach that degree, run only when the witness is read.
 
 The facts verified: no 2-sphere with at most six vertices admits a map
 of absolute degree 2, and none with at most seven vertices admits
@@ -26,8 +28,8 @@ and 3 through the packaged constructions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
-from functools import cache
+from dataclasses import asdict, dataclass, field
+from functools import cache, cached_property
 from itertools import permutations
 
 from .complex_core import (
@@ -249,11 +251,68 @@ def _target_facet_signs() -> tuple[int, int, int, int]:
     return tuple(by_omitted[o] for o in range(4))
 
 
+def _scan_order(v: int, triangles: list[IntTriangle]) -> list[int]:
+    """The order in which the map survey assigns the vertices 0..v-1.
+
+    It starts at a vertex of largest degree, then repeatedly takes the
+    unassigned vertex that completes the most triangles, then the one
+    whose triangles hold the most assigned vertices (counted once per
+    triangle), then the least.  So the scan grows one patch of the
+    surface and its frontier stays a short ring, whatever the labels.
+    """
+    through: list[list[IntTriangle]] = [[] for _ in range(v)]
+    for tri in triangles:
+        for u in tri:
+            through[u].append(tri)
+    completes = [0] * v
+    holds = [0] * v
+    scanned = [False] * v
+    order = []
+    u = min(range(v), key=lambda w: (-len(through[w]), w))
+    while True:
+        order.append(u)
+        scanned[u] = True
+        if len(order) == v:
+            return order
+        for tri in through[u]:
+            a, b = [w for w in tri if w != u]
+            for w, other in ((a, b), (b, a)):
+                holds[w] += 1
+                completes[w] += scanned[other]
+        u = min(
+            (w for w in range(v) if not scanned[w]),
+            key=lambda w: (-completes[w], -holds[w], w),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Scan:
+    """What the witness pass needs of a survey's forward pass: per scan
+    step, the states before it and their moves (the ``seen`` bits they
+    are keyed by, the kept bits, and per ``seen`` the (add, value)
+    pairs), and the |degree| of each final state."""
+
+    vertices: tuple[VertexLabel, ...]
+    order: list[int]
+    steps: list[tuple[dict[int, int], int, int, dict[int, list[tuple[int, int]]]]]
+    ends: dict[int, int]
+
+
 @dataclass(frozen=True, eq=False)
 class DegreeSurvey:
     max_abs: int
-    witness: VertexMap | None
     degrees: Counter
+    _scan: _Scan = field(repr=False)
+
+    @cached_property
+    def witness(self) -> VertexMap | None:
+        """The lexicographically first assignment, in label order, of
+        largest |degree|; None when every degree is zero.  Found on the
+        first read, so a survey read only for its degrees never pays
+        for it."""
+        if not self.max_abs:
+            return None
+        return _least_witness(self._scan, self.max_abs)
 
 
 def degree_survey(K: Complex) -> DegreeSurvey:
@@ -263,36 +322,39 @@ def degree_survey(K: Complex) -> DegreeSurvey:
 
     ``degrees[d]`` counts the surjective assignments of degree d over
     all 4^v assignments; non-surjective ones have degree zero and are
-    not counted.  The scan visits one assignment per orbit of the
-    symmetric group S4 relabelling the target: the restricted growth
-    strings (RGS), whose values first appear in the order 0, 1, 2, 3,
-    in lexicographic order.  A surjection's orbit has 24 members, the
-    RGS is its least, and sigma o f has degree sign(sigma) deg f, so
-    each surjective RGS of degree d adds 12 to ``degrees[d]`` and 12 to
-    ``degrees[-d]``.
+    not counted.  The witness is the lexicographically first assignment
+    of largest |degree| over all 4^v assignments, with the vertices in
+    label order (None when every degree is zero).
 
-    The witness is the lexicographically first assignment of largest
-    |degree| over all 4^v assignments (None when every degree is zero);
-    it is the least member of its own orbit, so it is an RGS.
-
-    Triangles are bucketed by their largest vertex index, and the scan
-    assigns vertices 0, 1, ..., v - 1 in turn; assigning vertex k adds
-    the signed images of its bucket to four totals, one per target
-    facet.  After vertex k the frontier is the assigned vertices that a
-    triangle of a later bucket still reads.  An RGS prefix's state is
-    the values on the frontier, the number of values used and the four
-    totals, and the scan keeps, per state, the number of prefixes in it
-    and the least of them.  Two prefixes in one state have the same
+    The scan assigns the vertices in the order of ``_scan_order``, one
+    per step; assigning a vertex adds the signed images of the
+    triangles it completes to four totals, one per target facet.  After
+    each step the frontier is the assigned vertices that a triangle not
+    yet complete still reads.  The scan visits one assignment per orbit
+    of the symmetric group S4 relabelling the target: the restricted
+    growth strings (RGS) in scan order, whose values first appear in
+    the order 0, 1, 2, 3.  A surjection's orbit has 24 members and
+    sigma o f has degree sign(sigma) deg f, so each surjective RGS of
+    degree d adds 12 to ``degrees[d]`` and 12 to ``degrees[-d]``.  An
+    RGS prefix's state is the values on the frontier, the number of
+    values used and the four totals, and the scan counts the prefixes
+    in each state.  Two prefixes in one state have the same
     completions, since a completion's choices and the triangles it adds
     read only the frontier and the count of values used, and they end
     at the same totals.  So the final states carry every surjective RGS
     with its degree, and the four totals must agree on each of them.
-    The least prefix of a state, extended, is the least RGS of each
-    final state it reaches, because two prefixes of one length compare
-    before their completions do; and extending the states in order of
-    their least prefix, each by increasing values, meets every new
-    state first through its least prefix.  So ``degrees``, ``max_abs``
-    and the witness are those of the scan over every RGS.
+
+    The witness pass runs on the first read of ``witness``.  It keeps
+    the states that reach a final state of largest |degree| and lifts
+    each by sigma, the partial injective map from the values used to
+    target vertices, with label vertex 0 sent to the first; for each
+    (state, sigma) it keeps the least label-order code of the assigned
+    vertices.  Two assignments in one (state, sigma) have the same
+    assigned vertices and the same completions, so the lesser stays
+    the lesser after any completion.  The least final code is the least
+    assignment of largest |degree| that sends vertex 0 first, and
+    swapping target vertices so that vertex 0 goes first lowers any
+    other, so it is the witness.  There are at most 24 lifts per state.
     """
     if not K.is_pure or K.dimension != 2:
         raise PreconditionFailed(
@@ -315,21 +377,28 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     vertices = K.vertices
     v = len(vertices)
     index = {lab: i for i, lab in enumerate(vertices)}
+    triangles = [tuple(index[lab] for lab in facet) for facet in K.facets]
+    order = _scan_order(v, triangles)
+    step_of = [0] * v
+    for k, u in enumerate(order):
+        step_of[u] = k
     oriented = coherent_orientation(K, K.facets[0], 1)
     bucket: list[list[tuple[int, int, int]]] = [[] for _ in range(v)]
-    last = list(range(v))  # the last vertex of a triangle through u
-    for facet in K.facets:
-        i, j, k = sorted(index[lab] for lab in facet)
-        bucket[k].append((i, j, oriented.signs[facet]))
+    last = list(range(v))  # the last step of a triangle through step u
+    for facet, tri in zip(K.facets, triangles):
+        where = [step_of[u] for u in tri]
+        i, j, k = sorted(where)
+        # the facet's sign is for its vertices in label order; the scan
+        # reads their values in step order
+        bucket[k].append((i, j, oriented.signs[facet] * sort_sign(where)))
         last[i] = max(last[i], k)
         last[j] = max(last[j], k)
 
-    # A state is one int: bits 2u, 2u + 1 hold the value of frontier
-    # vertex u (zero off the frontier), then three bits count the values
-    # used, then four fields of ``width`` bits hold the totals, each
-    # offset by the facet count so that it stays non-negative.  A
-    # state's entry is one int too: its count above bit 2v, the least
-    # prefix reaching it below, in base 4 with vertex 0 first.
+    # A state is one int: bits 2u, 2u + 1 hold the value assigned at
+    # step u while that vertex is on the frontier (zero off it), then
+    # three bits count the values used, then four fields of ``width``
+    # bits hold the totals, each offset by the facet count so that it
+    # stays non-negative.
     offset = len(K.facets)
     width = (2 * offset).bit_length()
     used_at = 2 * v
@@ -344,8 +413,8 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         o = 6 - x - y - z
         step[x, y, z] = (sort_sign((x, y, z)) * facet_sign[o]) << total_at[o]
 
-    prefix_mask = (1 << 2 * v) - 1
-    states = {sum(offset << at for at in total_at): 1 << 2 * v}
+    scan = []
+    states = {sum(offset << at for at in total_at): 1}
     for k in range(v):
         keep = -1 << used_at
         for u in range(k):
@@ -354,13 +423,13 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         read = 7 << used_at
         for i, j, _ in bucket[k]:
             read |= 3 << 2 * i | 3 << 2 * j
-        # the fewest values used after vertex k that leave vertices
+        # the fewest values used after step k that leave vertices
         # enough to use all four
         need = k + 5 - v
         # states that agree on what bucket k reads take the same moves
         moves: dict[int, list[tuple[int, int]]] = {}
         nxt: dict[int, int] = {}
-        for key, entry in states.items():
+        for key, count in states.items():
             seen = key & read
             choices = moves.get(seen)
             if choices is None:
@@ -378,41 +447,79 @@ def degree_survey(K: Complex) -> DegreeSurvey:
                         )
                     choices.append((add, x))
             base = key & keep
-            prefix = entry & prefix_mask
-            count = entry - prefix
-            prefix *= 4
-            for add, x in choices:
+            for add, _ in choices:
                 new = base + add
-                got = nxt.get(new)
-                nxt[new] = count + (prefix + x if got is None else got)
+                nxt[new] = nxt.get(new, 0) + count
+        scan.append((states, read, keep, moves))
         states = nxt
 
-    field = (1 << width) - 1
+    field_mask = (1 << width) - 1
     degrees: Counter = Counter()
-    best = 0
-    witness = None
-    for key, entry in states.items():
-        totals = [(key >> at & field) - offset for at in total_at]
+    ends = {}
+    for key, count in states.items():
+        totals = [(key >> at & field_mask) - offset for at in total_at]
         deg = totals[0]
         if not totals[1] == totals[2] == totals[3] == deg:
             raise InconsistentAlg(
                 f"signed counts {totals} disagree across target facets"
             )
-        count = entry >> 2 * v
         degrees[deg] += 12 * count
         degrees[-deg] += 12 * count
-        if abs(deg) > best:
-            best = abs(deg)
-            witness = entry & prefix_mask
-    mapping = None
-    if witness is not None:
-        mapping = VertexMap(
-            {
-                lab: v_label((witness >> 2 * (v - 1 - i) & 3) + 1)
-                for i, lab in enumerate(vertices)
-            }
-        )
-    return DegreeSurvey(max_abs=best, witness=mapping, degrees=degrees)
+        ends[key] = abs(deg)
+    return DegreeSurvey(
+        max_abs=max(ends.values(), default=0),
+        degrees=degrees,
+        _scan=_Scan(vertices=vertices, order=order, steps=scan, ends=ends),
+    )
+
+
+def _least_witness(scan: _Scan, best: int) -> VertexMap:
+    """The least label-order assignment of |degree| ``best``, found by
+    the lifted pass that ``degree_survey`` describes."""
+    reach = {key for key, deg in scan.ends.items() if deg == best}
+    ahead = [reach]
+    for states, read, keep, moves in reversed(scan.steps[1:]):
+        reach = {
+            key
+            for key in states
+            if any((key & keep) + add in reach for add, _ in moves[key & read])
+        }
+        ahead.append(reach)
+    ahead.reverse()  # ahead[k]: the states after step k that reach one
+
+    v = len(scan.vertices)
+    # (state, sigma) -> least code, in base 4 with vertex 0 first
+    lifted = {(key, ()): 0 for key in scan.steps[0][0]}
+    for k, (_, read, keep, moves) in enumerate(scan.steps):
+        u = scan.order[k]
+        weight = 1 << 2 * (v - 1 - u)
+        reach = ahead[k]
+        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (key, sigma), code in lifted.items():
+            base = key & keep
+            for add, x in moves[key & read]:
+                new = base + add
+                if new not in reach:
+                    continue
+                if x < len(sigma):
+                    lifts = [(sigma, sigma[x])]
+                else:
+                    lifts = [(sigma + (t,), t) for t in range(4) if t not in sigma]
+                for lift, t in lifts:
+                    if u == 0 and t:
+                        continue
+                    got = nxt.get((new, lift))
+                    mine = code + t * weight
+                    if got is None or mine < got:
+                        nxt[new, lift] = mine
+        lifted = nxt
+    least = min(lifted.values())
+    return VertexMap(
+        {
+            lab: v_label((least >> 2 * (v - 1 - i) & 3) + 1)
+            for i, lab in enumerate(scan.vertices)
+        }
+    )
 
 
 def max_abs_degree(K: Complex) -> tuple[int, VertexMap | None]:

@@ -19,7 +19,8 @@ from sphere_forge import (
     simplex,
 )
 from sphere_forge.errors import PreconditionFailed
-from sphere_forge.orientation import Chain
+from sphere_forge.minimality import _target_facet_signs
+from sphere_forge.orientation import Chain, coherent_orientation, sort_sign
 
 
 def labels(text):
@@ -132,6 +133,101 @@ def reference_canonical_form(triangles):
     least = min(triple.values())
     code = min(walk(flag) for flag, t in triple.items() if t == least)
     return tuple(sorted(degree.values())), code
+
+
+def reference_label_order_survey(K):
+    """Reference map survey, the frontier merge in label order: (degrees,
+    max |degree|, lexicographically first witness assignment as a tuple
+    of target indices, None when every degree is zero).
+
+    The scan assigns vertices 0, 1, ..., v - 1 in turn, one restricted
+    growth string (RGS) per orbit of the target's S4, and keeps per
+    state (frontier values, values used, four signed totals) the number
+    of prefixes in it and the least of them.
+    """
+    vertices = K.vertices
+    v = len(vertices)
+    index = {lab: i for i, lab in enumerate(vertices)}
+    oriented = coherent_orientation(K, K.facets[0], 1)
+    bucket = [[] for _ in range(v)]
+    last = list(range(v))  # the last vertex of a triangle through u
+    for facet in K.facets:
+        i, j, k = sorted(index[lab] for lab in facet)
+        bucket[k].append((i, j, oriented.signs[facet]))
+        last[i] = max(last[i], k)
+        last[j] = max(last[j], k)
+
+    # a state is one int: two bits per frontier vertex, three bits for
+    # the values used, then four offset totals of ``width`` bits; its
+    # entry holds the count above bit 2v and the least prefix below
+    offset = len(K.facets)
+    width = (2 * offset).bit_length()
+    used_at = 2 * v
+    total_at = [used_at + 3 + o * width for o in range(4)]
+    facet_sign = _target_facet_signs()
+    step = {}
+    for x, y, z in permutations(range(4), 3):
+        o = 6 - x - y - z
+        step[x, y, z] = (sort_sign((x, y, z)) * facet_sign[o]) << total_at[o]
+
+    prefix_mask = (1 << 2 * v) - 1
+    states = {sum(offset << at for at in total_at): 1 << 2 * v}
+    for k in range(v):
+        keep = -1 << used_at
+        for u in range(k):
+            if last[u] > k:
+                keep |= 3 << 2 * u
+        read = 7 << used_at
+        for i, j, _ in bucket[k]:
+            read |= 3 << 2 * i | 3 << 2 * j
+        need = k + 5 - v
+        moves = {}
+        nxt = {}
+        for key, entry in states.items():
+            seen = key & read
+            choices = moves.get(seen)
+            if choices is None:
+                choices = moves[seen] = []
+                used = seen >> used_at
+                for x in range(min(used + 1, 4)):
+                    if used + (x == used) < need:
+                        continue
+                    add = (x == used) << used_at
+                    if last[k] > k:
+                        add += x << 2 * k
+                    for i, j, s in bucket[k]:
+                        add += s * step.get(
+                            (seen >> 2 * i & 3, seen >> 2 * j & 3, x), 0
+                        )
+                    choices.append((add, x))
+            base = key & keep
+            prefix = entry & prefix_mask
+            count = entry - prefix
+            prefix *= 4
+            for add, x in choices:
+                new = base + add
+                got = nxt.get(new)
+                nxt[new] = count + (prefix + x if got is None else got)
+        states = nxt
+
+    field = (1 << width) - 1
+    degrees = Counter()
+    best = 0
+    witness = None
+    for key, entry in states.items():
+        totals = [(key >> at & field) - offset for at in total_at]
+        deg = totals[0]
+        if not totals[1] == totals[2] == totals[3] == deg:
+            raise AssertionError(f"signed counts {totals} disagree")
+        count = entry >> 2 * v
+        degrees[deg] += 12 * count
+        degrees[-deg] += 12 * count
+        if abs(deg) > best:
+            best = abs(deg)
+            witness = entry & prefix_mask
+    if witness is not None:
+        witness = tuple(witness >> 2 * (v - 1 - i) & 3 for i in range(v))
+    return degrees, best, witness
 
 
 # the 3d-vertex discs for d = 2, 3, 4 with their sign split

@@ -230,6 +230,29 @@ def test_verify_minimality_restricted(capsys):
     assert payload["census_sizes"] == {"4": 1, "5": 1, "6": 2, "7": 5}
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--n", "3"], "verify minimality covers n = 2 only"),
+        (["--n", "1"], "verify minimality covers n = 2 only"),
+        (["--d", "3"], "verify minimality takes no --d or --in"),
+        (["--in", "sphere.json"], "verify minimality takes no --d or --in"),
+    ],
+)
+def test_verify_minimality_refuses_options_it_does_not_use(capsys, extra, message):
+    """The sweep is over 2-spheres only; an option it would ignore is a
+    usage error, not a silent pass."""
+    assert main(["verify", "minimality", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_minimality_accepts_n_2(capsys):
+    assert main(["verify", "minimality", "--n", "2"]) == 0
+    assert "census sizes: v=4: 1, v=5: 1, v=6: 2, v=7: 5" in capsys.readouterr().out
+
+
 def test_round_trip_build_read_verify(tmp_path):
     out = tmp_path / "bundle.json"
     assert (

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -24,13 +25,14 @@ from sphere_forge.errors import (
 from sphere_forge.labels import v_label
 from sphere_forge.minimality import (
     _canonical_form,
+    _scan_order,
     _search_triangulations,
     census_label,
     degree_survey,
 )
 from sphere_forge.orientation import coherent_orientation
 
-from fixtures import reference_canonical_form
+from fixtures import reference_canonical_form, reference_label_order_survey
 
 
 @pytest.mark.parametrize("v,count", [(4, 1), (5, 1), (6, 2), (7, 5)])
@@ -333,3 +335,109 @@ def test_survey_raises_when_signed_counts_disagree(monkeypatch):
     monkeypatch.setattr(minimality, "_target_facet_signs", lambda: flipped)
     with pytest.raises(InconsistentAlg, match="disagree"):
         degree_survey(enumerate_2spheres(4)[0].complex)
+
+
+def _relabelled(K, seed):
+    old = list(K.vertices)
+    new = old[:]
+    random.Random(seed).shuffle(new)
+    sigma = dict(zip(old, new))
+    return make_complex([[sigma[lab] for lab in facet] for facet in K.facets])
+
+
+def _census_class_complexes(v):
+    """One complex per isomorphism class of v-vertex 2-spheres, also
+    past the census's own range."""
+    keys = {_canonical_form(t) for t in _search_triangulations(v, False)}
+    return [
+        make_complex([[census_label(i) for i in tri] for tri in code])
+        for _degrees, code in sorted(keys)
+    ]
+
+
+def _assert_matches_label_order_scan(K):
+    degrees, best, witness = reference_label_order_survey(K)
+    survey = degree_survey(K)
+    assert survey.degrees == degrees
+    assert survey.max_abs == best
+    if witness is None:
+        assert survey.witness is None
+    else:
+        got = tuple(survey.witness.assignment[lab].item_index - 1 for lab in K.vertices)
+        assert got == witness
+
+
+@pytest.mark.parametrize("v,classes", [(4, 1), (5, 1), (6, 2), (7, 5), (8, 14), (9, 50)])
+def test_survey_matches_label_order_scan_on_census_classes(v, classes):
+    complexes = _census_class_complexes(v)
+    assert len(complexes) == classes
+    for K in complexes:
+        _assert_matches_label_order_scan(K)
+
+
+@pytest.mark.parametrize(
+    "construct,args",
+    [(build_join_cone_sphere, (2, 3)), (build_stacked_sphere, (2,))],
+    ids=["join-cone n=2 d=3", "stacked n=2"],
+)
+def test_survey_matches_label_order_scan_on_relabellings(construct, args):
+    """The scan order comes from the surface, but the witness is still
+    the least assignment with the vertices in label order."""
+    K = construct(*args).source
+    for seed in range(20):
+        _assert_matches_label_order_scan(_relabelled(K, seed))
+
+
+def test_survey_matches_label_order_scan_on_seven_vertex_torus():
+    w = [census_label(i) for i in range(7)]
+    torus = make_complex(
+        [w[i], w[(i + a) % 7], w[(i + 3) % 7]] for i in range(7) for a in (1, 2)
+    )
+    _assert_matches_label_order_scan(torus)
+
+
+def _frontier_width(K):
+    """Most vertices the survey's scan holds on its frontier at once."""
+    index = {lab: i for i, lab in enumerate(K.vertices)}
+    triangles = [tuple(index[lab] for lab in facet) for facet in K.facets]
+    order = _scan_order(len(index), triangles)
+    step = {u: k for k, u in enumerate(order)}
+    last = {u: max(max(step[w] for w in tri) for tri in triangles if u in tri) for u in order}
+    return max(
+        sum(1 for u in order[: k + 1] if last[u] > k) for k in range(len(order))
+    )
+
+
+def test_scan_order_keeps_the_frontier_narrow_under_relabelling():
+    """Label order holds up to 9 of the 10 join-cone vertices on the
+    frontier for some labellings."""
+    K = build_join_cone_sphere(2, 3).source
+    for seed in range(20):
+        assert _frontier_width(_relabelled(K, seed)) <= 5
+
+
+def test_census_sweep_never_runs_the_witness_pass(monkeypatch):
+    """``verify_small_sphere_bounds`` reads only ``max_abs``."""
+
+    def refuse(scan, best):
+        raise AssertionError("witness pass ran")
+
+    monkeypatch.setattr(minimality, "_least_witness", refuse)
+    assert verify_small_sphere_bounds().passed
+    with pytest.raises(AssertionError, match="witness pass ran"):
+        max_abs_degree(build_join_cone_sphere(2, 2).source)
+
+
+def test_witness_pass_runs_once_per_survey(monkeypatch):
+    calls = []
+    least_witness = minimality._least_witness
+
+    def counted(scan, best):
+        calls.append(best)
+        return least_witness(scan, best)
+
+    monkeypatch.setattr(minimality, "_least_witness", counted)
+    survey = degree_survey(build_stacked_sphere(2).source)
+    assert calls == []
+    assert survey.witness is survey.witness
+    assert calls == [3]
