@@ -1,14 +1,18 @@
 """Command-line surface: build constructions, compute degrees, verify.
 
-Each subcommand's parser binds its runner (``set_defaults(run=...)``)
-and gives every option the ``dest`` of the runner parameter it feeds,
-so :func:`main` drops ``run``, ``command`` and ``format`` from the parsed
+Each leaf command (``build``, ``degree``, and ``verify sphere |
+disc-signs | minimality | bundle``) has its own parser.  It declares only
+the options its runner reads, binds that runner (``set_defaults(run=...)``)
+and gives every option the ``dest`` of the runner parameter it feeds, so
+:func:`main` drops ``run``, ``command`` and ``format`` from the parsed
 namespace and calls ``run(**rest)`` without naming any option.  The
-constructions ``build`` offers, and the flags each one needs, are
-listed once in :data:`CONSTRUCTIONS`.
+constructions ``build`` offers, and the flags each one reads, are listed
+once in :data:`CONSTRUCTIONS`; ``build`` refuses any other of its flags.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on usage or input errors.  Reports render as text by default or as
+2 on usage or input errors.  An option the command does not declare, and
+every other usage error the parser finds, is one ``error:`` line on
+stderr, as an input error is.  Reports render as text by default or as
 canonical JSON with ``--format json``.
 """
 
@@ -84,13 +88,13 @@ def run_build(
     out: str | None = None,
 ) -> CommandResult:
     """Build one construction and optionally write it to ``out``."""
-    if construction not in CONSTRUCTIONS:
-        raise SphereForgeError(f"unknown construction {construction!r}")
     builder, flags = CONSTRUCTIONS[construction]
     given = {"n": n, "d": d, "k": k, "variant": variant}
-    for flag in flags:
-        if given[flag] is None:
+    for flag, value in given.items():
+        if flag in flags and value is None:
             raise SphereForgeError(f"--{flag} is required for {construction}")
+        if flag not in flags and value is not None:
+            raise SphereForgeError(f"--{flag} is not used by {construction}")
     built = builder(*(given[flag] for flag in flags))
 
     if construction == "delta":
@@ -183,6 +187,9 @@ def run_degree(
     method: str = "both",
 ) -> CommandResult:
     """Degree of a bundled map, or of a map file against a complex file."""
+    if bundle_path and (complex_path or map_path):
+        flag = "--in" if complex_path else "--map"
+        raise SphereForgeError(f"{flag} is not used with --bundle")
     if bundle_path:
         bundle = bundle_from_json(Path(bundle_path).read_text())
     else:
@@ -192,97 +199,94 @@ def run_degree(
         f = map_from_text(Path(map_path).read_text())
         bundle = _adhoc_bundle(K, f)
     data, lines, agree = _degree_payload(bundle, method)
-    exit_code = 0 if agree else 1
-    return CommandResult(exit_code, "\n".join(lines), data)
+    return CommandResult(0 if agree else 1, "\n".join(lines), data)
 
 
-def run_verify(
-    what: str,
-    in_path: str | None = None,
-    n: int | None = None,
-    d: int | None = None,
-    level: str = "necessary",
+def run_verify_sphere(
+    in_path: str, n: int | None = None, level: str = "necessary"
 ) -> CommandResult:
-    """Dispatch to one of the verification suites."""
-    if what == "sphere":
-        if not in_path:
-            raise SphereForgeError("verify sphere needs --in")
-        K, _ = complex_from_json(Path(in_path).read_text())
-        dim = K.dimension if n is None else n
-        report = sphere_check(K, dim, level)
-        lines = [f"sphere check (n = {dim}, level = {report.level})"]
-        lines += _check_lines(report.items)
-        lines.extend(f"  note: {note}" for note in report.notes)
-        return CommandResult(
-            0 if report.passed else 1, "\n".join(lines), report.as_dict()
-        )
+    """The sphere battery on a complex file, in dimension ``n`` if given."""
+    K, _ = complex_from_json(Path(in_path).read_text())
+    dim = K.dimension if n is None else n
+    report = sphere_check(K, dim, level)
+    lines = [f"sphere check (n = {dim}, level = {report.level})", *_check_lines(report.items)]
+    lines += (f"  note: {note}" for note in report.notes)
+    return CommandResult(0 if report.passed else 1, "\n".join(lines), report.as_dict())
 
-    if what == "disc-signs":
-        if d is None:
-            raise SphereForgeError("verify disc-signs needs --d")
-        disc = build_delta(d)
-        counts = disc_sign_census(disc)
-        fv, euler = f_vector_and_euler(disc.complex)
-        checks = [
-            CheckItem("triangles", fv[2] == 3 * d - 2, f"{fv[2]} = 3d-2"),
-            CheckItem("positives", counts.positives == 2 * d - 1, f"{counts.positives} = 2d-1"),
-            CheckItem("negatives", counts.negatives == d - 1, f"{counts.negatives} = d-1"),
-            CheckItem("boundary_in_positive", counts.boundary_in_positive),
-            CheckItem("signs_match_orientation", counts.sign_agrees_with_orientation),
-            CheckItem("euler", euler == 1, f"chi = {euler}"),
-        ]
-        ok = all(c.ok for c in checks)
-        lines = [f"disc d={d}: {counts.positives} positive, {counts.negatives} negative"]
-        data = {"d": d, "checks": [c.as_dict() for c in checks], "passed": ok}
-        return CommandResult(0 if ok else 1, "\n".join(lines + _check_lines(checks)), data)
 
-    if what == "minimality":
-        if n not in (None, 2):
-            raise SphereForgeError("verify minimality covers n = 2 only")
-        if d is not None or in_path:
-            raise SphereForgeError("verify minimality takes no --d or --in")
-        report = verify_small_sphere_bounds()
-        sizes = ", ".join(f"v={v}: {c}" for v, c in sorted(report.census_sizes.items()))
-        lines = [
-            f"census sizes: {sizes}",
-            f"independent search orders agree: {report.orders_agree}",
-            f"max |degree| by vertex count: "
-            + ", ".join(f"{v}: {m}" for v, m in sorted(report.max_degree_by_vertices.items())),
-            f"no |degree| 2 with <= 6 vertices: {report.degree2_bound_ok}",
-            f"no |degree| 3 with <= 7 vertices: {report.degree3_bound_ok}",
-            f"degree 2 attained with 7 vertices: {report.degree2_attained_at_7}",
-            f"degree 3 attained with 8 vertices: {report.degree3_attained_at_8}",
-        ]
-        for c in report.counterexamples:
-            lines.append(f"  COUNTEREXAMPLE (implementation bug): {c}")
-        return CommandResult(0 if report.passed else 1, "\n".join(lines), report.as_dict())
+def run_verify_disc_signs(d: int) -> CommandResult:
+    """The sign census of the disc Delta_d against the paper's counts."""
+    disc = build_delta(d)
+    counts = disc_sign_census(disc)
+    fv, euler = f_vector_and_euler(disc.complex)
+    checks = [
+        CheckItem("triangles", fv[2] == 3 * d - 2, f"{fv[2]} = 3d-2"),
+        CheckItem("positives", counts.positives == 2 * d - 1, f"{counts.positives} = 2d-1"),
+        CheckItem("negatives", counts.negatives == d - 1, f"{counts.negatives} = d-1"),
+        CheckItem("boundary_in_positive", counts.boundary_in_positive),
+        CheckItem("signs_match_orientation", counts.sign_agrees_with_orientation),
+        CheckItem("euler", euler == 1, f"chi = {euler}"),
+    ]
+    ok = all(c.ok for c in checks)
+    lines = [f"disc d={d}: {counts.positives} positive, {counts.negatives} negative"]
+    data = {"d": d, "checks": [c.as_dict() for c in checks], "passed": ok}
+    return CommandResult(0 if ok else 1, "\n".join(lines + _check_lines(checks)), data)
 
-    if what == "bundle":
-        if not in_path:
-            raise SphereForgeError("verify bundle needs --in")
-        bundle = bundle_from_json(Path(in_path).read_text())
-        result = verify_bundle(bundle)
-        data = {
-            "label": bundle.label,
-            "checks": [c.as_dict() for c in result.checks],
-            "passed": result.passed,
-            "sphere_check": result.sphere.as_dict(),
-        }
-        lines = [f"bundle: {bundle.label}"] + _check_lines(result.checks)
-        return CommandResult(0 if result.passed else 1, "\n".join(lines), data)
 
-    raise SphereForgeError(f"unknown verify target {what!r}")
+def run_verify_minimality(n: int | None = None) -> CommandResult:
+    """The exhaustive sweep over the 2-spheres on 4 to 7 vertices."""
+    if n not in (None, 2):
+        raise SphereForgeError("verify minimality covers n = 2 only")
+    report = verify_small_sphere_bounds()
+    sizes = ", ".join(f"v={v}: {c}" for v, c in sorted(report.census_sizes.items()))
+    lines = [
+        f"census sizes: {sizes}",
+        f"independent search orders agree: {report.orders_agree}",
+        f"max |degree| by vertex count: "
+        + ", ".join(f"{v}: {m}" for v, m in sorted(report.max_degree_by_vertices.items())),
+        f"no |degree| 2 with <= 6 vertices: {report.degree2_bound_ok}",
+        f"no |degree| 3 with <= 7 vertices: {report.degree3_bound_ok}",
+        f"degree 2 attained with 7 vertices: {report.degree2_attained_at_7}",
+        f"degree 3 attained with 8 vertices: {report.degree3_attained_at_8}",
+    ]
+    lines += (f"  COUNTEREXAMPLE (implementation bug): {c}" for c in report.counterexamples)
+    return CommandResult(0 if report.passed else 1, "\n".join(lines), report.as_dict())
+
+
+def run_verify_bundle(in_path: str) -> CommandResult:
+    """The full battery of :func:`verify_bundle` on a bundle file."""
+    bundle = bundle_from_json(Path(in_path).read_text())
+    result = verify_bundle(bundle)
+    data = {
+        "label": bundle.label,
+        "checks": [c.as_dict() for c in result.checks],
+        "passed": result.passed,
+        "sphere_check": result.sphere.as_dict(),
+    }
+    lines = [f"bundle: {bundle.label}"] + _check_lines(result.checks)
+    return CommandResult(0 if result.passed else 1, "\n".join(lines), data)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: one line, exit 2
+        raise SphereForgeError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    def leaf(parent, name: str, run, help: str) -> argparse.ArgumentParser:
+        command = parent.add_parser(name, help=help)
+        command.add_argument("--format", choices=["text", "json"], default="text")
+        command.set_defaults(run=run)
+        return command
+
+    parser = _Parser(
         prog="sphere-forge",
         description="Build triangulated spheres with prescribed-degree "
         "self-maps, compute degrees two ways, and verify the claims.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="build a construction")
+    build = leaf(sub, "build", run_build, "build a construction")
     build.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
     build.add_argument("--n", type=int)
     build.add_argument("--d", type=int)
@@ -290,36 +294,32 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--variant", choices=["even", "odd"])
     build.add_argument("--out")
 
-    degree = sub.add_parser("degree", help="compute the degree of a map")
+    degree = leaf(sub, "degree", run_degree, "compute the degree of a map")
     degree.add_argument("--bundle", dest="bundle_path", metavar="BUNDLE")
     degree.add_argument("--in", dest="complex_path", metavar="IN_PATH")
     degree.add_argument("--map", dest="map_path")
-    degree.add_argument(
-        "--method", choices=["counting", "cycle", "both"], default="both"
-    )
+    degree.add_argument("--method", choices=["counting", "cycle", "both"], default="both")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument(
-        "what", choices=["sphere", "disc-signs", "minimality", "bundle"]
-    )
-    verify.add_argument("--in", dest="in_path")
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--d", type=int)
-    verify.add_argument(
-        "--level", choices=["necessary", "certify"], default="necessary"
-    )
-
-    for command, run in ((build, run_build), (degree, run_degree), (verify, run_verify)):
-        command.add_argument("--format", choices=["text", "json"], default="text")
-        command.set_defaults(run=run)
+    target = verify.add_subparsers(required=True)
+    sphere = leaf(target, "sphere", run_verify_sphere, "run the sphere battery on a complex")
+    sphere.add_argument("--in", dest="in_path", required=True)
+    sphere.add_argument("--n", type=int)
+    sphere.add_argument("--level", choices=["necessary", "certify"], default="necessary")
+    disc = leaf(target, "disc-signs", run_verify_disc_signs, "count the signs of the disc")
+    disc.add_argument("--d", type=int, required=True)
+    minimality = leaf(target, "minimality", run_verify_minimality, "sweep the small 2-spheres")
+    minimality.add_argument("--n", type=int)
+    bundle = leaf(target, "bundle", run_verify_bundle, "run every check on a bundle")
+    bundle.add_argument("--in", dest="in_path", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    kwargs = vars(_build_parser().parse_args(argv))
-    run, fmt = kwargs.pop("run"), kwargs.pop("format")
-    del kwargs["command"]
     try:
+        kwargs = vars(_build_parser().parse_args(argv))
+        run, fmt = kwargs.pop("run"), kwargs.pop("format")
+        del kwargs["command"]
         result = run(**kwargs)
     except (InconsistentAlg, NonOrientable, KernelRankNotOne, NotClosed) as exc:
         # the input parsed fine but fails a mathematical check

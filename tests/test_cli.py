@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sphere_forge.cli import _build_parser, main, run_build, run_degree, run_verify
+from sphere_forge.cli import _build_parser, main, run_build, run_degree, run_verify_disc_signs
 from sphere_forge.formats import (
     bundle_to_json,
     complex_to_json,
@@ -235,8 +235,8 @@ def test_verify_minimality_restricted(capsys):
     [
         (["--n", "3"], "verify minimality covers n = 2 only"),
         (["--n", "1"], "verify minimality covers n = 2 only"),
-        (["--d", "3"], "verify minimality takes no --d or --in"),
-        (["--in", "sphere.json"], "verify minimality takes no --d or --in"),
+        (["--d", "3"], "unrecognized arguments: --d 3"),
+        (["--in", "sphere.json"], "unrecognized arguments: --in sphere.json"),
     ],
 )
 def test_verify_minimality_refuses_options_it_does_not_use(capsys, extra, message):
@@ -246,6 +246,57 @@ def test_verify_minimality_refuses_options_it_does_not_use(capsys, extra, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        ("verify disc-signs --d 3 --n 5 --in nothing.json", "--n 5 --in nothing.json"),
+        ("verify minimality --level certify", "--level"),
+        ("verify bundle --in b.json --level certify", "--level"),
+        ("verify sphere --in K.json --d 4", "--d"),
+        ("build --construction stacked --n 2 --d 7", "--d"),
+        ("build --construction delta --d 2 --n 9 --variant odd", "--n"),
+        ("degree --bundle b.json --map nothing.map", "--map"),
+    ],
+)
+def test_option_the_command_does_not_read_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, argv, option
+):
+    """Each of these ran and exited 0 while ignoring the named option."""
+    bundle = build_join_cone_sphere(2, 2)
+    (tmp_path / "b.json").write_text(bundle_to_json(bundle))
+    (tmp_path / "K.json").write_text(complex_to_json(bundle.source))
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert option in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["verify", "sphere"],
+        ["build", "--construction", "nope"],
+        ["degree", "--method", "x"],
+    ],
+)
+def test_parser_usage_error_is_one_line_and_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "usage:" not in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "sphere", "--help"])
+    assert exit_info.value.code == 0
+    assert "--level" in capsys.readouterr().out
 
 
 def test_verify_minimality_accepts_n_2(capsys):
@@ -293,15 +344,29 @@ def _bind(namespace):
     inspect.signature(run).bind(**kwargs)
 
 
+def _leaf_commands(parser, prefix=()):
+    """The word paths of every parser that has no subcommands."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield prefix
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_commands(child, prefix + (name,))
+
+
 def test_every_subcommand_binds_to_its_runner():
     parser = _build_parser()
-    (commands,) = [
-        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    required = {"build": ["--construction", "stacked"], "degree": [], "verify": ["sphere"]}
-    assert set(required) == set(commands)
+    required = {
+        ("build",): ["--construction", "stacked"],
+        ("degree",): [],
+        ("verify", "sphere"): ["--in", "K.json"],
+        ("verify", "disc-signs"): ["--d", "3"],
+        ("verify", "minimality"): [],
+        ("verify", "bundle"): ["--in", "b.json"],
+    }
+    assert set(required) == set(_leaf_commands(parser))
     for command, args in required.items():
-        _bind(parser.parse_args([command, *args]))
+        _bind(parser.parse_args([*command, *args, "--format", "json"]))
 
 
 def test_readme_cli_lines_parse():
@@ -317,7 +382,7 @@ def test_readme_cli_lines_parse():
 def test_run_helpers_return_results():
     result = run_build("stacked", n=3)
     assert result.exit_code == 0 and "degree 4" in result.text
-    report = run_verify("disc-signs", d=4)
+    report = run_verify_disc_signs(d=4)
     assert report.exit_code == 0
 
 
