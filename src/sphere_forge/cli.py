@@ -72,7 +72,7 @@ class CommandResult:
     def render(self, fmt: str) -> str:
         if fmt == "json":
             return dumps_canonical(self.data)
-        return self.text if self.text.endswith("\n") else self.text + "\n"
+        return self.text + "\n"
 
 
 def _check_lines(items) -> list[str]:
@@ -125,17 +125,13 @@ def _adhoc_bundle(K: Complex, f: VertexMap) -> ConstructionBundle:
     The target is the standard sphere of matching dimension; bases are
     the least target facet and the least source facet with a
     nondegenerate image (any facet if the map collapses everything).
+    Both degree oracles refuse a partial map, in ``check_simplicial``.
     """
     check_map_domain(f.assignment, K)
     target = standard_sphere(K.dimension)
     source_base = K.facets[0].vertices
     for facet in K.facets:
-        image = {f.assignment.get(v) for v in facet.vertices}
-        if None in image:
-            raise SphereForgeError(
-                f"map does not cover facet [{facet}]"
-            )
-        if len(image) == len(facet.vertices):
+        if len({f.assignment.get(v) for v in facet.vertices}) == len(facet.vertices):
             source_base = facet.vertices
             break
     return ConstructionBundle(

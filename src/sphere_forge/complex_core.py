@@ -154,9 +154,6 @@ class Complex:
         since each caller gets the same one."""
         return {}
 
-    def __iter__(self):
-        return iter(self.facets)
-
     def __repr__(self) -> str:
         return f"Complex(dim={self.dimension}, facets={len(self.facets)})"
 

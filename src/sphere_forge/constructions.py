@@ -37,7 +37,6 @@ from .disc_delta import build_delta
 from .errors import PreconditionFailed
 from .homology import (
     LEVEL_CERTIFY,
-    LEVEL_NECESSARY,
     CheckItem,
     SphereCheckReport,
     sphere_check,
@@ -67,16 +66,15 @@ class BundleVerification:
 def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
     """Run the full battery on a bundle.
 
-    Checks the vertex count, the sphere battery (certifying vertex links
-    for n <= 3), agreement of the counting and cycle degree oracles, the
-    expected degree when the bundle names one, and that the coherent
-    fundamental cycle equals the top kernel generator up to one sign.
-    Both oracles assume a sphere, so a source that fails the battery
-    stops the run there.
+    Checks the vertex count, the sphere battery (asked to certify;
+    :func:`~.homology.sphere_check` does so for n <= 3 and reports level
+    ``necessary`` above), agreement of the counting and cycle degree
+    oracles, the expected degree when the bundle names one, and that the
+    coherent fundamental cycle equals the top kernel generator up to one
+    sign.  Both oracles assume a sphere, so a source that fails the
+    battery stops the run there.
     """
     source = bundle.source
-    n = source.dimension
-    level = LEVEL_CERTIFY if n <= 3 else LEVEL_NECESSARY
     checks = [
         CheckItem(
             "vertex_count",
@@ -84,8 +82,8 @@ def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
             f"{len(source.vertices)} vertices",
         )
     ]
-    sphere = sphere_check(source, n, level)
-    checks.append(CheckItem("sphere_check", sphere.passed, f"level {level}"))
+    sphere = sphere_check(source, source.dimension, LEVEL_CERTIFY)
+    checks.append(CheckItem("sphere_check", sphere.passed, f"level {sphere.level}"))
     if not sphere.passed:
         return BundleVerification(tuple(checks), sphere, None, None)
 

@@ -432,8 +432,9 @@ def sphere_check(
     ``certify_low_dim`` additionally certifies every vertex link as an
     (n-1)-sphere; for n == 3 the report notes that a closed 3-manifold
     with 3-sphere homology is accepted as certification.  Recognition
-    for n >= 4 is out of reach, so certification requests fall back to
-    the necessary battery with a note.
+    for n >= 4 is out of reach, so a certification request there runs
+    the necessary battery, and the report says level ``necessary`` and
+    notes why.  This is the one place that decides the level.
 
     One top-level call keeps one table of link reports, keyed by
     ``(link complex, n)`` and passed down the recursion as ``_links``
@@ -451,6 +452,12 @@ def sphere_check(
         raise PreconditionFailed(f"unknown level {level!r}")
     items: list[CheckItem] = []
     notes: list[str] = []
+    if level == LEVEL_CERTIFY and n > 3:
+        level = LEVEL_NECESSARY
+        notes.append(
+            f"certification is unavailable for n = {n} >= 4; "
+            "only the necessary battery ran"
+        )
 
     dim_ok = K.dimension == n
     items.append(CheckItem("dimension", dim_ok, f"dim = {K.dimension}, expected {n}"))
@@ -500,33 +507,27 @@ def sphere_check(
     )
 
     if level == LEVEL_CERTIFY:
-        if n > 3:
+        links = {} if _links is None else _links
+        bad_links = []
+        for vertex in K.vertices:
+            lk = link(Simplex((vertex,)), K)
+            sub = links[(lk, n - 1)] = sphere_check(
+                lk, n - 1, LEVEL_CERTIFY, _links=links
+            )
+            if not sub.passed:
+                bad_links.append(str(vertex))
+        items.append(
+            CheckItem(
+                "vertex_links",
+                not bad_links,
+                "all vertex links certify as (n-1)-spheres"
+                if not bad_links
+                else f"links failing: {', '.join(bad_links)}",
+            )
+        )
+        if n == 3:
             notes.append(
-                f"certification is unavailable for n = {n} >= 4; "
-                "only the necessary battery ran"
+                "n = 3: a closed 3-manifold with 3-sphere homology is "
+                "accepted as certification"
             )
-        else:
-            links = {} if _links is None else _links
-            bad_links = []
-            for vertex in K.vertices:
-                lk = link(Simplex((vertex,)), K)
-                sub = links[(lk, n - 1)] = sphere_check(
-                    lk, n - 1, LEVEL_CERTIFY, _links=links
-                )
-                if not sub.passed:
-                    bad_links.append(str(vertex))
-            items.append(
-                CheckItem(
-                    "vertex_links",
-                    not bad_links,
-                    "all vertex links certify as (n-1)-spheres"
-                    if not bad_links
-                    else f"links failing: {', '.join(bad_links)}",
-                )
-            )
-            if n == 3:
-                notes.append(
-                    "n = 3: a closed 3-manifold with 3-sphere homology is "
-                    "accepted as certification"
-                )
     return SphereCheckReport(n, level, tuple(items), tuple(notes))

@@ -305,13 +305,10 @@ class DegreeSurvey:
     _scan: _Scan = field(repr=False)
 
     @cached_property
-    def witness(self) -> VertexMap | None:
+    def witness(self) -> VertexMap:
         """The lexicographically first assignment, in label order, of
-        largest |degree|; None when every degree is zero.  Found on the
-        first read, so a survey read only for its degrees never pays
-        for it."""
-        if not self.max_abs:
-            return None
+        largest |degree|.  Found on the first read, so a survey read
+        only for its degrees never pays for it."""
         return _least_witness(self._scan, self.max_abs)
 
 
@@ -324,7 +321,11 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     all 4^v assignments; non-surjective ones have degree zero and are
     not counted.  The witness is the lexicographically first assignment
     of largest |degree| over all 4^v assignments, with the vertices in
-    label order (None when every degree is zero).
+    label order.  It always exists, and that degree is at least 1: K is
+    closed, connected and orientable (the orientation below demands
+    it), and sending the three vertices of one triangle to v1, v2, v3
+    and every other vertex to v4 is a surjective map under which only
+    that triangle covers the facet v1 v2 v3, so its degree is 1 or -1.
 
     The scan assigns the vertices in the order of ``_scan_order``, one
     per step; assigning a vertex adds the signed images of the
@@ -467,7 +468,7 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         degrees[-deg] += 12 * count
         ends[key] = abs(deg)
     return DegreeSurvey(
-        max_abs=max(ends.values(), default=0),
+        max_abs=max(ends.values()),
         degrees=degrees,
         _scan=_Scan(vertices=vertices, order=order, steps=scan, ends=ends),
     )
@@ -522,7 +523,7 @@ def _least_witness(scan: _Scan, best: int) -> VertexMap:
     )
 
 
-def max_abs_degree(K: Complex) -> tuple[int, VertexMap | None]:
+def max_abs_degree(K: Complex) -> tuple[int, VertexMap]:
     """Largest |degree| over all simplicial maps onto the standard
     2-sphere, with one witness map."""
     survey = degree_survey(K)

@@ -41,7 +41,8 @@ from .orientation import OrientedComplex, coherent_orientation, sort_sign
 
 @dataclass(frozen=True, eq=False)
 class VertexMap:
-    """A vertex-to-vertex assignment; totality is checked at use sites."""
+    """A vertex-to-vertex assignment; :func:`check_simplicial` checks
+    its totality."""
 
     assignment: Mapping[VertexLabel, VertexLabel]
 
@@ -66,10 +67,6 @@ class ConstructionBundle:
     expected_vertices: int
     label: str
 
-    @property
-    def n(self) -> int:
-        return self.source.dimension
-
 
 class SimplicialCheck(NamedTuple):
     ok: bool
@@ -80,7 +77,8 @@ def check_simplicial(f: VertexMap, K: Complex, L: Complex) -> SimplicialCheck:
     """Is every facet image a simplex of L?
 
     Facets whose image drops dimension are legal (they are still faces
-    of L) but get reported so degree code can discount them.
+    of L) but get reported so degree code can discount them.  A map
+    that misses vertices of K raises MapNotTotal naming all of them.
     """
     missing = [v for v in K.vertices if v not in f.assignment]
     if missing:

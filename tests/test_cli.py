@@ -12,7 +12,7 @@ from sphere_forge.formats import (
     complex_to_json,
     map_to_text,
 )
-from sphere_forge import build_join_cone_sphere, identity_map, swap_map
+from sphere_forge import build_join_cone_sphere, identity_map, standard_sphere, swap_map
 
 
 def test_build_writes_bundle(tmp_path, capsys):
@@ -449,3 +449,58 @@ def test_cycle_degree_refuses_non_pure_source(tmp_path, capsys):
     rc = main(["degree", "--in", str(cplx), "--map", str(mp), "--method", "cycle"])
     assert rc == 2
     assert capsys.readouterr().err == "error: cycle degree needs a pure source\n"
+
+
+HIGH_DIM_NOTE = "certification is unavailable for n = 4 >= 4; only the necessary battery ran"
+
+
+def test_verify_sphere_certify_above_three_reports_necessary(tmp_path, capsys):
+    path = tmp_path / "K.json"
+    path.write_text(complex_to_json(standard_sphere(4)))
+    rc = main(["verify", "sphere", "--in", str(path), "--level", "certify"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("sphere check (n = 4, level = necessary)\n")
+    assert out.endswith(f"  note: {HIGH_DIM_NOTE}\n")
+
+
+def test_verify_bundle_above_three_reports_necessary(tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_text(bundle_to_json(build_join_cone_sphere(5, 2)))
+    rc = main(["verify", "bundle", "--in", str(path), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    sphere = payload["sphere_check"]
+    assert sphere["level"] == "necessary"
+    assert sphere["notes"] == [HIGH_DIM_NOTE.replace("n = 4", "n = 5")]
+    detail = {c["name"]: c["detail"] for c in payload["checks"]}
+    assert detail["sphere_check"] == "level necessary"
+
+
+@pytest.mark.parametrize("method", ["counting", "cycle", "both"])
+def test_degree_map_missing_a_vertex_of_the_first_facet(tmp_path, capsys, method):
+    bundle = build_join_cone_sphere(2, 2)
+    left_out = bundle.source.facets[0].vertices[0]
+    assignment = dict(bundle.vertex_map.assignment)
+    del assignment[left_out]
+    cplx = tmp_path / "K.json"
+    cplx.write_text(complex_to_json(bundle.source))
+    mp = tmp_path / "f.map"
+    mp.write_text("".join(f"{a} {b}\n" for a, b in assignment.items()))
+    rc = main(["degree", "--in", str(cplx), "--map", str(mp), "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: map misses vertices ['{left_out}']\n"
+
+
+def test_degree_text_lists_degenerate_facets(tmp_path, capsys):
+    cplx = tmp_path / "K.json"
+    cplx.write_text(json.dumps({"facets": TETRAHEDRON}))
+    mp = tmp_path / "f.map"
+    mp.write_text("v1 v1\nv2 v2\nv3 v3\nv4 v3\n")
+    rc = main(["degree", "--in", str(cplx), "--map", str(mp), "--method", "counting"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "degree = 0 (counting)" in out
+    assert "  degenerate facets: [v1 v3 v4], [v2 v3 v4]\n" in out

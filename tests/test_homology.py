@@ -496,6 +496,16 @@ def test_sphere_check_high_dim_note():
     assert any("necessary" in note for note in report.notes)
 
 
+def test_sphere_check_reports_a_certify_request_above_three_as_necessary():
+    report = sphere_check(standard_sphere(4), 4, "certify")
+    assert report.passed
+    assert report.level == "necessary"
+    assert report.notes == (
+        "certification is unavailable for n = 4 >= 4; only the necessary battery ran",
+    )
+    assert "vertex_links" not in {item.name for item in report.items}
+
+
 def test_sphere_check_rejects_projective_plane():
     report = sphere_check(complex_of(PROJECTIVE_PLANE), 2, "certify_low_dim")
     assert not report.passed

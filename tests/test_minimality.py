@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphere_forge import (
+    ConstructionBundle,
+    VertexMap,
     build_join_cone_sphere,
+    degree_by_counting,
     build_stacked_sphere,
     enumerate_2spheres,
     f_vector_and_euler,
@@ -441,3 +444,36 @@ def test_witness_pass_runs_once_per_survey(monkeypatch):
     assert calls == []
     assert survey.witness is survey.witness
     assert calls == [3]
+
+
+def _seven_vertex_torus():
+    w = [census_label(i) for i in range(7)]
+    return make_complex(
+        [w[i], w[(i + a) % 7], w[(i + 3) % 7]] for i in range(7) for a in (1, 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "K",
+    [entry.complex for v in range(4, 8) for entry in enumerate_2spheres(v)]
+    + [_seven_vertex_torus()],
+)
+def test_one_triangle_onto_a_facet_and_the_rest_onto_v4_has_degree_one(K):
+    """The map behind the survey's claim that a witness always exists:
+    only the chosen triangle covers the facet v1 v2 v3."""
+    target = standard_sphere(2)
+    for tau in K.facets:
+        assignment = {lab: v_label(4) for lab in K.vertices}
+        assignment.update(zip(tau.vertices, (v_label(1), v_label(2), v_label(3))))
+        bundle = ConstructionBundle(
+            source=K,
+            target=target,
+            vertex_map=VertexMap(assignment),
+            source_base=tau.vertices,
+            target_base=(v_label(1), v_label(2), v_label(3)),
+            expected_degree=None,
+            expected_vertices=len(K.vertices),
+            label="one triangle",
+        )
+        assert degree_by_counting(bundle).degree == 1
+    assert degree_survey(K).max_abs >= 1
