@@ -6,9 +6,8 @@ and keeps each closed surface that uses every vertex.  Each result is
 named by a canonical code, the least breadth-first walk from a facet
 flag, so one entry is kept per isomorphism class.  The two branching
 orders of the search find the same labelled triangulations, so each
-code is computed once, and a walk stops as soon as it is past the
-least code found so far.  Then the vertex assignments into the
-4-vertex sphere are surveyed exhaustively, one per orbit of the
+code is computed once and serves both.  Then the vertex assignments
+into the 4-vertex sphere are surveyed exhaustively, one per orbit of the
 target's symmetry group S4 (S(v, 4) surjective representatives
 instead of 4^v assignments).  The survey scans the source vertices in
 an order taken from the surface, growing one patch from a vertex of
@@ -142,12 +141,7 @@ def _canonical_form(triangles: frozenset[IntTriangle]) -> tuple:
     is computed once.  Degrees, apex sums and names are lists indexed
     by vertex.  The least degree triple of a flag is the least sorted
     degree triple of a facet, so the candidate flags are the facet
-    orderings that read it.  A facet's code entry is fixed when the
-    walk meets it, its three vertices being named by then, and every
-    code has one entry per facet.  So a walk stops at its first entry
-    above the least code so far, and one that gets an entry below it
-    runs to the end as the new least.  The minimum is over the same
-    flags, so the key is the one the full walks give.
+    orderings that read it.
     """
     v = 1 + max(max(tri) for tri in triangles)
     degree = [0] * v
@@ -159,14 +153,13 @@ def _canonical_form(triangles: frozenset[IntTriangle]) -> tuple:
             rim[p * v + q] += r
             rim[q * v + p] += r
 
-    def walk(a: int, b: int, c: int, least: list | None) -> list | None:
-        """The code from flag (a, b, c), or None once it is past ``least``."""
+    def walk(a: int, b: int, c: int) -> list:
+        """The code from flag (a, b, c)."""
         name = [-1] * v
         name[a], name[b], name[c] = 0, 1, 2
         named = 3
         queue = [(a, b, c)]
         code = [(0, 1, 2)]
-        below = least is None
         # directed edges of the facets met, each facet oriented
         # coherently with the flag
         met = bytearray(v * v)
@@ -178,25 +171,18 @@ def _canonical_form(triangles: frozenset[IntTriangle]) -> tuple:
                     if name[w] < 0:
                         name[w] = named
                         named += 1
-                    entry = (name[q], name[p], name[w])
-                    if not below:
-                        other = least[len(code)]
-                        if entry > other:
-                            return None
-                        below = entry < other
                     met[q * v + p] = met[p * v + w] = met[w * v + q] = 1
                     queue.append((q, p, w))
-                    code.append(entry)
+                    code.append((name[q], name[p], name[w]))
         return code
 
     least_degrees = min(sorted([degree[x], degree[y], degree[z]]) for x, y, z in triangles)
-    best = None
-    for tri in triangles:
-        for a, b, c in permutations(tri):
-            if [degree[a], degree[b], degree[c]] == least_degrees:
-                code = walk(a, b, c, best)
-                if code is not None:
-                    best = code
+    best = min(
+        walk(a, b, c)
+        for tri in triangles
+        for a, b, c in permutations(tri)
+        if [degree[a], degree[b], degree[c]] == least_degrees
+    )
     return tuple(sorted(degree)), tuple(best)
 
 
@@ -205,7 +191,6 @@ class CensusEntry:
     """One isomorphism class of triangulated 2-spheres."""
 
     complex: Complex
-    vertex_count: int
     canonical_key: tuple
 
 
@@ -213,21 +198,18 @@ def census_label(i: int) -> VertexLabel:
     return parse_label(f"w{i + 1}")
 
 
-def enumerate_2spheres(v: int, descending: bool = False) -> tuple[CensusEntry, ...]:
+def enumerate_2spheres(v: int) -> tuple[CensusEntry, ...]:
     """One census entry per isomorphism class of v-vertex 2-spheres.
 
     Only 4 <= v <= 7 is supported: that is the range the degree bounds
     need and the census sizes (1, 1, 2, 5) are tested over.
-    ``descending`` flips the branching order, giving an independent run
-    that must reproduce the same keys.
     """
     if not 4 <= v <= 7:
         raise OutOfRange(f"census supports 4 <= v <= 7, got {v}")
-    keys = {_canonical_form(t) for t in _search_triangulations(v, descending)}
+    keys = {_canonical_form(t) for t in _search_triangulations(v, False)}
     return tuple(
         CensusEntry(
             complex=make_complex([[census_label(i) for i in tri] for tri in key[1]]),
-            vertex_count=v,
             canonical_key=key,
         )
         for key in sorted(keys)
@@ -251,21 +233,21 @@ def _target_facet_signs() -> tuple[int, int, int, int]:
     return tuple(by_omitted[o] for o in range(4))
 
 
-def _scan_order(v: int, triangles: list[IntTriangle]) -> list[int]:
+def _scan_order(v: int, triangles: tuple[IntTriangle, ...]) -> list[int]:
     """The order in which the map survey assigns the vertices 0..v-1.
 
     It starts at a vertex of largest degree, then repeatedly takes the
-    unassigned vertex that completes the most triangles, then the one
-    whose triangles hold the most assigned vertices (counted once per
-    triangle), then the least.  So the scan grows one patch of the
-    surface and its frontier stays a short ring, whatever the labels.
+    unassigned vertex that completes the most triangles, then the least.
+    Once an edge is assigned, some unassigned vertex completes a triangle
+    until none is left, since the surface is strongly connected; so from
+    then on each vertex joins an assigned edge, the scan grows one patch
+    and its frontier stays a short ring, whatever the labels.
     """
     through: list[list[IntTriangle]] = [[] for _ in range(v)]
     for tri in triangles:
         for u in tri:
             through[u].append(tri)
     completes = [0] * v
-    holds = [0] * v
     scanned = [False] * v
     order = []
     u = min(range(v), key=lambda w: (-len(through[w]), w))
@@ -276,40 +258,35 @@ def _scan_order(v: int, triangles: list[IntTriangle]) -> list[int]:
             return order
         for tri in through[u]:
             a, b = [w for w in tri if w != u]
-            for w, other in ((a, b), (b, a)):
-                holds[w] += 1
-                completes[w] += scanned[other]
-        u = min(
-            (w for w in range(v) if not scanned[w]),
-            key=lambda w: (-completes[w], -holds[w], w),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class _Scan:
-    """What the witness pass needs of a survey's forward pass: per scan
-    step, the states before it and their moves (the ``seen`` bits they
-    are keyed by, the kept bits, and per ``seen`` the (add, value)
-    pairs), and the |degree| of each final state."""
-
-    vertices: tuple[VertexLabel, ...]
-    order: list[int]
-    steps: list[tuple[dict[int, int], int, int, dict[int, list[tuple[int, int]]]]]
-    ends: dict[int, int]
+            completes[a] += scanned[b]
+            completes[b] += scanned[a]
+        u = min((w for w in range(v) if not scanned[w]), key=lambda w: (-completes[w], w))
 
 
 @dataclass(frozen=True, eq=False)
 class DegreeSurvey:
+    """What :func:`degree_survey` found: the degree distribution, the
+    largest |degree|, and the witness on demand.
+
+    The private fields keep what the witness pass needs of the forward
+    pass: the source's vertices in label order, the scan order, per scan
+    step the states before it and their moves (the ``seen`` bits they
+    are keyed by, the kept bits, and per ``seen`` the (add, value)
+    pairs), and the |degree| of each final state."""
+
     max_abs: int
     degrees: Counter
-    _scan: _Scan = field(repr=False)
+    _vertices: tuple[VertexLabel, ...] = field(repr=False)
+    _order: list[int] = field(repr=False)
+    _steps: list[tuple] = field(repr=False)
+    _ends: dict[int, int] = field(repr=False)
 
     @cached_property
     def witness(self) -> VertexMap:
         """The lexicographically first assignment, in label order, of
         largest |degree|.  Found on the first read, so a survey read
         only for its degrees never pays for it."""
-        return _least_witness(self._scan, self.max_abs)
+        return _least_witness(self, self.max_abs)
 
 
 def degree_survey(K: Complex) -> DegreeSurvey:
@@ -375,10 +352,9 @@ def degree_survey(K: Complex) -> DegreeSurvey:
             f"map survey needs a closed surface, every edge on two triangles: "
             f"{', '.join(problems)}"
         )
-    vertices = K.vertices
-    v = len(vertices)
-    index = {lab: i for i, lab in enumerate(vertices)}
-    triangles = [tuple(index[lab] for lab in facet) for facet in K.facets]
+    v = len(K.vertices)
+    # facets in the same order as K.facets, vertices numbered in label order
+    triangles = K.face_lattice[3]
     order = _scan_order(v, triangles)
     step_of = [0] * v
     for k, u in enumerate(order):
@@ -470,16 +446,19 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     return DegreeSurvey(
         max_abs=max(ends.values()),
         degrees=degrees,
-        _scan=_Scan(vertices=vertices, order=order, steps=scan, ends=ends),
+        _vertices=K.vertices,
+        _order=order,
+        _steps=scan,
+        _ends=ends,
     )
 
 
-def _least_witness(scan: _Scan, best: int) -> VertexMap:
+def _least_witness(survey: DegreeSurvey, best: int) -> VertexMap:
     """The least label-order assignment of |degree| ``best``, found by
     the lifted pass that ``degree_survey`` describes."""
-    reach = {key for key, deg in scan.ends.items() if deg == best}
+    reach = {key for key, deg in survey._ends.items() if deg == best}
     ahead = [reach]
-    for states, read, keep, moves in reversed(scan.steps[1:]):
+    for states, read, keep, moves in reversed(survey._steps[1:]):
         reach = {
             key
             for key in states
@@ -488,11 +467,11 @@ def _least_witness(scan: _Scan, best: int) -> VertexMap:
         ahead.append(reach)
     ahead.reverse()  # ahead[k]: the states after step k that reach one
 
-    v = len(scan.vertices)
+    v = len(survey._vertices)
     # (state, sigma) -> least code, in base 4 with vertex 0 first
-    lifted = {(key, ()): 0 for key in scan.steps[0][0]}
-    for k, (_, read, keep, moves) in enumerate(scan.steps):
-        u = scan.order[k]
+    lifted = {(key, ()): 0 for key in survey._steps[0][0]}
+    for k, (_, read, keep, moves) in enumerate(survey._steps):
+        u = survey._order[k]
         weight = 1 << 2 * (v - 1 - u)
         reach = ahead[k]
         nxt: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -518,7 +497,7 @@ def _least_witness(scan: _Scan, best: int) -> VertexMap:
     return VertexMap(
         {
             lab: v_label((least >> 2 * (v - 1 - i) & 3) + 1)
-            for i, lab in enumerate(scan.vertices)
+            for i, lab in enumerate(survey._vertices)
         }
     )
 
@@ -569,16 +548,14 @@ def verify_small_sphere_bounds() -> MinimalityReport:
     implementation bug, not a refutation; it is reported as a
     counterexample instead of raised.
     """
-    census: dict[int, tuple[CensusEntry, ...]] = {}
-    orders_agree = True
-    for v in range(4, 8):
-        ascending = enumerate_2spheres(v)
-        descending = enumerate_2spheres(v, descending=True)
-        if {e.canonical_key for e in ascending} != {
-            e.canonical_key for e in descending
-        }:
-            orders_agree = False
-        census[v] = ascending
+    census = {v: enumerate_2spheres(v) for v in range(4, 8)}
+    # the descending branching order is an independent run that must
+    # reproduce the census keys; the memo serves its keys
+    orders_agree = all(
+        {_canonical_form(t) for t in _search_triangulations(v, True)}
+        == {e.canonical_key for e in entries}
+        for v, entries in census.items()
+    )
 
     counterexamples = []
     max_by_v: dict[int, int] = {}

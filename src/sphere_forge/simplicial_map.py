@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .complex_core import Complex, Simplex, simplex, standard_sphere
+from .complex_core import Complex, Simplex, boundary_complex, simplex, standard_sphere
 from .errors import (
     DomainMismatch,
     InconsistentAlg,
     KernelRankNotOne,
     MapNotTotal,
+    NotClosed,
     NotSimplicial,
     PreconditionFailed,
 )
@@ -135,8 +136,10 @@ def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
     facet goes, in source-facet order, to the positive or negative side
     of the target facet its image spans, according to its own sign
     times the :func:`sort_sign` of its image; each count is then
-    flipped for negative target facets.  Disagreement between facets
-    raises InconsistentAlg since it can only mean an orientation or
+    flipped for negative target facets.  A source or target with
+    boundary raises NotClosed, since there the counts are free to
+    differ.  Disagreement between facets of closed complexes raises
+    InconsistentAlg since it can only mean an orientation or
     construction bug.
     """
     K, L, f = bundle.source, bundle.target, bundle.vertex_map
@@ -145,6 +148,9 @@ def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
         raise NotSimplicial("bundle map does not send simplices to simplices")
     OK = _oriented_from_base(K, bundle.source_base)
     OL = _oriented_from_base(L, bundle.target_base)
+    for name, complex_ in (("source", K), ("target", L)):
+        if not boundary_complex(complex_).is_empty:
+            raise NotClosed(f"counting degree needs a closed {name}")
     plus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in L.facets}
     minus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in L.facets}
     for tau in K.facets:

@@ -504,3 +504,16 @@ def test_degree_text_lists_degenerate_facets(tmp_path, capsys):
     assert rc == 0
     assert "degree = 0 (counting)" in out
     assert "  degenerate facets: [v1 v3 v4], [v2 v3 v4]\n" in out
+
+
+@pytest.mark.parametrize("method", ["counting", "both"])
+def test_counting_degree_on_a_source_with_boundary_is_a_failed_check(tmp_path, capsys, method):
+    cplx = tmp_path / "K.json"
+    cplx.write_text(json.dumps({"facets": [["a1", "b1", "c1"]]}))
+    mp = tmp_path / "f.map"
+    mp.write_text("a1 v1\nb1 v2\nc1 v3\n")
+    rc = main(["degree", "--in", str(cplx), "--map", str(mp), "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "check failed: counting degree needs a closed source\n"

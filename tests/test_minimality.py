@@ -19,6 +19,7 @@ from sphere_forge import (
 )
 from sphere_forge.complex_core import make_complex, simplex, standard_sphere
 from sphere_forge import minimality
+from sphere_forge.cli import main
 from sphere_forge.errors import (
     InconsistentAlg,
     NotClosed,
@@ -41,13 +42,6 @@ from fixtures import reference_canonical_form, reference_label_order_survey
 @pytest.mark.parametrize("v,count", [(4, 1), (5, 1), (6, 2), (7, 5)])
 def test_census_sizes(v, count):
     assert len(enumerate_2spheres(v)) == count
-
-
-def test_census_two_orders_agree():
-    for v in range(4, 8):
-        ascending = {e.canonical_key for e in enumerate_2spheres(v)}
-        descending = {e.canonical_key for e in enumerate_2spheres(v, descending=True)}
-        assert ascending == descending
 
 
 @pytest.mark.parametrize("descending", [False, True])
@@ -79,8 +73,8 @@ def test_canonical_form_matches_reference(v, descending):
 def test_canonical_form_matches_reference_where_walks_differ():
     """On at most eight vertices every flag of least degree triple
     walks to the same code.  Nine vertices is the first count where
-    some walks fall behind the least code so far and others overtake
-    it, so both ways out of the early stop are taken."""
+    the walks from those flags give different codes, so the key must
+    be the least of them."""
     for triangles in _search_triangulations(9, False):
         assert _canonical_form(triangles) == reference_canonical_form(triangles)
 
@@ -102,7 +96,7 @@ def test_canonical_form_ignores_relabelling(key, rng):
 def test_census_entries_are_spheres():
     for v in range(4, 8):
         for entry in enumerate_2spheres(v):
-            assert entry.vertex_count == v == len(entry.complex.vertices)
+            assert v == len(entry.complex.vertices)
             report = sphere_check(entry.complex, 2, "certify_low_dim")
             assert report.passed
             # closed-surface identities
@@ -477,3 +471,56 @@ def test_one_triangle_onto_a_facet_and_the_rest_onto_v4_has_degree_one(K):
         )
         assert degree_by_counting(bundle).degree == 1
     assert degree_survey(K).max_abs >= 1
+
+
+def test_census_cross_check_fails_when_the_search_orders_disagree(monkeypatch, capsys):
+    search = minimality._search_triangulations
+
+    def lossy(v, descending):
+        found = search(v, descending)
+        if descending and v == 6:
+            dropped = min(_canonical_form(t) for t in found)
+            found = {t for t in found if _canonical_form(t) != dropped}
+        return found
+
+    monkeypatch.setattr(minimality, "_search_triangulations", lossy)
+    report = verify_small_sphere_bounds()
+    assert report.census_sizes == {4: 1, 5: 1, 6: 2, 7: 5}
+    assert report.orders_agree is False
+    assert report.passed is False
+    assert main(["verify", "minimality"]) == 1
+    assert "independent search orders agree: False\n" in capsys.readouterr().out
+
+
+def _label_order(v, triangles):
+    return list(range(v))
+
+
+def _shuffled_order(seed):
+    def order(v, triangles):
+        out = list(range(v))
+        random.Random(seed).shuffle(out)
+        return out
+
+    return order
+
+
+@pytest.mark.parametrize(
+    "scan_order",
+    [_label_order] + [_shuffled_order(seed) for seed in range(5)],
+    ids=["label order"] + [f"shuffled {seed}" for seed in range(5)],
+)
+def test_survey_does_not_depend_on_its_vertex_order(monkeypatch, scan_order):
+    """Any scan order gives the same distribution, largest |degree| and
+    label-order witness; only the cost follows the order."""
+    sources = [K for v in range(4, 9) for K in _census_class_complexes(v)]
+    assert len(sources) == 23
+    sources.append(_seven_vertex_torus())
+
+    def outcome():
+        surveys = [degree_survey(K) for K in sources]
+        return [(s.degrees, s.max_abs, dict(s.witness.assignment)) for s in surveys]
+
+    expected = outcome()
+    monkeypatch.setattr(minimality, "_scan_order", scan_order)
+    assert outcome() == expected

@@ -19,7 +19,13 @@ from sphere_forge import (
     standard_sphere,
     swap_map,
 )
-from sphere_forge.errors import DomainMismatch, InconsistentAlg, MapNotTotal, NotSimplicial
+from sphere_forge.errors import (
+    DomainMismatch,
+    InconsistentAlg,
+    MapNotTotal,
+    NotClosed,
+    NotSimplicial,
+)
 from sphere_forge.labels import parse_label, v_label
 from sphere_forge.orientation import OrientedComplex
 
@@ -336,3 +342,29 @@ def test_degree_requires_simplicial():
     with pytest.raises(NotSimplicial):
         degree_by_counting(bundle)
 
+
+TRIANGLE = make_complex([[v_label(1), v_label(2), v_label(3)]])
+
+
+@pytest.mark.parametrize(
+    "K,L,name",
+    [(TRIANGLE, standard_sphere(2), "source"), (standard_sphere(2), TRIANGLE, "target")],
+    ids=["source", "target"],
+)
+def test_counting_refuses_a_complex_with_boundary(K, L, name):
+    """One triangle onto a facet of the tetrahedron boundary, and that
+    boundary onto one triangle with v4 sent to v1: the signed counts
+    differ across target facets because a complex has boundary, which
+    is no bug of the oracle."""
+    bundle = ConstructionBundle(
+        source=K,
+        target=L,
+        vertex_map=VertexMap({v: v if v in L.vertex_set else v_label(1) for v in K.vertices}),
+        source_base=K.facets[0].vertices,
+        target_base=L.facets[0].vertices,
+        expected_degree=None,
+        expected_vertices=len(K.vertices),
+        label=f"{name} with boundary",
+    )
+    with pytest.raises(NotClosed, match=f"^counting degree needs a closed {name}$"):
+        degree_by_counting(bundle)
