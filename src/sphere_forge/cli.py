@@ -9,10 +9,12 @@ namespace and calls ``run(**rest)`` without naming any option.  The
 constructions ``build`` offers, and the flags each one reads, are listed
 once in :data:`CONSTRUCTIONS`; ``build`` refuses any other of its flags.
 
-Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on usage or input errors.  An option the command does not declare, and
-every other usage error the parser finds, is one ``error:`` line on
-stderr, as an input error is.  Reports render as text by default or as
+Exit codes: 0 when every requested check passes, 1 when a check fails
+(a report that does not pass, or a ``CheckFailed`` error, printed as
+``check failed:``), 2 on usage or input errors (every other library
+error, ``ValueError`` and ``OSError``).  An option the command does not
+declare, and every other usage error the parser finds, is one
+``error:`` line on stderr, as an input error is.  Reports render as text by default or as
 canonical JSON with ``--format json``.
 """
 
@@ -32,13 +34,7 @@ from .constructions import (
     verify_bundle,
 )
 from .disc_delta import build_delta, disc_sign_census
-from .errors import (
-    InconsistentAlg,
-    KernelRankNotOne,
-    NonOrientable,
-    NotClosed,
-    SphereForgeError,
-)
+from .errors import CheckFailed, SphereForgeError
 from .formats import (
     bundle_from_json,
     bundle_to_json_obj,
@@ -317,8 +313,7 @@ def main(argv=None) -> int:
         run, fmt = kwargs.pop("run"), kwargs.pop("format")
         del kwargs["command"]
         result = run(**kwargs)
-    except (InconsistentAlg, NonOrientable, KernelRankNotOne, NotClosed) as exc:
-        # the input parsed fine but fails a mathematical check
+    except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (SphereForgeError, ValueError, OSError) as exc:

@@ -31,13 +31,7 @@ from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DuplicateVertexInFacet,
-    FaceNotInComplex,
-    NotPure,
-    PreconditionFailed,
-    VertexCollision,
-)
+from .errors import PreconditionFailed
 from .labels import VertexLabel, v_label
 
 
@@ -79,7 +73,7 @@ def simplex(labels: Iterable[VertexLabel]) -> Simplex:
     vs = Simplex(sorted(labels))
     for a, b in zip(vs, vs[1:]):
         if a == b:
-            raise DuplicateVertexInFacet(f"repeated vertex {a} in facet")
+            raise PreconditionFailed(f"repeated vertex {a} in facet")
     return vs
 
 
@@ -255,7 +249,7 @@ def join(A: Complex, B: Complex) -> Complex:
     """
     shared = A.vertex_set & B.vertex_set
     if shared:
-        raise VertexCollision(f"join operands share vertices {sorted(shared)}")
+        raise PreconditionFailed(f"join operands share vertices {sorted(shared)}")
     out = [Simplex(sorted(a + b)) for a in A.facets for b in B.facets]
     return Complex(tuple(sorted(out)))
 
@@ -263,17 +257,19 @@ def join(A: Complex, B: Complex) -> Complex:
 def cone(apex: VertexLabel, K: Complex) -> Complex:
     """Cone over K with a new apex vertex."""
     if apex in K.vertex_set:
-        raise VertexCollision(f"cone apex {apex} already occurs in the complex")
+        raise PreconditionFailed(f"cone apex {apex} already occurs in the complex")
     return join(Complex((Simplex((apex,)),)), K)
 
 
 def boundary_complex(K: Complex) -> Complex:
     """Subcomplex generated by ridges lying in exactly one facet.
 
-    Returns the empty complex when K is closed.
+    Returns the empty complex when K is closed.  A point's boundary is
+    {∅}, which reads as the empty complex too, so this builds boundaries
+    but does not decide closedness: :func:`pseudomanifold_check` does.
     """
     if not K.is_pure:
-        raise NotPure("boundary is defined for pure complexes only")
+        raise PreconditionFailed("boundary is defined for pure complexes only")
     if K.is_empty:
         return K
     ridges = [
@@ -296,7 +292,7 @@ def link(face: Simplex, K: Complex) -> Complex:
     fs = set(face)
     residues = [Simplex(x for x in f if x not in fs) for f in K.facets if fs.issubset(f)]
     if not residues:
-        raise FaceNotInComplex(f"[{face}] is not a face of the complex")
+        raise PreconditionFailed(f"[{face}] is not a face of the complex")
     return Complex(tuple(sorted(residues)))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complex_core import Complex, Simplex, make_complex, simplex
-from .errors import BadLength, PreconditionFailed
+from .errors import PreconditionFailed
 from .labels import VertexLabel, u_pair
 from .orientation import coherent_orientation, sort_sign
 
@@ -69,7 +69,7 @@ def reduction_step(cycle: PolygonCycle) -> ReductionRecord:
     """
     L = len(cycle)
     if L % 3:
-        raise BadLength(f"polygon length {L} is not a multiple of 3")
+        raise PreconditionFailed(f"polygon length {L} is not a multiple of 3")
     m = L // 3
     c = cycle.vertices
     if m == 1:

@@ -1,5 +1,15 @@
 """Exception hierarchy for sphere-forge.
 
+Every library error belongs to one of two families, and the family
+alone fixes the command-line exit code:
+
+* :class:`PreconditionFailed` (exit 2): an operation was called with
+  arguments outside its contract, such as a repeated vertex in a facet,
+  a partial or non-simplicial map, or a parameter out of range.  The
+  message names what is wrong.
+* :class:`CheckFailed` (exit 1): the input is well formed but fails a
+  mathematical check.  Its four kinds are the classes below.
+
 Every operation documents which of these it may raise; anything else
 escaping the library is a bug.
 """
@@ -13,23 +23,11 @@ class PreconditionFailed(SphereForgeError):
     """An operation was called with arguments outside its contract."""
 
 
-class DuplicateVertexInFacet(SphereForgeError):
-    """A facet description repeats a vertex label."""
+class CheckFailed(SphereForgeError):
+    """Well-formed input that fails a mathematical check."""
 
 
-class VertexCollision(SphereForgeError):
-    """Join or cone arguments share vertices."""
-
-
-class NotPure(SphereForgeError):
-    """Operation requires all facets to have equal dimension."""
-
-
-class FaceNotInComplex(SphereForgeError):
-    """The named simplex is not a face of the complex."""
-
-
-class NonOrientable(SphereForgeError):
+class NonOrientable(CheckFailed):
     """Sign propagation ran into a contradiction.
 
     ``witness`` is a facet where the contradiction surfaced.
@@ -40,37 +38,17 @@ class NonOrientable(SphereForgeError):
         self.witness = witness
 
 
-class NotClosed(SphereForgeError):
+class NotClosed(CheckFailed):
     """Operation requires a complex without boundary."""
 
 
-class MapNotTotal(SphereForgeError):
-    """A vertex map is missing assignments for some domain vertices."""
-
-
-class NotSimplicial(SphereForgeError):
-    """A vertex map does not send simplices to simplices."""
-
-
-class InconsistentAlg(SphereForgeError):
+class InconsistentAlg(CheckFailed):
     """Signed preimage counts disagree across target facets.
 
     This signals an orientation or construction bug, never valid output.
     """
 
 
-class DomainMismatch(SphereForgeError):
-    """Composition of maps whose domains/codomains do not line up."""
-
-
-class KernelRankNotOne(SphereForgeError):
+class KernelRankNotOne(CheckFailed):
     """Top boundary kernel is not one-dimensional (source is not a
     homology sphere)."""
-
-
-class BadLength(SphereForgeError):
-    """Polygon length is not three times an integer."""
-
-
-class OutOfRange(SphereForgeError):
-    """Enumeration parameter outside the supported search budget."""

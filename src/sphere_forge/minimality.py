@@ -39,7 +39,7 @@ from .complex_core import (
     standard_sphere,
 )
 from .constructions import build_join_cone_sphere, build_stacked_sphere
-from .errors import InconsistentAlg, NotClosed, OutOfRange, PreconditionFailed
+from .errors import InconsistentAlg, NotClosed, PreconditionFailed
 from .homology import sphere_check
 from .labels import VertexLabel, parse_label, v_label
 from .orientation import coherent_orientation, sort_sign
@@ -205,7 +205,7 @@ def enumerate_2spheres(v: int) -> tuple[CensusEntry, ...]:
     need and the census sizes (1, 1, 2, 5) are tested over.
     """
     if not 4 <= v <= 7:
-        raise OutOfRange(f"census supports 4 <= v <= 7, got {v}")
+        raise PreconditionFailed(f"census supports 4 <= v <= 7, got {v}")
     keys = {_canonical_form(t) for t in _search_triangulations(v, False)}
     return tuple(
         CensusEntry(

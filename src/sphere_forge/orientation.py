@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complex_core import (
-    Complex,
-    Simplex,
-    boundary_complex,
-    dual_walk,
-    pseudomanifold_check,
-)
+from .complex_core import Complex, Simplex, dual_walk, pseudomanifold_check
 from .errors import NonOrientable, NotClosed, PreconditionFailed
 
 
@@ -45,10 +39,17 @@ def sort_sign(seq: Sequence) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OrientedComplex:
-    """A complex plus a coherent sign per facet."""
+    """A complex plus a coherent sign per facet.
+
+    ``closed`` is the verdict of the :func:`pseudomanifold_check` that
+    :func:`coherent_orientation` ran: True when every ridge lies in two
+    facets.  A single point is not closed, since its one ridge, the
+    empty simplex, lies in one facet.
+    """
 
     complex: Complex
     signs: Mapping[Simplex, int]
+    closed: bool
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,19 @@ def coherent_orientation(
     return OrientedComplex(
         complex=K,
         signs={facets[i]: s for i, s in sorted(signs.items())},
+        closed=report.closed,
     )
 
 
 def fundamental_cycle(oriented: OrientedComplex) -> Chain:
     """Top chain with coefficient ``sign(facet)`` on every facet.
 
-    Only defined for closed complexes; its boundary vanishes exactly.
+    Only defined for closed complexes, as ``oriented.closed`` records
+    them, and there its boundary vanishes exactly.  Otherwise raises
+    NotClosed, a point included.
     """
     K = oriented.complex
-    if not boundary_complex(K).is_empty:
+    if not oriented.closed:
         raise NotClosed("fundamental cycle needs a closed complex")
     return Chain(
         coefficients={f: oriented.signs[f] for f in K.facets},

@@ -23,18 +23,10 @@ degenerate image).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .complex_core import Complex, Simplex, boundary_complex, simplex, standard_sphere
-from .errors import (
-    DomainMismatch,
-    InconsistentAlg,
-    KernelRankNotOne,
-    MapNotTotal,
-    NotClosed,
-    NotSimplicial,
-    PreconditionFailed,
-)
+from .complex_core import Complex, Simplex, simplex, standard_sphere
+from .errors import InconsistentAlg, KernelRankNotOne, NotClosed, PreconditionFailed
 from .homology import top_kernel_generator
 from .labels import VertexLabel, v_label
 from .orientation import OrientedComplex, coherent_orientation, sort_sign
@@ -69,31 +61,27 @@ class ConstructionBundle:
     label: str
 
 
-class SimplicialCheck(NamedTuple):
-    ok: bool
-    degenerate_facets: tuple[Simplex, ...]
+def check_simplicial(f: VertexMap, K: Complex, L: Complex) -> tuple[Simplex, ...]:
+    """The facets of K whose image drops dimension, once every facet
+    image is known to be a simplex of L.
 
-
-def check_simplicial(f: VertexMap, K: Complex, L: Complex) -> SimplicialCheck:
-    """Is every facet image a simplex of L?
-
-    Facets whose image drops dimension are legal (they are still faces
-    of L) but get reported so degree code can discount them.  A map
-    that misses vertices of K raises MapNotTotal naming all of them.
+    Degenerate facets are legal (their images are still faces of L) and
+    get returned so degree code can discount them.  Raises
+    PreconditionFailed when the map misses vertices of K, naming all of
+    them, or when some facet image is not a simplex of L.
     """
     missing = [v for v in K.vertices if v not in f.assignment]
     if missing:
-        raise MapNotTotal(f"map misses vertices {[str(v) for v in missing]}")
+        raise PreconditionFailed(f"map misses vertices {[str(v) for v in missing]}")
     target_sets = [facet.vertex_set for facet in L.facets]
     degenerate = []
-    ok = True
     for facet in K.facets:
         image = {f.assignment[v] for v in facet.vertices}
         if not any(image <= t for t in target_sets):
-            ok = False
+            raise PreconditionFailed("bundle map does not send simplices to simplices")
         if len(image) < len(facet.vertices):
             degenerate.append(facet)
-    return SimplicialCheck(ok, tuple(degenerate))
+    return tuple(degenerate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,20 +124,19 @@ def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
     facet goes, in source-facet order, to the positive or negative side
     of the target facet its image spans, according to its own sign
     times the :func:`sort_sign` of its image; each count is then
-    flipped for negative target facets.  A source or target with
-    boundary raises NotClosed, since there the counts are free to
-    differ.  Disagreement between facets of closed complexes raises
+    flipped for negative target facets.  A source or target that its
+    orientation records as not closed (one with boundary, or a single
+    point) raises NotClosed, since there the counts are free to differ.
+    Disagreement between facets of closed complexes raises
     InconsistentAlg since it can only mean an orientation or
     construction bug.
     """
     K, L, f = bundle.source, bundle.target, bundle.vertex_map
-    chk = check_simplicial(f, K, L)
-    if not chk.ok:
-        raise NotSimplicial("bundle map does not send simplices to simplices")
+    degenerate = check_simplicial(f, K, L)
     OK = _oriented_from_base(K, bundle.source_base)
     OL = _oriented_from_base(L, bundle.target_base)
-    for name, complex_ in (("source", K), ("target", L)):
-        if not boundary_complex(complex_).is_empty:
+    for name, oriented in (("source", OK), ("target", OL)):
+        if not oriented.closed:
             raise NotClosed(f"counting degree needs a closed {name}")
     plus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in L.facets}
     minus: dict[Simplex, list[Simplex]] = {sigma: [] for sigma in L.facets}
@@ -174,7 +161,7 @@ def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
         alpha_plus=plus,
         alpha_minus=minus,
         method="counting",
-        degenerate_facets=chk.degenerate_facets,
+        degenerate_facets=degenerate,
     )
 
 
@@ -190,9 +177,7 @@ def degree_by_cycle(bundle: ConstructionBundle) -> int:
     kernel generator normalized the same way.
     """
     K, L, f = bundle.source, bundle.target, bundle.vertex_map
-    chk = check_simplicial(f, K, L)
-    if not chk.ok:
-        raise NotSimplicial("bundle map does not send simplices to simplices")
+    check_simplicial(f, K, L)
     for name, complex_ in (("source", K), ("target", L)):
         if not complex_.is_pure:
             raise PreconditionFailed(f"cycle degree needs a pure {name}")
@@ -241,7 +226,7 @@ def compose(f: VertexMap, g: VertexMap) -> VertexMap:
     """
     stray = {v for v in f.assignment.values() if v not in g.assignment}
     if stray:
-        raise DomainMismatch(
+        raise PreconditionFailed(
             f"values {[str(v) for v in sorted(stray)]} missing from the second map's domain"
         )
     return VertexMap({x: g.assignment[y] for x, y in f.assignment.items()})

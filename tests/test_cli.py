@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from sphere_forge.cli import _build_parser, main, run_build, run_degree, run_verify_disc_signs
+from sphere_forge.errors import CheckFailed, PreconditionFailed, SphereForgeError
 from sphere_forge.formats import (
     bundle_to_json,
     complex_to_json,
     map_to_text,
 )
-from sphere_forge import build_join_cone_sphere, identity_map, standard_sphere, swap_map
+from sphere_forge import build_join_cone_sphere, errors, identity_map, standard_sphere, swap_map
 
 
 def test_build_writes_bundle(tmp_path, capsys):
@@ -517,3 +518,39 @@ def test_counting_degree_on_a_source_with_boundary_is_a_failed_check(tmp_path, c
     assert rc == 1
     assert captured.out == ""
     assert captured.err == "check failed: counting degree needs a closed source\n"
+
+
+@pytest.mark.parametrize("method", ["counting", "both"])
+def test_counting_degree_on_a_single_point_is_a_failed_check(tmp_path, capsys, method):
+    cplx = tmp_path / "K.json"
+    cplx.write_text(json.dumps({"facets": [["a"]]}))
+    mp = tmp_path / "f.map"
+    mp.write_text("a v1\n")
+    rc = main(["degree", "--in", str(cplx), "--map", str(mp), "--method", method])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "check failed: counting degree needs a closed source\n")
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        pytest.param(cls, 1, "check failed", id=cls.__name__)
+        for cls in (CheckFailed, *CheckFailed.__subclasses__())
+    ]
+    + [pytest.param(PreconditionFailed, 2, "error", id="PreconditionFailed")],
+)
+def test_the_error_family_alone_sets_the_exit_code(monkeypatch, capsys, error, code, prefix):
+    def failing_runner(**kwargs):
+        raise error("the message")
+
+    monkeypatch.setattr("sphere_forge.cli.run_build", failing_runner)
+    assert main(["build", "--construction", "stacked", "--n", "2"]) == code
+    assert capsys.readouterr() == ("", f"{prefix}: the message\n")
+
+
+def test_every_library_error_belongs_to_one_of_two_families():
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and issubclass(cls, SphereForgeError):
+            assert cls in (SphereForgeError, PreconditionFailed) or issubclass(
+                cls, CheckFailed
+            ), cls

@@ -20,13 +20,7 @@ from sphere_forge import (
     union,
 )
 from sphere_forge.complex_core import EMPTY_SIMPLEX, Simplex, empty_complex
-from sphere_forge.errors import (
-    DuplicateVertexInFacet,
-    FaceNotInComplex,
-    NonOrientable,
-    NotPure,
-    VertexCollision,
-)
+from sphere_forge.errors import NonOrientable, PreconditionFailed
 from sphere_forge.labels import parse_label, v_label
 
 from fixtures import (
@@ -55,7 +49,7 @@ def test_make_complex_absorbs_faces():
 
 
 def test_make_complex_rejects_duplicates():
-    with pytest.raises(DuplicateVertexInFacet):
+    with pytest.raises(PreconditionFailed, match="^repeated vertex a in facet$"):
         make_complex([labels("a a b")])
 
 
@@ -129,7 +123,7 @@ def test_join_suspension():
 def test_join_identity_and_collision():
     assert join(DELTA4, empty_complex()) == DELTA4
     assert join(empty_complex(), DELTA4) == DELTA4
-    with pytest.raises(VertexCollision):
+    with pytest.raises(PreconditionFailed, match="^join operands share vertices "):
         join(DELTA4, DELTA4)
 
 
@@ -154,7 +148,9 @@ def test_cone_over_cycle_is_disc():
     assert len(disc.facets) == 3
     _, euler = f_vector_and_euler(disc)
     assert euler == 1
-    with pytest.raises(VertexCollision):
+    with pytest.raises(
+        PreconditionFailed, match="^cone apex a already occurs in the complex$"
+    ):
         cone(parse_label("a"), cyc)
 
 
@@ -173,7 +169,9 @@ def test_boundary_closed_and_disc():
     hexagon = boundary_complex(DELTA2)
     assert hexagon.dimension == 1
     assert len(hexagon.facets) == 6
-    with pytest.raises(NotPure):
+    with pytest.raises(
+        PreconditionFailed, match="^boundary is defined for pure complexes only$"
+    ):
         boundary_complex(make_complex([labels("a b c"), labels("d e")]))
 
 
@@ -191,7 +189,9 @@ def test_link_cone_apex_and_edge():
     assert link(simplex([parse_label("u4")]), K) == DELTA4
     lk = link(simplex_of("u1_1 u2_1"), DELTA2)
     assert lk.facets == (simplex_of("u3_1"),)
-    with pytest.raises(FaceNotInComplex):
+    with pytest.raises(
+        PreconditionFailed, match=r"^\[u1_1 u1_2\] is not a face of the complex$"
+    ):
         link(simplex_of("u1_1 u1_2"), DELTA2)
 
 

@@ -8,7 +8,7 @@ from sphere_forge import (
     reduction_step,
 )
 from sphere_forge.disc_delta import PolygonCycle
-from sphere_forge.errors import BadLength, PreconditionFailed
+from sphere_forge.errors import PreconditionFailed
 from sphere_forge.labels import parse_label, u_pair
 
 from fixtures import (
@@ -33,7 +33,9 @@ def test_reduction_step_terminal():
 
 
 def test_reduction_step_bad_length():
-    with pytest.raises(BadLength):
+    with pytest.raises(
+        PreconditionFailed, match="^polygon length 4 is not a multiple of 3$"
+    ):
         reduction_step(PolygonCycle(tuple(parse_label(x) for x in "a b c d".split())))
 
 

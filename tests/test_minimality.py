@@ -23,7 +23,6 @@ from sphere_forge.cli import main
 from sphere_forge.errors import (
     InconsistentAlg,
     NotClosed,
-    OutOfRange,
     PreconditionFailed,
 )
 from sphere_forge.labels import v_label
@@ -107,9 +106,9 @@ def test_census_entries_are_spheres():
 
 
 def test_census_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(PreconditionFailed, match="^census supports 4 <= v <= 7, got 8$"):
         enumerate_2spheres(8)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(PreconditionFailed, match="^census supports 4 <= v <= 7, got 3$"):
         enumerate_2spheres(3)
 
 

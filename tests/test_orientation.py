@@ -158,3 +158,12 @@ def test_fundamental_cycle_needs_closed():
     oriented = coherent_orientation(disc, disc.facets[0], 1)
     with pytest.raises(NotClosed):
         fundamental_cycle(oriented)
+
+
+def test_fundamental_cycle_of_a_point_is_not_closed():
+    # the point's one ridge, the empty simplex, lies in one facet
+    point = make_complex([[v_label(1)]])
+    oriented = coherent_orientation(point, point.facets[0], 1)
+    assert oriented.closed is False
+    with pytest.raises(NotClosed, match="^fundamental cycle needs a closed complex$"):
+        fundamental_cycle(oriented)

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphere_forge import (
     ConstructionBundle,
@@ -10,24 +12,21 @@ from sphere_forge import (
     build_join_cone_sphere,
     build_stacked_sphere,
     check_simplicial,
+    coherent_orientation,
     compose,
     degree_by_counting,
     degree_by_cycle,
+    fundamental_cycle,
     identity_map,
     make_complex,
     simplex,
     standard_sphere,
     swap_map,
 )
-from sphere_forge.errors import (
-    DomainMismatch,
-    InconsistentAlg,
-    MapNotTotal,
-    NotClosed,
-    NotSimplicial,
-)
+from sphere_forge import complex_core, orientation, simplicial_map
+from sphere_forge.cli import _adhoc_bundle
+from sphere_forge.errors import InconsistentAlg, NotClosed, PreconditionFailed, SphereForgeError
 from sphere_forge.labels import parse_label, v_label
-from sphere_forge.orientation import OrientedComplex
 
 from fixtures import labels, simplex_of
 
@@ -42,14 +41,12 @@ def identity_vertex_map(K):
 
 def test_check_simplicial_identity():
     S = standard_sphere(3)
-    result = check_simplicial(identity_vertex_map(S), S, S)
-    assert result.ok and result.degenerate_facets == ()
+    assert check_simplicial(identity_vertex_map(S), S, S) == ()
 
 
 def test_check_simplicial_example_bundle():
     bundle = build_join_cone_sphere(3, 4)
-    result = check_simplicial(bundle.vertex_map, bundle.source, bundle.target)
-    assert result.ok and result.degenerate_facets == ()
+    assert check_simplicial(bundle.vertex_map, bundle.source, bundle.target) == ()
 
 
 def test_check_simplicial_collapse_reported():
@@ -62,14 +59,12 @@ def test_check_simplicial_collapse_reported():
             parse_label("c"): parse_label("y"),
         }
     )
-    result = check_simplicial(f, K, L)
-    assert result.ok
-    assert result.degenerate_facets == (simplex_of("a b c"),)
+    assert check_simplicial(f, K, L) == (simplex_of("a b c"),)
 
 
 def test_check_simplicial_not_total():
     S = standard_sphere(2)
-    with pytest.raises(MapNotTotal):
+    with pytest.raises(PreconditionFailed, match=r"^map misses vertices \['v1', "):
         check_simplicial(VertexMap({}), S, S)
 
 
@@ -83,8 +78,10 @@ def test_check_simplicial_failure():
             parse_label("c"): parse_label("z"),
         }
     )
-    result = check_simplicial(f, K, L)
-    assert not result.ok
+    with pytest.raises(
+        PreconditionFailed, match="^bundle map does not send simplices to simplices$"
+    ):
+        check_simplicial(f, K, L)
 
 
 def test_alg_number_degree4_example():
@@ -167,7 +164,9 @@ def test_compose_identity_and_mismatch():
     ident = identity_map(3)
     same = compose(bundle.vertex_map, ident.vertex_map)
     assert same.assignment == bundle.vertex_map.assignment
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(
+        PreconditionFailed, match="^values .* missing from the second map's domain$"
+    ):
         compose(bundle.vertex_map, bundle.vertex_map)
 
 
@@ -299,9 +298,6 @@ def test_non_surjective_degree_zero():
 
 def test_inconsistent_alg_guard(monkeypatch):
     # corrupt one source facet sign: the per-facet counts must stop agreeing
-    from sphere_forge import simplicial_map
-    from sphere_forge.orientation import coherent_orientation
-
     bundle = build_join_cone_sphere(2, 2)
 
     def broken_orientation(K, base, base_sign=1):
@@ -311,7 +307,7 @@ def test_inconsistent_alg_guard(monkeypatch):
         signs = dict(oriented.signs)
         victim = next(iter(signs))
         signs[victim] = -signs[victim]
-        return OrientedComplex(K, signs)
+        return dataclasses.replace(oriented, signs=signs)
 
     monkeypatch.setattr(simplicial_map, "coherent_orientation", broken_orientation)
     with pytest.raises(InconsistentAlg):
@@ -339,7 +335,9 @@ def test_degree_requires_simplicial():
         expected_vertices=4,
         label="bad",
     )
-    with pytest.raises(NotSimplicial):
+    with pytest.raises(
+        PreconditionFailed, match="^bundle map does not send simplices to simplices$"
+    ):
         degree_by_counting(bundle)
 
 
@@ -368,3 +366,56 @@ def test_counting_refuses_a_complex_with_boundary(K, L, name):
     )
     with pytest.raises(NotClosed, match=f"^counting degree needs a closed {name}$"):
         degree_by_counting(bundle)
+
+
+def test_the_degree_layer_decides_closedness_without_boundary_complex(monkeypatch):
+    bundle = build_join_cone_sphere(2, 2)
+    point = make_complex([[v_label(1)]])
+
+    def refuse(K):
+        raise AssertionError("boundary_complex called")
+
+    monkeypatch.setattr(complex_core, "boundary_complex", refuse)
+    monkeypatch.setattr(orientation, "boundary_complex", refuse, raising=False)
+    monkeypatch.setattr(simplicial_map, "boundary_complex", refuse, raising=False)
+    assert degree_by_counting(bundle).degree == 2
+    source = coherent_orientation(bundle.source, simplex(bundle.source_base))
+    assert len(fundamental_cycle(source).coefficients) == len(bundle.source.facets)
+    for K in (TRIANGLE, point):
+        with pytest.raises(NotClosed):
+            fundamental_cycle(coherent_orientation(K, K.facets[0]))
+        with pytest.raises(NotClosed, match="^counting degree needs a closed source$"):
+            degree_by_counting(_adhoc_bundle(K, VertexMap({v: v for v in K.vertices})))
+
+
+@st.composite
+def small_maps(draw):
+    """A pure complex of dimension 0-2 on at most 6 vertices and 10
+    facets, with a total map into the standard sphere of its dimension."""
+    n = draw(st.integers(0, 2))
+    names = [parse_label(f"a{i}") for i in range(1, 7)]
+    facet = st.lists(st.sampled_from(names), min_size=n + 1, max_size=n + 1, unique=True)
+    K = make_complex(draw(st.lists(facet, min_size=1, max_size=10)))
+    images = st.sampled_from([v_label(i) for i in range(1, n + 3)])
+    return _adhoc_bundle(K, VertexMap({v: draw(images) for v in K.vertices}))
+
+
+def _degree(oracle, bundle):
+    """The oracle's degree, or None where it refuses the input.  An
+    InconsistentAlg is never a refusal, so it propagates."""
+    try:
+        result = oracle(bundle)
+    except InconsistentAlg:
+        raise
+    except SphereForgeError:
+        return None
+    return getattr(result, "degree", result)
+
+
+@given(small_maps())
+@settings(max_examples=300, deadline=None)
+def test_oracles_never_disagree_on_small_maps(bundle):
+    counting = _degree(degree_by_counting, bundle)
+    cycle = _degree(degree_by_cycle, bundle)
+    if counting is not None and cycle is not None:
+        assert counting == cycle
