@@ -11,11 +11,12 @@ once in :data:`CONSTRUCTIONS`; ``build`` refuses any other of its flags.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails
 (a report that does not pass, or a ``CheckFailed`` error, printed as
-``check failed:``), 2 on usage or input errors (every other library
-error, ``ValueError`` and ``OSError``).  An option the command does not
-declare, and every other usage error the parser finds, is one
-``error:`` line on stderr, as an input error is.  Reports render as text by default or as
-canonical JSON with ``--format json``.
+``check failed:``), 2 on usage or input errors (a ``PreconditionFailed``
+error, ``ValueError`` or ``OSError``).  Usage errors are
+``PreconditionFailed`` too: an option the command does not declare, and
+every other usage error the parser or a runner finds, is one ``error:``
+line on stderr, as an input error is.  Reports render as text by default
+or as canonical JSON with ``--format json``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .constructions import (
     verify_bundle,
 )
 from .disc_delta import build_delta, disc_sign_census
-from .errors import CheckFailed, SphereForgeError
+from .errors import CheckFailed, PreconditionFailed
 from .formats import (
     bundle_from_json,
     bundle_to_json_obj,
@@ -88,9 +89,9 @@ def run_build(
     given = {"n": n, "d": d, "k": k, "variant": variant}
     for flag, value in given.items():
         if flag in flags and value is None:
-            raise SphereForgeError(f"--{flag} is required for {construction}")
+            raise PreconditionFailed(f"--{flag} is required for {construction}")
         if flag not in flags and value is not None:
-            raise SphereForgeError(f"--{flag} is not used by {construction}")
+            raise PreconditionFailed(f"--{flag} is not used by {construction}")
     built = builder(*(given[flag] for flag in flags))
 
     if construction == "delta":
@@ -181,12 +182,12 @@ def run_degree(
     """Degree of a bundled map, or of a map file against a complex file."""
     if bundle_path and (complex_path or map_path):
         flag = "--in" if complex_path else "--map"
-        raise SphereForgeError(f"{flag} is not used with --bundle")
+        raise PreconditionFailed(f"{flag} is not used with --bundle")
     if bundle_path:
         bundle = bundle_from_json(Path(bundle_path).read_text())
     else:
         if not (complex_path and map_path):
-            raise SphereForgeError("need --bundle, or both --in and --map")
+            raise PreconditionFailed("need --bundle, or both --in and --map")
         K, _ = complex_from_json(Path(complex_path).read_text())
         f = map_from_text(Path(map_path).read_text())
         bundle = _adhoc_bundle(K, f)
@@ -228,7 +229,7 @@ def run_verify_disc_signs(d: int) -> CommandResult:
 def run_verify_minimality(n: int | None = None) -> CommandResult:
     """The exhaustive sweep over the 2-spheres on 4 to 7 vertices."""
     if n not in (None, 2):
-        raise SphereForgeError("verify minimality covers n = 2 only")
+        raise PreconditionFailed("verify minimality covers n = 2 only")
     report = verify_small_sphere_bounds()
     sizes = ", ".join(f"v={v}: {c}" for v, c in sorted(report.census_sizes.items()))
     lines = [
@@ -261,7 +262,7 @@ def run_verify_bundle(in_path: str) -> CommandResult:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is an input error: one line, exit 2
-        raise SphereForgeError(message)
+        raise PreconditionFailed(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (SphereForgeError, ValueError, OSError) as exc:
+    except (PreconditionFailed, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(result.render(fmt))

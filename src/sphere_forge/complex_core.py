@@ -71,9 +71,10 @@ EMPTY_SIMPLEX = Simplex(())
 def simplex(labels: Iterable[VertexLabel]) -> Simplex:
     """Sort labels into a Simplex, rejecting repeats."""
     vs = Simplex(sorted(labels))
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            raise PreconditionFailed(f"repeated vertex {a} in facet")
+    if len(set(vs)) < len(vs):  # name the first repeat
+        for a, b in zip(vs, vs[1:]):
+            if a == b:
+                raise PreconditionFailed(f"repeated vertex {a} in facet")
     return vs
 
 
@@ -96,7 +97,7 @@ class Complex:
 
     @cached_property
     def dimension(self) -> int:
-        return max(f.dimension for f in self.facets)
+        return max(map(len, self.facets)) - 1
 
     @cached_property
     def is_pure(self) -> bool:
@@ -158,26 +159,26 @@ def make_complex(facet_list: Iterable[Sequence[VertexLabel]]) -> Complex:
     Input facets are sorted, deduplicated, and non-maximal ones are
     absorbed (construction code routinely unions cones whose faces
     overlap).  An input with no nonempty facet yields the empty complex.
-    Only a strictly longer facet can absorb one, and taken longest first
-    those are a prefix of the facets kept so far; on pure input that
-    prefix is empty and no pair is compared.
+    Simplices of one size never absorb one another, so pure input takes
+    no absorption pass.  Otherwise only a strictly longer facet can
+    absorb one, and taken longest first those are a prefix of the
+    facets kept so far.
     """
-    sims = {simplex(f) for f in facet_list}
-    ordered = sorted(sims, key=lambda s: (-len(s), s))
-    kept: list[Simplex] = []
-    kept_sets: list[frozenset] = []
-    size = longer = 0
-    for s in ordered:
-        if len(s) != size:
-            size, longer = len(s), len(kept)
-        vs = frozenset(s)
-        if any(vs <= t for t in islice(kept_sets, longer)):
-            continue
-        kept.append(s)
-        kept_sets.append(vs)
-    if not kept:
-        kept = [EMPTY_SIMPLEX]
-    return Complex(tuple(sorted(kept)))
+    sims = set(map(simplex, facet_list))
+    if len(set(map(len, sims))) > 1:
+        kept: list[Simplex] = []
+        kept_sets: list[frozenset] = []
+        size = longer = 0
+        for s in sorted(sims, key=lambda s: (-len(s), s)):
+            if len(s) != size:
+                size, longer = len(s), len(kept)
+            vs = frozenset(s)
+            if any(vs <= t for t in islice(kept_sets, longer)):
+                continue
+            kept.append(s)
+            kept_sets.append(vs)
+        sims = kept
+    return Complex(tuple(sorted(sims)) or (EMPTY_SIMPLEX,))
 
 
 def empty_complex() -> Complex:

@@ -2,12 +2,17 @@
 
 JSON is the interchange format.  Serialization is deterministic (sorted
 keys, canonical facet order, two-space indent, trailing newline) so that
-build -> write -> read -> write round-trips byte-identically.
+build -> write -> read -> write round-trips byte-identically.  One
+emitter, :func:`dumps_canonical`, writes every JSON file and report; its
+output is byte for byte ``json.dumps(payload, indent=2, sort_keys=True)``
+plus a newline, but it writes a list of strings with one C-level join
+instead of the standard library's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 from .complex_core import Complex, Simplex, make_complex, simplex
@@ -15,8 +20,46 @@ from .labels import VertexLabel, parse_label
 from .simplicial_map import ConstructionBundle, VertexMap
 
 
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: numbers, booleans and
+    None in their JSON spelling, then quoted."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` at the depth whose line break plus indent is ``newline``.
+    Keys sort before they become text, as with ``sort_keys=True``, so
+    int keys sort numerically; tuples are written as lists."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:
+            body = ("," + inner).join(map(_quote, value))
+        except TypeError:  # not a list of strings
+            body = ("," + inner).join([_encode(x, inner) for x in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = ("," + inner).join(
+            [_key(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
+        )
+        return "{" + inner + body + newline + "}"
+    return json.dumps(value)
+
+
 def dumps_canonical(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline,
+    byte for byte."""
+    return _encode(payload, "\n") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -26,13 +69,16 @@ def dumps_canonical(payload) -> str:
 def complex_to_json_obj(
     K: Complex, orientation: Mapping[Simplex, int] | None = None
 ) -> dict:
+    name = {v: str(v) for v in K.vertices}  # each label becomes text once
     obj = {
         "dimension": K.dimension,
-        "vertices": [str(v) for v in K.vertices],
-        "facets": [[str(v) for v in facet.vertices] for facet in K.facets],
+        "vertices": list(name.values()),
+        "facets": [list(map(name.__getitem__, facet)) for facet in K.facets],
     }
     if orientation is not None:
-        obj["orientation"] = {str(f): s for f, s in orientation.items()}
+        obj["orientation"] = {
+            " ".join(map(name.__getitem__, f)): s for f, s in orientation.items()
+        }
     return obj
 
 
@@ -48,9 +94,15 @@ def _field(obj, key: str, what: str, kind=object):
 
 
 def _labels(value, what: str) -> tuple[VertexLabel, ...]:
-    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-        raise ValueError(f"{what} must be a list of label strings")
-    return tuple(parse_label(t) for t in value)
+    """The labels a JSON list of strings names.  A list holding anything
+    but strings is refused as such, even after a malformed string."""
+    if isinstance(value, list):
+        try:
+            return tuple(map(parse_label, value))
+        except (TypeError, ValueError):
+            if all(isinstance(t, str) for t in value):
+                raise  # a malformed label string
+    raise ValueError(f"{what} must be a list of label strings")
 
 
 def complex_from_json_obj(
@@ -75,7 +127,7 @@ def complex_from_json_obj(
             # 1.0 and true compare equal to 1 but are not JSON integers
             if type(sign) is not int or sign not in (1, -1):
                 raise ValueError(f"orientation sign must be 1 or -1, got {sign!r}")
-            facet = simplex(parse_label(tok) for tok in key.split())
+            facet = simplex(map(parse_label, key.split()))
             if facet not in known:
                 raise ValueError(f"orientation key {key!r} is not a facet")
             if facet in orientation:
@@ -122,7 +174,7 @@ def map_from_text(text: str) -> VertexMap:
         tokens = line.split()
         if len(tokens) != 2:
             raise ValueError(f"map line needs exactly two labels: {line!r}")
-        pairs.append(tuple(parse_label(t) for t in tokens))
+        pairs.append(tuple(map(parse_label, tokens)))
     return VertexMap(_assignment(pairs))
 
 

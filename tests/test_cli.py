@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from sphere_forge.cli import _build_parser, main, run_build, run_degree, run_verify_disc_signs
+from sphere_forge.cli import (
+    _build_parser,
+    main,
+    run_build,
+    run_degree,
+    run_verify_disc_signs,
+    run_verify_minimality,
+)
 from sphere_forge.errors import CheckFailed, PreconditionFailed, SphereForgeError
 from sphere_forge.formats import (
     bundle_to_json,
@@ -554,3 +561,21 @@ def test_every_library_error_belongs_to_one_of_two_families():
             assert cls in (SphereForgeError, PreconditionFailed) or issubclass(
                 cls, CheckFailed
             ), cls
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: run_build("join-cone", n=2), "--d is required for join-cone"),
+        (lambda: run_build("stacked", n=2, d=3), "--d is not used by stacked"),
+        (lambda: run_degree("b.json", map_path="f.map"), "--map is not used with --bundle"),
+        (lambda: run_degree(complex_path="K.json"), "need --bundle, or both --in and --map"),
+        (lambda: run_verify_minimality(n=3), "verify minimality covers n = 2 only"),
+        (lambda: _build_parser().parse_args(["build"]), "the following arguments are required"),
+    ],
+    ids=["missing-flag", "unused-flag", "bundle-with-map", "no-input", "minimality-n", "parser"],
+)
+def test_usage_errors_are_precondition_failures(call, message):
+    """So ``main`` needs only the two error families for its exit code."""
+    with pytest.raises(PreconditionFailed, match=message):
+        call()

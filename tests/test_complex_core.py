@@ -285,13 +285,18 @@ def test_simplex_is_its_vertex_tuple():
         st.sets(st.integers(1, 7), max_size=5).map(sorted), min_size=1, max_size=12
     )
 )
+@example([[1, 2], [2, 3], [2, 1]])  # pure, with a repeated facet
+@example([[]])
+@example([])
+@example([[1], [2, 3], [1, 2, 4], [3, 4, 5]])  # mixed, the largest facets last
 @settings(max_examples=80, deadline=None)
 def test_make_complex_keeps_exactly_the_maximal_facets(facet_lists):
-    """Against a brute-force filter that compares every pair."""
+    """Against a brute-force filter that compares every pair; no facet
+    at all is the empty complex."""
     facets = {frozenset(v_label(i) for i in f) for f in facet_lists}
     maximal = [f for f in facets if not any(f < g for g in facets)]
     K = make_complex([[v_label(i) for i in f] for f in facet_lists])
-    assert K.facets == tuple(sorted(simplex(f) for f in maximal))
+    assert K.facets == (tuple(sorted(simplex(f) for f in maximal)) or (EMPTY_SIMPLEX,))
 
 
 def faces_by_label_combinations(K, k):

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sphere_forge import (
     build_delta,
@@ -192,3 +192,35 @@ def test_bundle_json_refuses_mismatched_dimensions():
         ValueError, match="^source has dimension 1 but target has dimension 2$"
     ):
         bundle_from_json(json.dumps(obj))
+
+
+# JSON-like values as the program's payloads hold them: str or int keys,
+# tuples beside lists, and every scalar json.dumps writes
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()  # nan, inf and -0.0 included
+    | st.text()  # control characters and non-ASCII included
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.text(max_size=3), max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers(-100, 100), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+@example({})
+@example([])
+@example([[]])
+@example({"a": {}})
+@example({2: 1, 10: 0})
+@example({True: "yes", 2: None})
+@settings(max_examples=300, deadline=None)
+def test_dumps_canonical_is_indented_sorted_json_dumps(value):
+    assert dumps_canonical(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
