@@ -25,8 +25,8 @@ take it over, and each column carries its combination of input columns
 (see :func:`kernel_basis`).  Boundary matrices are built
 once per complex and kept in :attr:`Complex.memo`, so they live exactly
 as long as the complex does.  The sphere battery keeps one table of link
-reports per top-level call, so each distinct link is certified once
-(see :func:`sphere_check`).
+reports per top-level call, keyed by the link complex, so each distinct
+link is certified once (see :func:`sphere_check`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .complex_core import (
     Complex,
@@ -344,8 +344,6 @@ def homology_groups(K: Complex) -> tuple[HomologyGroup, ...]:
     :func:`smith_normal_form`).
     """
     n = K.dimension
-    if n < 0:
-        return ()
     snf: dict[int, SNFResult] = {}
     cleared: frozenset[int] = frozenset()
     for k in range(n, 0, -1):
@@ -413,16 +411,12 @@ class SphereCheckReport:
         }
 
 
-def _expected_betti(n: int) -> tuple[int, ...]:
-    return (1,) + (0,) * (n - 1) + (1,)
-
-
 def sphere_check(
     K: Complex,
     n: int,
     level: str = LEVEL_NECESSARY,
     *,
-    _links: dict[tuple[Complex, int], SphereCheckReport] | None = None,
+    _links: dict[Complex, SphereCheckReport] | None = None,
 ) -> SphereCheckReport:
     """Necessary sphere conditions, with recursive link certification
     for n <= 3.
@@ -436,21 +430,22 @@ def sphere_check(
     the necessary battery, and the report says level ``necessary`` and
     notes why.  This is the one place that decides the level.
 
-    One top-level call keeps one table of link reports, keyed by
-    ``(link complex, n)`` and passed down the recursion as ``_links``
-    (callers never pass it).  Each distinct link is thus certified once,
+    One top-level call keeps one table of link reports, passed down the
+    recursion as ``_links`` (callers never pass it); each call looks its
+    own complex up there and stores its own report.  The complex alone
+    is the key, since a vertex link of a pure n-complex is only ever
+    checked at n - 1.  Each distinct link is thus certified once,
     although the recursion meets it more often: on a 3-sphere the edge
     link lk_K(vw) is met as lk_{lk v}(w) and again as lk_{lk w}(v).
     """
-    if _links is not None and (K, n) in _links:
-        return _links[(K, n)]
+    if _links is not None and K in _links:
+        return _links[K]
     if n < 0:
         raise PreconditionFailed(f"sphere check needs n >= 0, got {n}")
     if level == "certify":
         level = LEVEL_CERTIFY
     if level not in (LEVEL_NECESSARY, LEVEL_CERTIFY):
         raise PreconditionFailed(f"unknown level {level!r}")
-    items: list[CheckItem] = []
     notes: list[str] = []
     if level == LEVEL_CERTIFY and n > 3:
         level = LEVEL_NECESSARY
@@ -458,76 +453,69 @@ def sphere_check(
             f"certification is unavailable for n = {n} >= 4; "
             "only the necessary battery ran"
         )
+    links = {} if _links is None else _links
+    items = tuple(_battery(K, n, level, links))
+    if n == 3 and items[-1].name == "vertex_links":
+        notes.append(
+            "n = 3: a closed 3-manifold with 3-sphere homology is "
+            "accepted as certification"
+        )
+    report = links[K] = SphereCheckReport(n, level, items, tuple(notes))
+    return report
 
+
+def _battery(K: Complex, n: int, level: str, links: dict) -> Iterator[CheckItem]:
+    """The items of :func:`sphere_check` in report order, up to the first
+    early stop: a wrong dimension, n == 0, or a complex that is not pure
+    or has a ridge in more than two facets."""
     dim_ok = K.dimension == n
-    items.append(CheckItem("dimension", dim_ok, f"dim = {K.dimension}, expected {n}"))
+    yield CheckItem("dimension", dim_ok, f"dim = {K.dimension}, expected {n}")
     if not dim_ok:
-        return SphereCheckReport(n, level, tuple(items), tuple(notes))
-
+        return
     if n == 0:
         two_points = len(K.vertices) == 2 and len(K.facets) == 2
-        items.append(CheckItem("two_points", two_points, f"f_0 = {len(K.vertices)}"))
-        return SphereCheckReport(n, level, tuple(items), tuple(notes))
+        yield CheckItem("two_points", two_points, f"f_0 = {len(K.vertices)}")
+        return
 
     pm = pseudomanifold_check(K)
-    items.append(CheckItem("pure", pm.pure))
-    items.append(
-        CheckItem(
-            "closed",
-            pm.closed,
-            f"{pm.boundary_ridges} boundary ridges"
-            if pm.boundary_ridges
-            else "every ridge in exactly two facets",
-        )
+    yield CheckItem("pure", pm.pure)
+    yield CheckItem(
+        "closed",
+        pm.closed,
+        f"{pm.boundary_ridges} boundary ridges"
+        if pm.boundary_ridges
+        else "every ridge in exactly two facets",
     )
-    items.append(CheckItem("connected", pm.connected))
+    yield CheckItem("connected", pm.connected)
     if not (pm.pure and pm.ridge_bound_ok):
-        return SphereCheckReport(n, level, tuple(items), tuple(notes))
+        return
 
-    fv, euler = f_vector_and_euler(K)
+    euler = f_vector_and_euler(K)[1]
     expected_euler = 1 + (-1) ** n
-    items.append(
-        CheckItem(
-            "euler",
-            euler == expected_euler,
-            f"chi = {euler}, expected {expected_euler}",
-        )
+    yield CheckItem(
+        "euler", euler == expected_euler, f"chi = {euler}, expected {expected_euler}"
     )
 
     groups = homology_groups(K)
     betti = tuple(g.betti for g in groups)
     torsion_free = all(not g.torsion for g in groups)
-    expected = _expected_betti(n)
-    items.append(
-        CheckItem(
-            "homology_profile",
-            betti == expected and torsion_free,
-            f"betti = {betti}, torsion-free = {torsion_free}",
-        )
+    yield CheckItem(
+        "homology_profile",
+        betti == (1,) + (0,) * (n - 1) + (1,) and torsion_free,
+        f"betti = {betti}, torsion-free = {torsion_free}",
     )
+    if level != LEVEL_CERTIFY:
+        return
 
-    if level == LEVEL_CERTIFY:
-        links = {} if _links is None else _links
-        bad_links = []
-        for vertex in K.vertices:
-            lk = link(Simplex((vertex,)), K)
-            sub = links[(lk, n - 1)] = sphere_check(
-                lk, n - 1, LEVEL_CERTIFY, _links=links
-            )
-            if not sub.passed:
-                bad_links.append(str(vertex))
-        items.append(
-            CheckItem(
-                "vertex_links",
-                not bad_links,
-                "all vertex links certify as (n-1)-spheres"
-                if not bad_links
-                else f"links failing: {', '.join(bad_links)}",
-            )
-        )
-        if n == 3:
-            notes.append(
-                "n = 3: a closed 3-manifold with 3-sphere homology is "
-                "accepted as certification"
-            )
-    return SphereCheckReport(n, level, tuple(items), tuple(notes))
+    bad_links = []
+    for vertex in K.vertices:
+        lk = link(Simplex((vertex,)), K)
+        if not sphere_check(lk, n - 1, LEVEL_CERTIFY, _links=links).passed:
+            bad_links.append(str(vertex))
+    yield CheckItem(
+        "vertex_links",
+        not bad_links,
+        "all vertex links certify as (n-1)-spheres"
+        if not bad_links
+        else f"links failing: {', '.join(bad_links)}",
+    )

@@ -116,23 +116,31 @@ def _oriented_from_base(K: Complex, base: Sequence[VertexLabel]) -> OrientedComp
     return coherent_orientation(K, simplex(base), sort_sign(base))
 
 
+def _check_dimensions(K: Complex, L: Complex) -> None:
+    if K.dimension != L.dimension:
+        raise PreconditionFailed(
+            f"source has dimension {K.dimension} but target has dimension {L.dimension}"
+        )
+
+
 def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
     """Degree as the common signed preimage count over all target facets.
 
-    Orients the target with the bundle's target base positive in its
-    written order, likewise the source.  Each nondegenerate source
-    facet goes, in source-facet order, to the positive or negative side
-    of the target facet its image spans, according to its own sign
-    times the :func:`sort_sign` of its image; each count is then
-    flipped for negative target facets.  A source or target that its
-    orientation records as not closed (one with boundary, or a single
-    point) raises NotClosed, since there the counts are free to differ.
-    Disagreement between facets of closed complexes raises
-    InconsistentAlg since it can only mean an orientation or
-    construction bug.
+    Source and target must have one dimension.  Orients the target with
+    the bundle's target base positive in its written order, likewise the
+    source.  Each nondegenerate source facet goes, in source-facet order,
+    to the positive or negative side of the target facet its image spans,
+    according to its own sign times the :func:`sort_sign` of its image;
+    each count is then flipped for negative target facets.  A source or
+    target that its orientation records as not closed (one with boundary,
+    or a single point) raises NotClosed, since there the counts are free
+    to differ.  Disagreement between facets of closed complexes raises
+    InconsistentAlg since it can only mean an orientation or construction
+    bug.
     """
     K, L, f = bundle.source, bundle.target, bundle.vertex_map
     degenerate = check_simplicial(f, K, L)
+    _check_dimensions(K, L)
     OK = _oriented_from_base(K, bundle.source_base)
     OL = _oriented_from_base(L, bundle.target_base)
     for name, oriented in (("source", OK), ("target", OL)):
@@ -168,16 +176,17 @@ def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
 def degree_by_cycle(bundle: ConstructionBundle) -> int:
     """Degree through top homology, independent of sign propagation.
 
-    Source and target must be pure, and each base a facet.  The source
-    fundamental cycle comes out of the boundary-matrix kernel (raising
-    KernelRankNotOne if that kernel is not a line), gets normalized to
-    evaluate +1 on the source base in its written order, and is pushed
-    forward facet by facet with :func:`sort_sign`, which is 0 where
-    an image is degenerate.  The result is read off against the target's
-    kernel generator normalized the same way.
+    Source and target must be pure, of one dimension, and each base a
+    facet.  The source fundamental cycle is the boundary-matrix kernel's
+    generator (KernelRankNotOne unless the kernel is a line and the
+    generator +-1 on every facet), normalized to be +1 on the source
+    base in its written order, then pushed forward facet by facet with
+    :func:`sort_sign`, which is 0 where an image is degenerate.  The
+    result is read off against the target's generator, normalized alike.
     """
     K, L, f = bundle.source, bundle.target, bundle.vertex_map
     check_simplicial(f, K, L)
+    _check_dimensions(K, L)
     for name, complex_ in (("source", K), ("target", L)):
         if not complex_.is_pure:
             raise PreconditionFailed(f"cycle degree needs a pure {name}")
@@ -187,12 +196,12 @@ def degree_by_cycle(bundle: ConstructionBundle) -> int:
         if base_facet not in complex_.facets:
             raise PreconditionFailed(f"base [{base_facet}] is not a facet")
         gen = top_kernel_generator(complex_)
-        coeff = gen.get(base_facet, 0)
-        if coeff not in (1, -1):
-            raise KernelRankNotOne(
-                f"kernel generator has coefficient {coeff} on [{base_facet}]"
-            )
-        if coeff != sort_sign(base_written):
+        for facet in (base_facet, *complex_.facets):
+            if gen[facet] not in (1, -1):
+                raise KernelRankNotOne(
+                    f"kernel generator has coefficient {gen[facet]} on [{facet}]"
+                )
+        if gen[base_facet] != sort_sign(base_written):
             gen = {s: -c for s, c in gen.items()}
         return gen
 

@@ -233,6 +233,13 @@ def test_pseudomanifold_reports():
     assert rep.max_ridge_multiplicity == 3 and not rep.ridge_bound_ok
 
 
+def test_the_empty_complex_is_closed_and_has_no_boundary():
+    report = pseudomanifold_check(empty_complex())
+    assert (report.pure, report.closed, report.connected) == (True, True, True)
+    assert (report.max_ridge_multiplicity, report.boundary_ridges) == (0, 0)
+    assert boundary_complex(empty_complex()) == empty_complex()
+
+
 def test_boundary_of_ball_boundary_is_empty():
     for ball in (cone(parse_label("u4"), DELTA4), DELTA2, cone(parse_label("x"), standard_sphere(2))):
         assert boundary_complex(boundary_complex(ball)).is_empty

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from sphere_forge import (
@@ -88,6 +90,15 @@ def test_sign_census_examples(d, expected):
     counts = disc_sign_census(build_delta(d))
     assert (counts.positives, counts.negatives) == expected
     assert counts.boundary_in_positive and counts.sign_agrees_with_orientation
+
+
+def test_sign_census_notices_a_flipped_sign():
+    """An interior triangle turned positive keeps the boundary positive
+    but breaks the agreement with the propagated orientation."""
+    disc = build_delta(12)
+    flipped = next(t for t, s in disc.signs.items() if s < 0)
+    census = disc_sign_census(dataclasses.replace(disc, signs={**disc.signs, flipped: 1}))
+    assert census == (24, 10, True, False)
 
 
 def test_sweep_structure():

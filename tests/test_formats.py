@@ -21,6 +21,7 @@ from sphere_forge.formats import (
     map_from_text,
     map_to_text,
 )
+from sphere_forge.labels import v_label
 
 from fixtures import labels
 
@@ -76,6 +77,14 @@ def test_map_file_round_trip():
     text = map_to_text(bundle.vertex_map)
     back = map_from_text(text)
     assert back.assignment == bundle.vertex_map.assignment
+
+
+def test_map_file_skips_blank_and_comment_lines():
+    text = "# a swap\n\nv1 v2\n   \n  # indented comment\nv2 v1\n"
+    assert map_from_text(text).assignment == {
+        v_label(1): v_label(2),
+        v_label(2): v_label(1),
+    }
 
 
 def test_map_file_errors():

@@ -22,7 +22,7 @@ from sphere_forge import (
     sphere_check,
     standard_sphere,
 )
-from sphere_forge.complex_core import cone, faces, join, link
+from sphere_forge.complex_core import cone, empty_complex, faces, join, link
 from sphere_forge.errors import KernelRankNotOne, PreconditionFailed
 from sphere_forge.homology import HomologyGroup, top_kernel_generator
 from sphere_forge.labels import parse_label
@@ -488,6 +488,12 @@ def test_sphere_check_pass_and_fail():
 
     # wrong dimension fails fast
     assert not sphere_check(standard_sphere(2), 3).passed
+    with pytest.raises(PreconditionFailed, match="^unknown level 'bogus'$"):
+        sphere_check(standard_sphere(2), 2, "bogus")
+
+
+def test_the_empty_complex_has_no_homology_groups():
+    assert homology_groups(empty_complex()) == ()
 
 
 def test_sphere_check_high_dim_note():

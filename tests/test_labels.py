@@ -35,6 +35,8 @@ def test_construction_constraints():
         VertexLabel("u", primed=True)  # would not round-trip
     with pytest.raises(ValueError):
         VertexLabel("Q")
+    with pytest.raises(ValueError, match="^label indices must be nonnegative$"):
+        VertexLabel("u", None, -1)
 
 
 def test_order_absent_before_present():

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sphere_forge import (
     ConstructionBundle,
@@ -19,16 +19,24 @@ from sphere_forge import (
     fundamental_cycle,
     identity_map,
     make_complex,
+    pseudomanifold_check,
     simplex,
     standard_sphere,
     swap_map,
+    verify_bundle,
 )
 from sphere_forge import complex_core, orientation, simplicial_map
 from sphere_forge.cli import _adhoc_bundle
-from sphere_forge.errors import InconsistentAlg, NotClosed, PreconditionFailed, SphereForgeError
+from sphere_forge.errors import (
+    InconsistentAlg,
+    KernelRankNotOne,
+    NotClosed,
+    PreconditionFailed,
+    SphereForgeError,
+)
 from sphere_forge.labels import parse_label, v_label
 
-from fixtures import labels, simplex_of
+from fixtures import complex_of, labels, simplex_of
 
 
 def target_facet(*indices):
@@ -341,6 +349,85 @@ def test_degree_requires_simplicial():
         degree_by_counting(bundle)
 
 
+def test_oracles_refuse_a_target_of_another_dimension():
+    """The identity on v1..v3 sends the circle simplicially into the
+    2-sphere, but no degree relates spheres of different dimensions."""
+    source, target = standard_sphere(1), standard_sphere(2)
+    bundle = ConstructionBundle(
+        source=source,
+        target=target,
+        vertex_map=identity_vertex_map(source),
+        source_base=source.facets[0].vertices,
+        target_base=target.facets[0].vertices,
+        expected_degree=None,
+        expected_vertices=3,
+        label="circle into sphere",
+    )
+    message = "^source has dimension 1 but target has dimension 2$"
+    for run in (degree_by_counting, degree_by_cycle, verify_bundle):
+        with pytest.raises(PreconditionFailed, match=message):
+            run(bundle)
+
+
+def _adhoc(facets, images):
+    """An ad-hoc bundle of the complex on ``facets`` (label strings),
+    sending ``a<i>`` to ``v<images[i - 1]>``."""
+    K = complex_of(facets)
+    return _adhoc_bundle(
+        K, VertexMap({parse_label(f"a{i}"): v_label(j) for i, j in enumerate(images, 1)})
+    )
+
+
+# a triangle with two dangling edges: its top kernel is a line, but the
+# generator is 0 on the dangling edges
+DANGLING = _adhoc(["a1 a4", "a2 a5", "a3 a4", "a3 a5", "a4 a5"], [1, 2, 3, 1, 2])
+# a circle and a disjoint edge: no ridge in more than two facets, and
+# the generator is 0 on the edge
+CIRCLE_AND_EDGE = _adhoc(["a1 a2", "a1 a3", "a2 a3", "a4 a5"], [1, 2, 3, 1, 2])
+# a closed surface pinched along ridges in four facets: its generator is
+# +-1 on every facet, so only the counting oracle refuses it
+PINCHED = _adhoc(
+    [
+        "a1 a2 a3", "a1 a2 a4", "a1 a3 a5", "a1 a4 a6", "a1 a5 a6",
+        "a2 a3 a6", "a2 a4 a5", "a2 a5 a6", "a3 a5 a6", "a4 a5 a6",
+    ],
+    [1, 1, 1, 2, 3, 4],
+)
+
+
+def test_cycle_oracle_needs_a_unit_coefficient_on_every_facet():
+    with pytest.raises(
+        KernelRankNotOne, match=r"^kernel generator has coefficient 0 on \[a1 a4\]$"
+    ):
+        degree_by_cycle(DANGLING)
+    with pytest.raises(PreconditionFailed, match="a ridge in more than two facets$"):
+        degree_by_counting(DANGLING)
+    assert degree_by_cycle(PINCHED) == -1
+    assert pseudomanifold_check(PINCHED.source).max_ridge_multiplicity == 4
+    with pytest.raises(PreconditionFailed, match="a ridge in more than two facets$"):
+        degree_by_counting(PINCHED)
+
+
+def test_cycle_oracle_reports_a_pushforward_off_the_target_cycle(monkeypatch):
+    """A target generator with one facet's sign flipped is still +-1
+    everywhere, but the pushed-forward source cycle is no multiple of it."""
+    bundle = build_join_cone_sphere(2, 2)
+    generator = simplicial_map.top_kernel_generator
+
+    def skewed(K):
+        gen = generator(K)
+        if K is bundle.target:
+            facet = next(s for s in K.facets if s != simplex(bundle.target_base))
+            gen[facet] = -gen[facet]
+        return gen
+
+    monkeypatch.setattr(simplicial_map, "top_kernel_generator", skewed)
+    with pytest.raises(
+        InconsistentAlg, match="^pushforward is not a multiple of the target cycle: "
+    ):
+        degree_by_cycle(bundle)
+
+
 TRIANGLE = make_complex([[v_label(1), v_label(2), v_label(3)]])
 
 
@@ -413,9 +500,16 @@ def _degree(oracle, bundle):
 
 
 @given(small_maps())
+@example(DANGLING)
+@example(CIRCLE_AND_EDGE)
+@example(PINCHED)
 @settings(max_examples=300, deadline=None)
 def test_oracles_never_disagree_on_small_maps(bundle):
     counting = _degree(degree_by_counting, bundle)
     cycle = _degree(degree_by_cycle, bundle)
     if counting is not None and cycle is not None:
         assert counting == cycle
+    if counting is None and cycle is not None:
+        # a cycle that is +-1 on every facet, with each ridge in at most
+        # two facets, coherently orients a closed connected pseudomanifold
+        assert not pseudomanifold_check(bundle.source).ridge_bound_ok
