@@ -1,16 +1,25 @@
 """Pure simplicial complexes stored as facet sets.
 
-A complex is represented by its inclusion-maximal simplices only.  Its
-faces are enumerated once, on demand, as one integer face lattice
-(:attr:`Complex.face_lattice`): the vertices are numbered in label
-order and each face is the ascending tuple of its vertex numbers, so
-integer order is label order and the lattice hashes and compares small
-ints instead of labels; :func:`faces` reads the k-faces off it.  The
-ridges are indexed once too (:attr:`Complex.facet_ridges`), by facet
-and vertex position, and :func:`dual_walk` walks the facets across them
-for connectivity and orientation alike.  Both are kept on the complex,
-as are the boundary matrices later layers derive from it
-(:attr:`Complex.memo`); everything a complex hands out is immutable.
+A complex is represented by its inclusion-maximal simplices only.  What
+later steps need of it is derived once, on first read, and kept on the
+complex (:class:`stored`):
+
+* one vertex numbering (:attr:`Complex.numbered_facets`): vertices are
+  numbered in label order and each facet is the ascending tuple of its
+  vertex numbers, so integer order is label order and everything built
+  on it hashes and compares small ints instead of labels;
+* the integer face lattice (:attr:`Complex.face_lattice`), which
+  :func:`faces` reads the k-faces off;
+* the ridge index (:attr:`Complex.facet_ridges`), by facet and vertex
+  position, across which :func:`dual_walk` walks the facets for
+  connectivity and orientation alike;
+* the star index (:attr:`Complex.stars`), vertex to the facets holding
+  it, which :func:`link` filters instead of scanning every facet;
+* the hash, and in :attr:`Complex.memo` the facts later layers derive:
+  the boundary matrices, the :func:`pseudomanifold_check` report and
+  one orientation walk per base facet.
+
+Everything a complex hands out is immutable or a fresh copy.
 A simplex is its vertex tuple in label order (:class:`Simplex`
 subclasses ``tuple``), so it equals, hashes and sorts as that tuple and
 a plain tuple of the same labels finds it in any dict or set.
@@ -27,7 +36,6 @@ operations on closed complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -78,28 +86,47 @@ def simplex(labels: Iterable[VertexLabel]) -> Simplex:
     return vs
 
 
+class stored:
+    """An attribute computed on its first read and kept in the instance
+    dict, where later reads find it before this (non-data) descriptor.
+    Unlike :func:`functools.cached_property`, which before Python 3.12
+    takes a class-wide lock on every first read, it takes no lock; it
+    writes the dict directly, so frozen dataclasses can use it."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Complex:
     """Facets in canonical order.  Build through :func:`make_complex`."""
 
     facets: tuple[Simplex, ...]
 
-    @cached_property
+    @stored
     def vertices(self) -> tuple[VertexLabel, ...]:
         seen = set()
         for f in self.facets:
             seen.update(f)
         return tuple(sorted(seen))
 
-    @cached_property
+    @stored
     def vertex_set(self) -> frozenset[VertexLabel]:
         return frozenset(self.vertices)
 
-    @cached_property
+    @stored
     def dimension(self) -> int:
         return max(map(len, self.facets)) - 1
 
-    @cached_property
+    @stored
     def is_pure(self) -> bool:
         return len({f.dimension for f in self.facets}) == 1
 
@@ -108,46 +135,82 @@ class Complex:
         """True when the only face is the empty simplex (no vertices)."""
         return self.facets == (EMPTY_SIMPLEX,)
 
-    @cached_property
+    @stored
+    def _numbers(self) -> dict[VertexLabel, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @stored
+    def numbered_facets(self) -> tuple[tuple[int, ...], ...]:
+        """Each facet as the ascending tuple of its vertex numbers, vertex
+        i being ``self.vertices[i]``.  Numbering follows label order, so
+        integer order is label order.  The face lattice, the ridge index
+        and the star index are all built on this one numbering."""
+        number = self._numbers.__getitem__
+        return tuple(tuple(map(number, f)) for f in self.facets)
+
+    @stored
     def face_lattice(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Every face as an ascending tuple of vertex numbers, vertex i
-        being ``self.vertices[i]``: entry ``k + 1`` holds the k-faces,
-        sorted.  Numbering follows label order, so the sorted integer
-        tuples list the faces in label order too."""
-        number = {v: i for i, v in enumerate(self.vertices)}
+        """Every face as an ascending tuple of vertex numbers (see
+        :attr:`numbered_facets`): entry ``k + 1`` holds the k-faces,
+        sorted, so they are listed in label order too."""
         per: list[set[tuple[int, ...]]] = [set() for _ in range(self.dimension + 2)]
-        for f in self.facets:
-            face = tuple(number[v] for v in f)
+        for face in self.numbered_facets:
             for size in range(len(face) + 1):
                 per[size].update(combinations(face, size))
         return tuple(tuple(sorted(s)) for s in per)
 
-    @cached_property
+    @stored
     def facet_ridges(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         """Entry ``[i][p]`` is the ridge facet i has without its vertex at
         position p: the ``(facet, position)`` pairs of every facet on that
         ridge, i included, in ascending facet order.  All slots of one
-        ridge share one tuple, and each ridge's labels are hashed once,
-        here.  The ridge of a point is ``()``."""
-        by_ridge: dict[tuple[VertexLabel, ...], list[tuple[int, int]]] = {}
-        for i, f in enumerate(self.facets):
-            last = len(f) - 1
+        ridge share one tuple; ridges are keyed by vertex numbers.  The
+        ridge of a point is ``()``."""
+        by_ridge: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for i, f in enumerate(self.numbered_facets):
+            p = len(f) - 1
             # combinations omits the last vertex first
-            for back, r in enumerate(combinations(f, last)):
-                by_ridge.setdefault(r, []).append((i, last - back))
+            for r in combinations(f, p):
+                by_ridge.setdefault(r, []).append((i, p))
+                p -= 1
         index = [[()] * len(f) for f in self.facets]
         for members in map(tuple, by_ridge.values()):
             for i, p in members:
                 index[i][p] = members
         return tuple(map(tuple, index))
 
-    @cached_property
+    @stored
+    def stars(self) -> tuple[tuple[int, ...], ...]:
+        """Entry ``[i]`` lists, ascending, the indices of the facets that
+        hold vertex ``self.vertices[i]``."""
+        stars: list[list[int]] = [[] for _ in self.vertices]
+        for i, f in enumerate(self.numbered_facets):
+            for v in f:
+                stars[v].append(i)
+        return tuple(map(tuple, stars))
+
+    @stored
     def memo(self) -> dict:
-        """Boundary matrices, keyed by kind and dimension, that later
-        layers derive from this complex and keep for reuse.  The dict
-        lives and dies with the complex; every entry must be immutable,
-        since each caller gets the same one."""
+        """Facts that later layers derive from this complex and keep for
+        reuse, keyed by the function that derives them: the boundary
+        matrices (by dimension), the :func:`pseudomanifold_check` report
+        and the coherent-orientation walk from each base facet.  The
+        dict lives and dies with the complex, so an equal complex built
+        again starts with its own.  Every entry must be immutable, since
+        each caller gets the same one."""
         return {}
+
+    @stored
+    def _hash(self) -> int:
+        return hash((self.facets,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a copy keeps the facets alone: the stored hash holds only in
+        # the interpreter that computed it, and the rest is rebuilt
+        return Complex, (self.facets,)
 
     def __repr__(self) -> str:
         return f"Complex(dim={self.dimension}, facets={len(self.facets)})"
@@ -287,11 +350,22 @@ def boundary_complex(K: Complex) -> Complex:
 def link(face: Simplex, K: Complex) -> Complex:
     """Faces disjoint from ``face`` whose join with it lies in K.
 
+    Only the facets in the smallest star among ``face``'s vertices
+    (:attr:`Complex.stars`) are tested; the empty face's link is all of K.
     The star is derivable as ``face * link(face, K)`` and is not a
     separate operation.
     """
     fs = set(face)
-    residues = [Simplex(x for x in f if x not in fs) for f in K.facets if fs.issubset(f)]
+    facets = K.facets
+    if fs:
+        try:
+            star = min((K.stars[K._numbers[v]] for v in face), key=len)
+        except KeyError:  # a vertex not in K
+            star = ()
+        held = [facets[i] for i in star if fs.issubset(facets[i])]
+    else:
+        held = facets
+    residues = [Simplex([x for x in f if x not in fs]) for f in held]
     if not residues:
         raise PreconditionFailed(f"[{face}] is not a face of the complex")
     return Complex(tuple(sorted(residues)))
@@ -323,7 +397,15 @@ class PseudomanifoldReport:
 
 def pseudomanifold_check(K: Complex) -> PseudomanifoldReport:
     """Check purity, the two-facets-per-ridge condition, and dual-graph
-    connectivity.  Failures are reported, never raised."""
+    connectivity.  Failures are reported, never raised.  The report is
+    kept in :attr:`Complex.memo`, so a repeat call returns it."""
+    report = K.memo.get("pseudomanifold_check")
+    if report is None:
+        report = K.memo["pseudomanifold_check"] = _pseudomanifold_report(K)
+    return report
+
+
+def _pseudomanifold_report(K: Complex) -> PseudomanifoldReport:
     if K.is_empty:
         return PseudomanifoldReport(True, 0, True, True, True, 0)
     pure = K.is_pure

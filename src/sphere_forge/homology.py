@@ -24,7 +24,8 @@ is not set aside: Euclid's algorithm on that row lets the remainder
 take it over, and each column carries its combination of input columns
 (see :func:`kernel_basis`).  Boundary matrices are built
 once per complex and kept in :attr:`Complex.memo`, so they live exactly
-as long as the complex does.  The sphere battery keeps one table of link
+as long as the complex does; a matrix's kernel basis is likewise kept
+on the :class:`IntegerMatrix`.  The sphere battery keeps one table of link
 reports per top-level call, keyed by the link complex, so each distinct
 link is certified once (see :func:`sphere_check`).
 """
@@ -43,6 +44,7 @@ from .complex_core import (
     faces,
     link,
     pseudomanifold_check,
+    stored,
 )
 from .errors import KernelRankNotOne, PreconditionFailed
 
@@ -78,6 +80,10 @@ class IntegerMatrix:
             for i, v in column:
                 grid[i][j] = v
         return tuple(map(tuple, grid))
+
+    @stored
+    def _kernel(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_reduce_kernel(self))
 
 
 @dataclass(frozen=True)
@@ -302,9 +308,15 @@ def kernel_basis(M: IntegerMatrix) -> list[tuple[int, ...]]:
     Every step is a unimodular column operation and the columns left
     standing end on distinct rows, so the combinations of the columns
     that reach zero are a lattice basis of the kernel.
+
+    M is reduced once: the basis is kept on M, and each call returns a
+    fresh list of it.
     """
+    return list(M._kernel)
+
+
+def _reduce_kernel(M: IntegerMatrix) -> Iterator[tuple[int, ...]]:
     lows: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    basis = []
     for j, column in enumerate(M.columns):
         col, comb = dict(column), {j: 1}
         while col:
@@ -326,8 +338,7 @@ def kernel_basis(M: IntegerMatrix) -> list[tuple[int, ...]]:
             lead = next((c for c in vec if c), 1)
             if lead < 0:
                 vec = [-c for c in vec]
-            basis.append(tuple(vec))
-    return basis
+            yield tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +449,10 @@ def sphere_check(
     although the recursion meets it more often: on a 3-sphere the edge
     link lk_K(vw) is met as lk_{lk v}(w) and again as lk_{lk w}(v).
     """
-    if _links is not None and K in _links:
-        return _links[K]
+    links = {} if _links is None else _links
+    report = links.get(K)
+    if report is not None:
+        return report
     if n < 0:
         raise PreconditionFailed(f"sphere check needs n >= 0, got {n}")
     if level == "certify":
@@ -453,7 +466,6 @@ def sphere_check(
             f"certification is unavailable for n = {n} >= 4; "
             "only the necessary battery ran"
         )
-    links = {} if _links is None else _links
     items = tuple(_battery(K, n, level, links))
     if n == 3 and items[-1].name == "vertex_links":
         notes.append(

@@ -8,7 +8,9 @@ vertices opposite the shared ridge.  This is the transposition rule for
 induced orientations expressed directly on sorted vertex lists, which
 makes it exactly testable.  Signs spread along
 :func:`~sphere_forge.complex_core.dual_walk`, which hands over p and q
-with each crossing.
+with each crossing.  The walk from each base facet is made once per
+complex and kept in :attr:`~sphere_forge.complex_core.Complex.memo`
+(see :func:`coherent_orientation`).
 
 A vertex list in any other order carries the sign of its sort,
 :func:`sort_sign`, relative to the sorted one.  ``sort_sign`` is the
@@ -69,7 +71,10 @@ def coherent_orientation(
     from ``base``.
 
     Raises NonOrientable (with a witness facet) when a cycle forces
-    contradictory signs.
+    contradictory signs.  The walk from base sign +1 is kept in
+    :attr:`Complex.memo`, one per base facet, and a -1 base reads it
+    negated; a walk that raises keeps nothing.  Each call hands out a
+    fresh ``signs`` dict, so no caller can change another's.
     """
     if base_sign not in (1, -1):
         raise PreconditionFailed("base sign must be +1 or -1")
@@ -93,17 +98,22 @@ def coherent_orientation(
     except ValueError:
         raise PreconditionFailed(f"base [{base}] is not a facet") from None
 
-    signs: dict[int, int] = {base_idx: base_sign}
-    for i, p, j, q in dual_walk(K, base_idx):
-        expected = -signs[i] * (-1) ** (p + q)
-        if signs.setdefault(j, expected) != expected:
-            raise NonOrientable(
-                f"sign contradiction at facet [{facets[j]}]", witness=facets[j]
-            )
+    key = ("coherent_orientation", base_idx)
+    walk = K.memo.get(key)
+    if walk is None:
+        signs: dict[int, int] = {base_idx: 1}
+        for i, p, j, q in dual_walk(K, base_idx):
+            expected = -signs[i] * (-1) ** (p + q)
+            if signs.setdefault(j, expected) != expected:
+                raise NonOrientable(
+                    f"sign contradiction at facet [{facets[j]}]", witness=facets[j]
+                )
+        # connected, so the walk reached every facet
+        walk = K.memo[key] = tuple(signs[i] for i in range(len(facets)))
+    if base_sign == -1:
+        walk = tuple(-s for s in walk)
     return OrientedComplex(
-        complex=K,
-        signs={facets[i]: s for i, s in sorted(signs.items())},
-        closed=report.closed,
+        complex=K, signs=dict(zip(facets, walk)), closed=report.closed
     )
 
 

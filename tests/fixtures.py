@@ -53,6 +53,14 @@ def matrix_product_is_zero(A, B):
     return True
 
 
+def reference_link(face, K):
+    """The link by scanning every facet of K: the facets that hold
+    ``face``, less its vertices; None when no facet holds it."""
+    fs = set(face)
+    residues = [[x for x in f if x not in fs] for f in K.facets if fs <= set(f)]
+    return make_complex(residues) if residues else None
+
+
 def chain_boundary(chain):
     """Boundary of an integer chain under the alternating-sign face rule."""
     out = {}

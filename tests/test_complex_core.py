@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from itertools import combinations, product
 
@@ -30,6 +31,7 @@ from fixtures import (
     DELTA4_TRIANGLES,
     complex_of,
     labels,
+    reference_link,
     simplex_of,
 )
 
@@ -195,6 +197,40 @@ def test_link_cone_apex_and_edge():
         link(simplex_of("u1_1 u1_2"), DELTA2)
 
 
+link_vertices = st.integers(1, 8)
+link_complexes = st.one_of(
+    st.lists(st.sets(link_vertices, min_size=1, max_size=4), min_size=1, max_size=8),
+    st.integers(1, 4).flatmap(
+        lambda size: st.lists(
+            st.sets(link_vertices, min_size=size, max_size=size), min_size=1, max_size=8
+        )
+    ),
+)
+
+
+@given(link_complexes, st.sets(st.integers(1, 9), max_size=3))
+@example([{1, 2, 3}, {3, 4}], {1, 4})  # vertices of K, not a face
+@example([{1, 2}], {9})  # a vertex not in K
+@example([{1, 2, 3}, {2, 3, 4}, {5}], set())  # the empty face
+@settings(max_examples=150, deadline=None)
+def test_link_matches_a_facet_scan(facet_sets, probe):
+    """Every face of K, the empty one included, and one drawn probe
+    against a scan of every facet; vertex 9 is never in K.  A probe that
+    is not a face raises the precondition text."""
+    K = make_complex([[v_label(i) for i in f] for f in facet_sets])
+    for k in range(-1, K.dimension + 1):
+        for face in faces(K, k):
+            assert link(face, K) == reference_link(face, K)
+    face = simplex(v_label(i) for i in probe)
+    expected = reference_link(face, K)
+    if expected is None:
+        message = rf"^\[{re.escape(str(face))}\] is not a face of the complex$"
+        with pytest.raises(PreconditionFailed, match=message):
+            link(face, K)
+    else:
+        assert link(face, K) == expected
+
+
 def test_star_equals_face_join_link():
     for K in (DELTA2, DELTA4, standard_sphere(2), standard_sphere(3)):
         for face in list(faces(K, 0)) + list(faces(K, 1)):
@@ -231,6 +267,16 @@ def test_pseudomanifold_reports():
     fan = make_complex([labels("a b c"), labels("a b d"), labels("a b e")])
     rep = pseudomanifold_check(fan)
     assert rep.max_ridge_multiplicity == 3 and not rep.ridge_bound_ok
+
+
+def test_pseudomanifold_report_is_kept_and_an_equal_complex_keeps_its_own():
+    K = cone(parse_label("u4"), DELTA4)
+    first = pseudomanifold_check(K)
+    assert pseudomanifold_check(K) == first
+    again = make_complex(K.facets)
+    assert again == K and hash(again) == hash(K)
+    assert again is not K and again.memo == {} and again.memo is not K.memo
+    assert pseudomanifold_check(again) == first
 
 
 def test_the_empty_complex_is_closed_and_has_no_boundary():

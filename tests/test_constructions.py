@@ -207,7 +207,7 @@ def test_pickle_and_deepcopy_round_trip():
     from sphere_forge.formats import bundle_to_json
 
     bundle = build_join_cone_sphere(2, 2)
-    verify_bundle(bundle)  # fills the complexes' caches, which copies carry
+    verify_bundle(bundle)  # fills the complexes' caches, which copies rebuild
     values = [u_pair(1, 2), bundle.source.facets[0], bundle.source]
     copiers = [copy.deepcopy] + [
         lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
@@ -221,3 +221,29 @@ def test_pickle_and_deepcopy_round_trip():
         assert type(twin) is type(bundle)
         assert bundle_to_json(twin) == bundle_to_json(bundle)
         assert verify_bundle(twin).passed
+
+
+def test_a_pickled_complex_hashes_afresh_under_another_hash_seed(tmp_path):
+    """A complex's hash is stored on first use and depends on the string
+    hash seed, so a pickle must not carry it into another interpreter."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sphere_forge
+
+    K = build_join_cone_sphere(2, 2).source
+    hash(K)
+    (tmp_path / "K.pickle").write_bytes(pickle.dumps(K))
+    src = str(Path(sphere_forge.__file__).resolve().parents[1])
+    check = (
+        "import pathlib, pickle, sys; from sphere_forge import make_complex; "
+        "K = pickle.loads(pathlib.Path(sys.argv[1]).read_bytes()); "
+        "sys.exit(K not in {make_complex(K.facets)})"
+    )
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        args = [sys.executable, "-c", check, str(tmp_path / "K.pickle")]
+        assert subprocess.run(args, env=env).returncode == 0

@@ -289,6 +289,15 @@ def test_kernel_basis_solves():
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
+def test_kernel_basis_is_kept_on_the_matrix_and_handed_out_fresh():
+    M = boundary_matrix(standard_sphere(2), 2)
+    first = kernel_basis(M)
+    first.append((0,) * M.cols)
+    second = kernel_basis(M)
+    assert second == kernel_basis(IntegerMatrix(M.rows, M.cols, M.columns))
+    assert len(second) == 1 and second is not kernel_basis(M)
+
+
 @st.composite
 def kernel_inputs(draw):
     """Small integer matrices, two thirds of them boundary-like (entries

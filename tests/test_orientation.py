@@ -131,6 +131,29 @@ def test_coherence_is_locally_checkable():
                 )
 
 
+def test_orientation_walk_is_kept_but_each_call_gets_its_own_signs():
+    K = standard_sphere(3)
+    base = K.facets[2]
+    plus = coherent_orientation(K, base, 1)
+    minus = coherent_orientation(K, base, -1)
+    assert minus.signs == {f: -s for f, s in plus.signs.items()}
+    assert minus.signs == coherent_orientation(make_complex(K.facets), base, -1).signs
+    plus.signs[base] = -1
+    minus.signs[base] = 1
+    assert coherent_orientation(K, base, 1).signs[base] == 1
+    assert coherent_orientation(K, base, -1).signs[base] == -1
+
+
+def test_non_orientable_raises_the_same_witness_on_every_call():
+    rp2 = complex_of(PROJECTIVE_PLANE)
+    witnesses = []
+    for base_sign in (1, -1, 1):
+        with pytest.raises(NonOrientable) as raised:
+            coherent_orientation(rp2, rp2.facets[0], base_sign)
+        witnesses.append(raised.value.witness)
+    assert witnesses[0] in rp2.facets and witnesses.count(witnesses[0]) == 3
+
+
 def test_orientation_preconditions():
     S = standard_sphere(2)
     with pytest.raises(PreconditionFailed):
