@@ -8,14 +8,18 @@ convention, and the degree and vertex count the construction promises.
 The expensive sphere and degree battery is :func:`verify_bundle`, which
 the CLI and the acceptance suite both run.
 
-All four follow the same scheme: triangulate an n-ball whose top cells
+All four follow the same scheme: triangulate an m-ball whose top cells
 hit the first target facet with multiplicity, then hand it to one
-closing step, :func:`_close`, which cones the ball's boundary with one
-last vertex, maps every vertex by one label rule, :func:`_image`
-(forget the disc position and the prime: ``u<j>_<i>`` and ``u<j>`` and
-``u<j>p`` all go to ``v<j>``), and checks the structure.  A builder
-supplies only its preconditions, its ball, its source base and its
-promised degree and vertex count.
+closing step, :func:`_close`.  That step cones the ball's boundary with
+one last vertex, lifts the m-sphere to dimension n one vertex at a time
+(:func:`_lift`, the one-point suspension), maps every vertex by one
+label rule, :func:`_image` (forget the disc position and the prime:
+``u<j>_<i>`` and ``u<j>`` and ``u<j>p`` all go to ``v<j>``), and checks
+the structure.  ``join-cone``, ``double-cone`` and ``facet-cone`` build
+their ball at a base dimension m = 2, 3 or k and are lifted from there;
+``stacked`` builds at m = n and is not lifted.  A builder supplies only
+its preconditions, its base ball and source base, and its promised
+degree and vertex count.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from dataclasses import dataclass
 
 from .complex_core import (
     Complex,
+    Simplex,
     boundary_complex,
     cone,
-    join,
     make_complex,
     pseudomanifold_check,
     simplex,
@@ -116,32 +120,64 @@ def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
     return BundleVerification(tuple(checks), sphere, counting, cycle)
 
 
-def _u_simplex_complex(lo: int, hi: int) -> Complex:
-    """Complex of the single simplex [u_lo ... u_hi]; empty when lo > hi."""
-    return make_complex([[u_label(i) for i in range(lo, hi + 1)]])
-
-
 def _image(u: VertexLabel) -> VertexLabel:
     """The label rule: ``u<j>_<i>`` goes to ``v<j>``; ``u<l>`` and its
     primed twin ``u<l>p`` go to ``v<l>``."""
     return v_label(u.item_index if u.class_index is None else u.class_index)
 
 
+def _lift(K: Complex) -> Complex:
+    """The one-point suspension of the m-sphere K at x = ``u<m+2>``:
+    the (m + 1)-sphere a * K ∪ x * (K − x) on one new vertex
+    a = ``u<m+3>``, where K − x keeps the facets of K that miss x
+    (Björner–Lutz, Exp. Math. 2000).  Under :func:`_image`, a goes to
+    ``v<m+3>`` and x keeps its image, so a map K → ∂Δ^{m+1} of degree d
+    becomes a map onto ∂Δ^{m+2} of degree d, with x and f(x) appended
+    to the two written bases (the source base must miss x).
+
+    Sphere: a * K is a ball with boundary K.  K − x is the complement of
+    x's open star, a ball with boundary lk x, so x * (K − x) is a ball
+    with boundary (K − x) ∪ x * lk x = K.  Two balls glued along their
+    common boundary sphere form a sphere.
+
+    Degree: the target ∂Δ^{m+2} is the lift of ∂Δ^{m+1} at f(x) =
+    ``v<m+2>``, with new vertex v = ``v<m+3>``.  Let z be K's fundamental
+    cycle, +1 on the base σ, and z_x its part on the facets that miss x;
+    let w, +1 on τ = f(σ), and w_f(x) be the target's.  Then
+    z' = x * z_x − a * z and w' = f(x) * w_f(x) − v * w are the lifted
+    fundamental cycles, and they take one sign on the appended bases
+    (σ, x) and (τ, f(x)).  Only the facets a * ρ reach v, and a * ρ
+    covers v * τ' exactly when ρ covers τ'.  So if f carries z to d·w,
+    the lifted map carries z' to a cycle whose part at v is −d·(v * w),
+    which makes it d·w': the degree is still d.
+    """
+    m = K.dimension
+    x, a = u_label(m + 2), u_label(m + 3)
+    facets = [Simplex(sorted((*f, a))) for f in K.facets]
+    facets += [Simplex(sorted((*f, x))) for f in K.facets if x not in f]
+    return Complex(tuple(sorted(facets)))
+
+
 def _close(
     ball: Complex,
     apex: VertexLabel,
     source_base: tuple[VertexLabel, ...],
+    n: int,
     degree: int,
     vertices: int,
     label: str,
 ) -> ConstructionBundle:
-    """Cone the ball's boundary with ``apex`` to close the sphere, map
-    every vertex by :func:`_image` onto the standard sphere with base
-    ``v1 .. v_{n+1}``, and check the vertex count, that no facet
-    collapses, that the source is a closed connected pseudomanifold and
-    that the source base is a facet."""
+    """Cone the m-ball's boundary with ``apex`` to close an m-sphere,
+    lift it n − m times by :func:`_lift`, appending ``u<m+2> ..
+    u<n+1>`` to the source base, map every vertex by :func:`_image`
+    onto the standard sphere with base ``v1 .. v<n+1>``, and check the
+    vertex count, that no facet collapses, that the source is a closed
+    connected pseudomanifold and that the source base is a facet."""
     sphere = union(cone(apex, boundary_complex(ball)), ball)
-    n = sphere.dimension
+    m = sphere.dimension
+    for _ in range(m, n):
+        sphere = _lift(sphere)
+    source_base += tuple(u_label(l) for l in range(m + 2, n + 2))
     assignment = {u: _image(u) for u in sphere.vertices}
     if len(sphere.vertices) != vertices:
         raise AssertionError(
@@ -169,22 +205,17 @@ def _close(
 def build_join_cone_sphere(n: int, d: int) -> ConstructionBundle:
     """Disc-times-simplex sphere: degree d on 3d + n - 1 vertices.
 
-    The d-disc joined with [u4 .. u_{n+1}] forms an n-ball whose
-    boundary is coned with u_{n+2}.
+    At its base dimension 2 the d-disc is closed by coning its boundary
+    with u4; each dimension above adds one lift.
     """
     if n < 2:
         raise PreconditionFailed("join-cone construction needs n >= 2")
     if d < 1:
         raise PreconditionFailed("join-cone construction needs d >= 1")
-    ball = join(build_delta(d).complex, _u_simplex_complex(4, n + 1))
-    source_base = (
-        u_pair(1, 1),
-        u_pair(2, 1),
-        u_pair(3, 1),
-        *(u_label(l) for l in range(4, n + 2)),
-    )
+    ball = build_delta(d).complex
+    source_base = (u_pair(1, 1), u_pair(2, 1), u_pair(3, 1))
     return _close(
-        ball, u_label(n + 2), source_base, d, 3 * d + n - 1, f"join-cone n={n} d={d}"
+        ball, u_label(4), source_base, n, d, 3 * d + n - 1, f"join-cone n={n} d={d}"
     )
 
 
@@ -192,9 +223,10 @@ def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle
     """Two cones over nested discs: degree 3d (even variant, 6d + n
     vertices) or 3d + 1 (odd variant, 6d + n + 3 vertices).
 
-    A cone with apex u4 covers the whole disc; a second apex u4' covers
-    only the sub-disc inside the first reduction polygon, read from the
-    disc's trace.
+    At its base dimension 3, a cone with apex u4 covers the whole disc
+    and a second apex u4' covers only the sub-disc inside the first
+    reduction polygon, read from the disc's trace; u5 cones off the
+    boundary of that 3-ball, and each dimension above adds one lift.
     """
     if n < 3:
         raise PreconditionFailed("double-cone construction needs n >= 3")
@@ -206,18 +238,12 @@ def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle
     disc = build_delta(2 * d if even else 2 * d + 1)
     outer_cone = cone(u_label(4), disc.complex)
     inner_cone = cone(u_label(4, primed=True), disc.inner_subdisc())
-    ball = join(union(outer_cone, inner_cone), _u_simplex_complex(5, n + 1))
-    source_base = (
-        u_pair(1, 1),
-        u_pair(2, 1),
-        u_pair(3, 1),
-        u_label(4),
-        *(u_label(l) for l in range(5, n + 2)),
-    )
+    source_base = (u_pair(1, 1), u_pair(2, 1), u_pair(3, 1), u_label(4))
     return _close(
-        ball,
-        u_label(n + 2),
+        union(outer_cone, inner_cone),
+        u_label(5),
         source_base,
+        n,
         3 * d if even else 3 * d + 1,
         (6 * d + n) if even else (6 * d + n + 3),
         f"double-cone n={n} d={d} variant={variant}",
@@ -227,9 +253,10 @@ def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle
 def build_facet_cone_sphere(n: int, k: int) -> ConstructionBundle:
     """Stacked-simplex sphere: degree k on k + n + 3 vertices (2 <= k <= n).
 
-    A central k-simplex keeps its facets and also gains a cone u'_i over
-    each of its ridges; joining with [u_{k+2} .. u_{n+1}] and coning the
-    boundary with u_{n+2} closes the sphere.
+    At its base dimension k, a central k-simplex keeps its facets and
+    also gains a cone u'_i over each of its ridges, and coning the
+    boundary with u_{k+2} closes the sphere; each dimension above adds
+    one lift.
     """
     if not 2 <= k <= n:
         raise PreconditionFailed("facet-cone construction needs 2 <= k <= n")
@@ -239,10 +266,10 @@ def build_facet_cone_sphere(n: int, k: int) -> ConstructionBundle:
         facets.append(
             [u_label(i, primed=True)] + [u for u in core if u != u_label(i)]
         )
-    ball = join(make_complex(facets), _u_simplex_complex(k + 2, n + 1))
-    source_base = tuple(u_label(i, primed=(i == k)) for i in range(1, n + 2))
+    ball = make_complex(facets)
+    source_base = tuple(u_label(i, primed=(i == k)) for i in range(1, k + 2))
     return _close(
-        ball, u_label(n + 2), source_base, k, k + n + 3, f"facet-cone n={n} k={k}"
+        ball, u_label(k + 2), source_base, n, k, k + n + 3, f"facet-cone n={n} k={k}"
     )
 
 
@@ -252,7 +279,8 @@ def build_stacked_sphere(n: int) -> ConstructionBundle:
     Every ridge of the core simplex [u1 .. u_{n+1}] is coned with its
     own u'_i and the core's boundary is coned with u_{n+2}; the core
     itself is not a facet.  Coning the resulting boundary with u'_{n+2}
-    closes the sphere with (n+1)(n+2) facets.
+    closes the sphere with (n+1)(n+2) facets.  It is built at n itself,
+    since it is not a lift of the stacked sphere one dimension down.
     """
     if n < 2:
         raise PreconditionFailed("stacked construction needs n >= 2")
@@ -267,6 +295,7 @@ def build_stacked_sphere(n: int) -> ConstructionBundle:
         make_complex(facets),
         u_label(n + 2, primed=True),
         source_base,
+        n,
         n + 1,
         2 * n + 4,
         f"stacked n={n}",
