@@ -8,13 +8,14 @@ complex (:class:`stored`):
   numbered in label order and each facet is the ascending tuple of its
   vertex numbers, so integer order is label order and everything built
   on it hashes and compares small ints instead of labels;
-* the integer face lattice (:attr:`Complex.face_lattice`), which
-  :func:`faces` reads the k-faces off;
+* the integer face lattice (:attr:`Complex.face_lattice`), built from
+  the top down, which :func:`faces` reads the k-faces off;
 * the ridge index (:attr:`Complex.facet_ridges`), by facet and vertex
   position, across which :func:`dual_walk` walks the facets for
   connectivity and orientation alike;
 * the star index (:attr:`Complex.stars`), vertex to the facets holding
-  it, which :func:`link` filters instead of scanning every facet;
+  it, which :func:`link` filters instead of scanning every facet; the
+  link keeps the star's order and takes no sort;
 * the hash, and in :attr:`Complex.memo` the facts later layers derive:
   the boundary matrices, the :func:`pseudomanifold_check` report and
   one orientation walk per base facet.
@@ -36,7 +37,7 @@ operations on closed complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, filterfalse, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionFailed
@@ -152,12 +153,21 @@ class Complex:
     def face_lattice(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Every face as an ascending tuple of vertex numbers (see
         :attr:`numbered_facets`): entry ``k + 1`` holds the k-faces,
-        sorted, so they are listed in label order too."""
-        per: list[set[tuple[int, ...]]] = [set() for _ in range(self.dimension + 2)]
-        for face in self.numbered_facets:
-            for size in range(len(face) + 1):
-                per[size].update(combinations(face, size))
-        return tuple(tuple(sorted(s)) for s in per)
+        sorted, so they are listed in label order too.  Built from the
+        top down: the k-faces are the facets with k + 1 vertices and the
+        (k + 1)-vertex subsets of the (k+1)-faces, so one pass serves
+        pure and mixed complexes alike."""
+        seeds: list[list[tuple[int, ...]]] = [[] for _ in range(self.dimension + 2)]
+        for f in self.numbered_facets:
+            seeds[len(f)].append(f)
+        levels: list[tuple[tuple[int, ...], ...]] = []
+        above: tuple[tuple[int, ...], ...] = ()
+        for size in reversed(range(len(seeds))):
+            level = set(chain.from_iterable(map(combinations, above, repeat(size))))
+            level.update(seeds[size])
+            above = tuple(sorted(level))
+            levels.append(above)
+        return tuple(reversed(levels))
 
     @stored
     def facet_ridges(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
@@ -351,24 +361,42 @@ def link(face: Simplex, K: Complex) -> Complex:
     """Faces disjoint from ``face`` whose join with it lies in K.
 
     Only the facets in the smallest star among ``face``'s vertices
-    (:attr:`Complex.stars`) are tested; the empty face's link is all of K.
-    The star is derivable as ``face * link(face, K)`` and is not a
-    separate operation.
+    (:attr:`Complex.stars`) are tested, and a vertex's star needs no
+    test, since each of its facets holds the vertex; the empty face's
+    link is all of K.  The star is derivable as ``face * link(face, K)``
+    and is not a separate operation.
+
+    The residues come out canonical without a sort.  Let S be the face
+    and A < B two held facets: both hold S and are in canonical order.
+    Distinct and maximal: A - S within B - S would put A within B.
+    Ordered: A is no prefix of B, which would put A within B, so they
+    first differ at some position p, after a common prefix P, with
+    A[p] < B[p].  A[p] is not in S, for in B it would lie below B[p],
+    so in P, whose vertices all lie below A[p].  Nor is all of B[p:] in
+    S, for then B would lie within A.  So A - S runs P - S, then A[p], and B - S runs P - S, then a
+    vertex above A[p]: A - S < B - S.
     """
     fs = set(face)
     facets = K.facets
-    if fs:
-        try:
-            star = min((K.stars[K._numbers[v]] for v in face), key=len)
-        except KeyError:  # a vertex not in K
-            star = ()
-        held = [facets[i] for i in star if fs.issubset(facets[i])]
-    else:
+    if not fs:
         held = facets
-    residues = [Simplex([x for x in f if x not in fs]) for f in held]
+    else:
+        numbers, stars = K._numbers, K.stars
+        star = None
+        for v in face:
+            i = numbers.get(v)
+            if i is None:  # a vertex not in K
+                star = ()
+                break
+            if star is None or len(stars[i]) < len(star):
+                star = stars[i]
+        held = map(facets.__getitem__, star)
+        if len(fs) > 1:
+            held = filter(fs.issubset, held)
+    residues = tuple(map(Simplex, map(filterfalse, repeat(fs.__contains__), held)))
     if not residues:
         raise PreconditionFailed(f"[{face}] is not a face of the complex")
-    return Complex(tuple(sorted(residues)))
+    return Complex(residues)
 
 
 def standard_sphere(n: int) -> Complex:

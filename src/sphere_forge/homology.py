@@ -8,7 +8,10 @@ exactly ``k+1`` entries of +-1 -- and every consumer (Smith reduction,
 kernels) reads those columns; a dense grid is only ever materialized on
 request through :attr:`IntegerMatrix.entries`.  Boundary matrices are
 built on the complex's integer face lattice
-(:attr:`Complex.face_lattice`), so row lookups hash tuples of small ints.
+(:attr:`Complex.face_lattice`), so row lookups hash tuples of small ints,
+and each row lookup returns its ``(row, +-1)`` pair whole: one matrix
+holds one pair object per row and sign, shared by every column that
+has it.
 
 Smith reduction first reduces columns by their lowest entry against the
 columns whose lowest entry is a unit; when every column ends on a unit
@@ -33,8 +36,9 @@ link is certified once (see :func:`sphere_check`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, count, cycle, repeat
 from math import gcd
+from operator import getitem
 from typing import Iterator, Sequence
 
 from .complex_core import (
@@ -128,15 +132,21 @@ def boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
 
 def _build_boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
     lattice = K.face_lattice
-    row_index = {f: i for i, f in enumerate(lattice[k])}
+    rows = lattice[k]
+    # one (row, sign) pair per row and sign, shared by every column
+    plus = dict(zip(rows, zip(count(), repeat(1))))
+    minus = dict(zip(rows, zip(count(), repeat(-1))))
     # combinations(face, k) omits the last vertex first and the first
     # vertex last: ascending rows, with signs (-1)**k, ..., -1, 1
-    signs = tuple(-1 if i % 2 else 1 for i in reversed(range(k + 1)))
-    columns = tuple(
-        tuple(zip(map(row_index.__getitem__, combinations(face, k)), signs))
-        for face in lattice[k + 1]
+    by_position = tuple(minus if i % 2 else plus for i in reversed(range(k + 1)))
+    entries = map(
+        getitem,
+        cycle(by_position),
+        chain.from_iterable(map(combinations, lattice[k + 1], repeat(k))),
     )
-    return IntegerMatrix(len(row_index), len(columns), columns)
+    # each column takes the next k + 1 entries
+    columns = tuple(zip(*[entries] * (k + 1)))
+    return IntegerMatrix(len(rows), len(columns), columns)
 
 
 # ---------------------------------------------------------------------------

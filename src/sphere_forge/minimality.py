@@ -10,11 +10,12 @@ code is computed once and serves both.  Then the vertex assignments
 into the 4-vertex sphere are surveyed exhaustively, one per orbit of the
 target's symmetry group S4 (S(v, 4) surjective representatives
 instead of 4^v assignments).  The survey scans the source vertices in
-an order taken from the surface, growing one patch from a vertex of
-largest degree, and counts together the partial assignments that no
-later triangle can tell apart.  On 40 relabellings of the 10-vertex
-join-cone source its frontier held at most five vertices, where label
-order held up to nine.  The witness, the least assignment of largest
+an order taken from the surface, growing one patch from an edge at a
+vertex of largest degree, and counts together the partial assignments
+that no later triangle can tell apart.  On 40 relabellings of the
+10-vertex join-cone source its frontier held at most five vertices and
+at most 481 states at once, where label order held up to nine vertices
+and 10 795 states.  The witness, the least assignment of largest
 |degree| in label order, is found by a second pass over the states
 that reach that degree, run only when the witness is read.
 
@@ -236,21 +237,27 @@ def _target_facet_signs() -> tuple[int, int, int, int]:
 def _scan_order(v: int, triangles: tuple[IntTriangle, ...]) -> list[int]:
     """The order in which the map survey assigns the vertices 0..v-1.
 
-    It starts at a vertex of largest degree, then repeatedly takes the
-    unassigned vertex that completes the most triangles, then the least.
-    Once an edge is assigned, some unassigned vertex completes a triangle
-    until none is left, since the surface is strongly connected; so from
-    then on each vertex joins an assigned edge, the scan grows one patch
-    and its frontier stays a short ring, whatever the labels.
+    It starts from an edge: a vertex of largest degree, then its
+    neighbour of largest degree, the least number on ties.  Then it
+    repeatedly takes the unassigned vertex that completes the most
+    triangles, then the least.  Once an edge is assigned, some
+    unassigned vertex completes a triangle until none is left, since the
+    surface is strongly connected; so each vertex joins an assigned
+    edge, the scan grows one patch and its frontier stays a short ring,
+    whatever the labels.
     """
     through: list[list[IntTriangle]] = [[] for _ in range(v)]
     for tri in triangles:
         for u in tri:
             through[u].append(tri)
+
+    def by_degree(w: int) -> tuple[int, int]:
+        return -len(through[w]), w
+
     completes = [0] * v
     scanned = [False] * v
     order = []
-    u = min(range(v), key=lambda w: (-len(through[w]), w))
+    u = min(range(v), key=by_degree)
     while True:
         order.append(u)
         scanned[u] = True
@@ -260,7 +267,10 @@ def _scan_order(v: int, triangles: tuple[IntTriangle, ...]) -> list[int]:
             a, b = [w for w in tri if w != u]
             completes[a] += scanned[b]
             completes[b] += scanned[a]
-        u = min((w for w in range(v) if not scanned[w]), key=lambda w: (-completes[w], w))
+        if len(order) == 1:
+            u = min({w for tri in through[u] for w in tri if w != u}, key=by_degree)
+        else:
+            u = min((w for w in range(v) if not scanned[w]), key=lambda w: (-completes[w], w))
 
 
 @dataclass(frozen=True, eq=False)

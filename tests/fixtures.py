@@ -8,6 +8,8 @@ each target facet for the (n=3, d=4) join-cone bundle.
 from collections import Counter
 from itertools import permutations
 
+from hypothesis import strategies as st
+
 from sphere_forge import (
     Simplex,
     build_double_cone_sphere,
@@ -21,6 +23,18 @@ from sphere_forge import (
 from sphere_forge.errors import PreconditionFailed
 from sphere_forge.minimality import _target_facet_signs
 from sphere_forge.orientation import Chain, coherent_orientation, sort_sign
+
+
+# facet vertex sets on 1..8: mixed sizes, or one size for pure complexes
+link_vertices = st.integers(1, 8)
+link_complexes = st.one_of(
+    st.lists(st.sets(link_vertices, min_size=1, max_size=4), min_size=1, max_size=8),
+    st.integers(1, 4).flatmap(
+        lambda size: st.lists(
+            st.sets(link_vertices, min_size=size, max_size=size), min_size=1, max_size=8
+        )
+    ),
+)
 
 
 def labels(text):

@@ -31,6 +31,7 @@ from fixtures import (
     DELTA4_TRIANGLES,
     complex_of,
     labels,
+    link_complexes,
     reference_link,
     simplex_of,
 )
@@ -195,17 +196,6 @@ def test_link_cone_apex_and_edge():
         PreconditionFailed, match=r"^\[u1_1 u1_2\] is not a face of the complex$"
     ):
         link(simplex_of("u1_1 u1_2"), DELTA2)
-
-
-link_vertices = st.integers(1, 8)
-link_complexes = st.one_of(
-    st.lists(st.sets(link_vertices, min_size=1, max_size=4), min_size=1, max_size=8),
-    st.integers(1, 4).flatmap(
-        lambda size: st.lists(
-            st.sets(link_vertices, min_size=size, max_size=size), min_size=1, max_size=8
-        )
-    ),
-)
 
 
 @given(link_complexes, st.sets(st.integers(1, 9), max_size=3))
@@ -385,6 +375,31 @@ def test_face_lattice_order_under_relabelling(names, facet_sets):
     """Labels of every shape (plain, indexed, class/index, primed) in
     any assignment to vertex numbers."""
     K = make_complex([[parse_label(names[i]) for i in f] for f in facet_sets])
+    assert_lattice_in_label_order(K)
+
+
+@pytest.mark.parametrize(
+    "K,lattice",
+    [
+        (
+            complex_of(["a b c", "c d", "e"]),
+            (
+                ((),),
+                ((0,), (1,), (2,), (3,), (4,)),
+                ((0, 1), (0, 2), (1, 2), (2, 3)),
+                ((0, 1, 2),),
+            ),
+        ),
+        (complex_of(["a"]), (((),), ((0,),))),
+        (empty_complex(), (((),),)),
+    ],
+    ids=["facets of three sizes", "a lone vertex", "empty"],
+)
+def test_face_lattice_holds_the_facets_of_every_size(K, lattice):
+    """The lattice is built from the top down, so each level must also
+    take the facets of its own size: the edge c d and the vertex e lie
+    in no larger facet."""
+    assert K.face_lattice == lattice
     assert_lattice_in_label_order(K)
 
 

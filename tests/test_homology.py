@@ -25,7 +25,7 @@ from sphere_forge import (
 from sphere_forge.complex_core import cone, empty_complex, faces, join, link
 from sphere_forge.errors import KernelRankNotOne, PreconditionFailed
 from sphere_forge.homology import HomologyGroup, top_kernel_generator
-from sphere_forge.labels import parse_label
+from sphere_forge.labels import parse_label, v_label
 
 from fixtures import (
     CONSTRUCTION_GRID,
@@ -33,6 +33,7 @@ from fixtures import (
     PROJECTIVE_PLANE,
     complex_of,
     labels,
+    link_complexes,
     matrix_product_is_zero,
 )
 
@@ -102,6 +103,36 @@ def test_boundary_matrices_are_built_once_per_complex(monkeypatch):
     # the cache lives on the object: an equal complex built afresh has its own
     assert boundary_matrix(standard_sphere(3), 3) is not boundary_matrix(K, 3)
     assert sorted(built) == [1, 2, 3, 3]
+
+
+def textbook_boundary(K, k):
+    """Dense boundary from the labelled faces: the entry at (sigma
+    without its vertex i, sigma) is (-1)**i."""
+    rows = {face: r for r, face in enumerate(faces(K, k - 1))}
+    columns = faces(K, k)
+    grid = [[0] * len(columns) for _ in rows]
+    for j, sigma in enumerate(columns):
+        for i in range(len(sigma)):
+            grid[rows[sigma[:i] + sigma[i + 1 :]]][j] = (-1) ** i
+    return tuple(map(tuple, grid))
+
+
+@given(link_complexes)
+@example([{1, 2, 3}, {3, 4}, {5}])  # facets of three sizes
+@example([{1, 2, 3, 4}])
+@settings(max_examples=150, deadline=None)
+def test_boundary_matrix_matches_the_textbook(facet_sets):
+    """Every boundary matrix of pure and mixed complexes, against the
+    dense reference; each column lists ascending rows, and one matrix
+    holds at most one (row, value) pair object per row and sign."""
+    K = make_complex([[v_label(i) for i in f] for f in facet_sets])
+    for k in range(K.dimension + 1):
+        M = boundary_matrix(K, k)
+        assert M.entries == textbook_boundary(K, k)
+        for column in M.columns:
+            rows = [r for r, _ in column]
+            assert rows == sorted(set(rows))
+        assert len({id(pair) for column in M.columns for pair in column}) <= 2 * M.rows
 
 
 def test_boundary_matrix_out_of_range():

@@ -523,3 +523,19 @@ def test_survey_does_not_depend_on_its_vertex_order(monkeypatch, scan_order):
     expected = outcome()
     monkeypatch.setattr(minimality, "_scan_order", scan_order)
     assert outcome() == expected
+
+
+def test_scan_from_an_edge_holds_at_most_481_states(monkeypatch):
+    """Over the relabellings ``Random(0..39)`` of the join-cone source
+    (the shuffle of ``perfbench/workloads.py``), the survey holds at
+    most 481 states at once; a second vertex of least label gave 524.
+    Degrees and witnesses are those of the label-order scan."""
+    K = build_join_cone_sphere(2, 3).source
+    sources = [_relabelled(K, seed) for seed in range(40)]
+    surveys = [degree_survey(L) for L in sources]
+    assert max(len(step[0]) for survey in surveys for step in survey._steps) == 481
+    monkeypatch.setattr(minimality, "_scan_order", _label_order)
+    for L, survey in zip(sources, surveys):
+        expected = degree_survey(L)
+        assert survey.degrees == expected.degrees
+        assert survey.witness.assignment == expected.witness.assignment
