@@ -11,14 +11,14 @@ complex (:class:`stored`):
 * the integer face lattice (:attr:`Complex.face_lattice`), built from
   the top down, which :func:`faces` reads the k-faces off;
 * the ridge index (:attr:`Complex.facet_ridges`), by facet and vertex
-  position, across which :func:`dual_walk` walks the facets for
-  connectivity and orientation alike;
+  position, and one walk across it from facet 0
+  (:attr:`Complex.dual_walk`), which decides connectivity and carries
+  the one coherent orientation that every base facet reads;
 * the star index (:attr:`Complex.stars`), vertex to the facets holding
   it, which :func:`link` filters instead of scanning every facet; the
   link keeps the star's order and takes no sort;
 * the hash, and in :attr:`Complex.memo` the facts later layers derive:
-  the boundary matrices, the :func:`pseudomanifold_check` report and
-  one orientation walk per base facet.
+  the boundary matrices and the :func:`pseudomanifold_check` report.
 
 Everything a complex hands out is immutable or a fresh copy.
 A simplex is its vertex tuple in label order (:class:`Simplex`
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, filterfalse, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PreconditionFailed
 from .labels import VertexLabel, v_label
@@ -190,6 +190,35 @@ class Complex:
         return tuple(map(tuple, index))
 
     @stored
+    def dual_walk(self) -> tuple[int, tuple[int, ...], int | None]:
+        """Breadth-first walk from facet 0 across shared ridges
+        (:attr:`facet_ridges`): how many facets it reaches, a sign per
+        facet (0 where it does not reach), and the first facet whose sign
+        a crossing contradicts, or ``None``.  Facet 0 gets +1, and facets
+        i and j on the ridge i has without its vertex at position p, as j
+        without position q, are coherent when ``sign(i) * sign(j) ==
+        -(-1)**(p + q)``: the transposition rule for induced orientations,
+        read on sorted vertex lists."""
+        index = self.facet_ridges
+        signs = [0] * len(index)
+        signs[0] = 1
+        order = [0]
+        contradiction = None
+        for i in order:  # grows while it is walked
+            flip = -signs[i]  # -sign(i) * (-1)**p, for p = 0, 1, ...
+            for slot in index[i]:
+                for j, q in slot:
+                    if j != i:
+                        expected = -flip if q & 1 else flip
+                        if not signs[j]:
+                            signs[j] = expected
+                            order.append(j)
+                        elif signs[j] != expected and contradiction is None:
+                            contradiction = j
+                flip = -flip
+        return len(order), tuple(signs), contradiction
+
+    @stored
     def stars(self) -> tuple[tuple[int, ...], ...]:
         """Entry ``[i]`` lists, ascending, the indices of the facets that
         hold vertex ``self.vertices[i]``."""
@@ -203,11 +232,10 @@ class Complex:
     def memo(self) -> dict:
         """Facts that later layers derive from this complex and keep for
         reuse, keyed by the function that derives them: the boundary
-        matrices (by dimension), the :func:`pseudomanifold_check` report
-        and the coherent-orientation walk from each base facet.  The
-        dict lives and dies with the complex, so an equal complex built
-        again starts with its own.  Every entry must be immutable, since
-        each caller gets the same one."""
+        matrices (by dimension) and the :func:`pseudomanifold_check`
+        report.  The dict lives and dies with the complex, so an equal
+        complex built again starts with its own.  Every entry must be
+        immutable, since each caller gets the same one."""
         return {}
 
     @stored
@@ -274,26 +302,6 @@ def faces(K: Complex, k: int) -> tuple[Simplex, ...]:
         return ()
     labels = K.vertices
     return tuple(Simplex([labels[i] for i in f]) for f in K.face_lattice[k + 1])
-
-
-def dual_walk(K: Complex, start: int) -> Iterator[tuple[int, int, int, int]]:
-    """Breadth-first walk from facet ``start`` across shared ridges,
-    yielding ``(i, p, j, q)`` for every crossing out of each facet i it
-    reaches: facet j != i is on the ridge i has without its vertex at
-    position p, as j without its vertex at position q.  Facets are left
-    in discovery order, p ascending, j ascending."""
-    index = K.facet_ridges
-    reached = [False] * len(index)
-    reached[start] = True
-    order = [start]
-    for i in order:  # grows while it is walked
-        for p, slot in enumerate(index[i]):
-            for j, q in slot:
-                if j != i:
-                    yield i, p, j, q
-                    if not reached[j]:
-                        reached[j] = True
-                        order.append(j)
 
 
 @dataclass(frozen=True)
@@ -441,7 +449,7 @@ def _pseudomanifold_report(K: Complex) -> PseudomanifoldReport:
     max_mult = max(sizes)
     boundary = sizes.count(1)
     closed = pure and boundary == 0 and max_mult == 2
-    connected = len({0}.union(j for _, _, j, _ in dual_walk(K, 0))) == len(K.facets)
+    connected = K.dual_walk[0] == len(K.facets)
     return PseudomanifoldReport(
         pure=pure,
         max_ridge_multiplicity=max_mult,

@@ -8,6 +8,9 @@ optional prime marker.  The textual grammar is::
     base<j>_<i>     e.g.  u1_3        (class/index pair)
     ...p            e.g.  u4p, u1_3p  (primed variant)
 
+Indices are decimal without leading zeros, so each label has one
+spelling: ``u01`` is refused rather than read as ``u1``.
+
 A label is its own sort key: the tuple ``(base, has class, class, has
 item, item, primed)``, so comparison, equality and hashing are the
 tuple's and an absent component orders before any present one.  Every
@@ -20,7 +23,8 @@ from __future__ import annotations
 import re
 from functools import cache
 
-_LABEL_RE = re.compile(r"^([a-z]+)(?:([0-9]+)_([0-9]+)|([0-9]+))?(p)?$")
+_INDEX = "(0|[1-9][0-9]*)"  # no leading zero, so each index has one spelling
+_LABEL_RE = re.compile(rf"^([a-z]+)(?:{_INDEX}_{_INDEX}|{_INDEX})?(p)?$")
 
 
 class VertexLabel(tuple):

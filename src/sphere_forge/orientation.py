@@ -1,16 +1,11 @@
 """Coherent orientations of pure pseudomanifolds.
 
 Orientations are stored as a sign per facet, read relative to the
-facet's canonically sorted vertex list.  Two facets sharing a ridge are
-coherently oriented when ``sign(s1) * sign(s2) == -(-1)**(p+q)`` where
-``p`` and ``q`` are the 0-based positions (in sorted order) of the
-vertices opposite the shared ridge.  This is the transposition rule for
-induced orientations expressed directly on sorted vertex lists, which
-makes it exactly testable.  Signs spread along
-:func:`~sphere_forge.complex_core.dual_walk`, which hands over p and q
-with each crossing.  The walk from each base facet is made once per
-complex and kept in :attr:`~sphere_forge.complex_core.Complex.memo`
-(see :func:`coherent_orientation`).
+facet's canonically sorted vertex list.  The signs come from
+:attr:`~sphere_forge.complex_core.Complex.dual_walk`, the one walk per
+complex from facet 0, which states the coherence rule for facets on a
+shared ridge; an orientation from any other base facet or base sign is
+that walk's signs, negated when the base's sign differs.
 
 A vertex list in any other order carries the sign of its sort,
 :func:`sort_sign`, relative to the sorted one.  ``sort_sign`` is the
@@ -22,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complex_core import Complex, Simplex, dual_walk, pseudomanifold_check
+from .complex_core import Complex, Simplex, pseudomanifold_check
 from .errors import NonOrientable, NotClosed, PreconditionFailed
 
 
@@ -67,14 +62,12 @@ def coherent_orientation(
     base: Simplex,
     base_sign: int = 1,
 ) -> OrientedComplex:
-    """Propagate signs breadth-first over the facet dual graph starting
-    from ``base``.
-
-    Raises NonOrientable (with a witness facet) when a cycle forces
-    contradictory signs.  The walk from base sign +1 is kept in
-    :attr:`Complex.memo`, one per base facet, and a -1 base reads it
-    negated; a walk that raises keeps nothing.  Each call hands out a
-    fresh ``signs`` dict, so no caller can change another's.
+    """The coherent orientation that gives ``base`` the sign
+    ``base_sign``: the signs of :attr:`Complex.dual_walk`, negated when
+    they give ``base`` the other sign.  Raises NonOrientable when that
+    walk meets contradictory signs, with its first contradiction as the
+    witness, the same from every base.  Each call hands out a fresh
+    ``signs`` dict, so no caller can change another's.
     """
     if base_sign not in (1, -1):
         raise PreconditionFailed("base sign must be +1 or -1")
@@ -98,22 +91,14 @@ def coherent_orientation(
     except ValueError:
         raise PreconditionFailed(f"base [{base}] is not a facet") from None
 
-    key = ("coherent_orientation", base_idx)
-    walk = K.memo.get(key)
-    if walk is None:
-        signs: dict[int, int] = {base_idx: 1}
-        for i, p, j, q in dual_walk(K, base_idx):
-            expected = -signs[i] * (-1) ** (p + q)
-            if signs.setdefault(j, expected) != expected:
-                raise NonOrientable(
-                    f"sign contradiction at facet [{facets[j]}]", witness=facets[j]
-                )
-        # connected, so the walk reached every facet
-        walk = K.memo[key] = tuple(signs[i] for i in range(len(facets)))
-    if base_sign == -1:
-        walk = tuple(-s for s in walk)
+    _, signs, contradiction = K.dual_walk
+    if contradiction is not None:
+        witness = facets[contradiction]
+        raise NonOrientable(f"sign contradiction at facet [{witness}]", witness=witness)
+    if signs[base_idx] != base_sign:
+        signs = [-s for s in signs]
     return OrientedComplex(
-        complex=K, signs=dict(zip(facets, walk)), closed=report.closed
+        complex=K, signs=dict(zip(facets, signs)), closed=report.closed
     )
 
 

@@ -29,6 +29,7 @@ from fixtures import (
     DELTA2_NEGATIVE,
     DELTA2_POSITIVE,
     DELTA4_TRIANGLES,
+    PROJECTIVE_PLANE,
     complex_of,
     labels,
     link_complexes,
@@ -434,10 +435,12 @@ pure_facets = st.integers(1, 4).flatmap(
 )
 MOBIUS = [{i % 5 + 1, (i + 1) % 5 + 1, (i + 2) % 5 + 1} for i in range(5)]
 ANNULUS = [{1, 2, 4}, {2, 4, 5}, {2, 3, 5}, {3, 5, 6}, {1, 3, 6}, {1, 4, 6}]
+RP2 = [{int(w[1:]) for w in t.split()} for t in PROJECTIVE_PLANE]
 
 
 @given(st.one_of(mixed_facets, pure_facets))
 @example(MOBIUS)
+@example(RP2)
 @example(ANNULUS)
 @example([{1, 2, 3}, {1, 2, 4}, {1, 2, 5}, {3, 4, 5}])
 @example([{1, 2, 3}, {4, 5, 6}, {1, 2, 7}])
@@ -445,9 +448,10 @@ ANNULUS = [{1, 2, 4}, {2, 4, 5}, {2, 3, 5}, {3, 5, 6}, {1, 3, 6}, {1, 4, 6}]
 @example([{1}, {2}])
 @settings(max_examples=200, deadline=None)
 def test_ridge_index_against_pairwise_brute_force(facet_sets):
-    """The pseudomanifold report, the boundary and the orientation read
-    off the ridge index agree with counting every facet minus one vertex
-    and comparing every pair of facets."""
+    """The pseudomanifold report, the boundary and the orientation from
+    every base facet and sign, read off the ridge index, agree with
+    counting every facet minus one vertex and comparing every pair of
+    facets."""
     K = make_complex([[v_label(i) for i in f] for f in facet_sets])
     count = Counter(f[:p] + f[p + 1 :] for f in K.facets for p in range(len(f)))
     joined = {
@@ -478,10 +482,17 @@ def test_ridge_index_against_pairwise_brute_force(facet_sets):
         ridge_rule_holds(K, dict(zip(K.facets, signs)))
         for signs in product((1, -1), repeat=len(K.facets))
     )
-    try:
-        oriented = coherent_orientation(K, K.facets[0], 1)
-    except NonOrientable:
-        assert not orientable
-    else:
-        assert oriented.signs[K.facets[0]] == 1
-        assert ridge_rule_holds(K, oriented.signs)
+    if not orientable:
+        witnesses = set()
+        for base, sign in product(K.facets, (1, -1)):
+            with pytest.raises(NonOrientable) as raised:
+                coherent_orientation(K, base, sign)
+            witnesses.add(raised.value.witness)
+        assert len(witnesses) == 1 and witnesses <= set(K.facets)
+        return
+    first = coherent_orientation(K, K.facets[0], 1).signs
+    for base, sign in product(K.facets, (1, -1)):
+        signs = coherent_orientation(K, base, sign).signs
+        assert signs[base] == sign
+        assert ridge_rule_holds(K, signs)
+        assert signs in (first, {f: -s for f, s in first.items()})

@@ -169,6 +169,15 @@ SWAPPED = " ".join(reversed(FACET.split()))
         {**VALID["complex"], "orientation": {"v1 v2": -1}},
         {**VALID["complex"], "orientation": {FACET: 1, SWAPPED: -1}},
         {"facets": []},
+        # u01 and u1 would read as one vertex
+        {
+            "facets": [
+                ["u01", "u2", "u3"],
+                ["u1", "u2", "u4"],
+                ["u1", "u3", "u4"],
+                ["u2", "u3", "u4"],
+            ]
+        },
     ],
 )
 def test_malformed_complex_exits_2(tmp_path, document):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +24,9 @@ def test_parse(text, fields):
     assert str(lab) == text
 
 
-@pytest.mark.parametrize("bad", ["", "U4", "u_3", "4u", "u4pp", "u1_", "u-3"])
+@pytest.mark.parametrize(
+    "bad", ["", "U4", "u_3", "4u", "u4pp", "u1_", "u-3", "u01", "u00", "u1_03", "u01p"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_label(bad)
@@ -60,6 +64,19 @@ label_strategy = st.builds(
 @given(label_strategy)
 def test_round_trip(lab):
     assert parse_label(str(lab)) == lab
+
+
+@given(st.from_regex(r"[a-z]+([0-9]+(_[0-9]+)?p?)?", fullmatch=True))
+def test_each_label_has_one_spelling(text):
+    """A string is refused exactly when an index has a leading zero, and
+    a label read from any other string prints back as that string."""
+    leading_zero = re.search(r"(?<![0-9])0[0-9]", text) is not None
+    try:
+        lab = parse_label(text)
+    except ValueError:
+        assert leading_zero
+    else:
+        assert not leading_zero and str(lab) == text
 
 
 @given(label_strategy, label_strategy)
