@@ -15,9 +15,9 @@ vertex of largest degree, and counts together the partial assignments
 that no later triangle can tell apart.  On 40 relabellings of the
 10-vertex join-cone source its frontier held at most five vertices and
 at most 481 states at once, where label order held up to nine vertices
-and 10 795 states.  The witness, the least assignment of largest
-|degree| in label order, is found by a second pass over the states
-that reach that degree, run only when the witness is read.
+and 10 795 states.  The same pass finds the witness, the least
+assignment of largest |degree| with the vertices read in scan order:
+each state keeps the least prefix that reaches it.
 
 The facts verified: no 2-sphere with at most six vertices admits a map
 of absolute degree 2, and none with at most seven vertices admits
@@ -28,8 +28,8 @@ and 3 through the packaged constructions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from functools import cache, cached_property
+from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import permutations
 
 from .complex_core import (
@@ -276,27 +276,13 @@ def _scan_order(v: int, triangles: tuple[IntTriangle, ...]) -> list[int]:
 @dataclass(frozen=True, eq=False)
 class DegreeSurvey:
     """What :func:`degree_survey` found: the degree distribution, the
-    largest |degree|, and the witness on demand.
-
-    The private fields keep what the witness pass needs of the forward
-    pass: the source's vertices in label order, the scan order, per scan
-    step the states before it and their moves (the ``seen`` bits they
-    are keyed by, the kept bits, and per ``seen`` the (add, value)
-    pairs), and the |degree| of each final state."""
+    largest |degree|, the least map of that |degree| in scan order, and
+    the most states the scan held at once."""
 
     max_abs: int
     degrees: Counter
-    _vertices: tuple[VertexLabel, ...] = field(repr=False)
-    _order: list[int] = field(repr=False)
-    _steps: list[tuple] = field(repr=False)
-    _ends: dict[int, int] = field(repr=False)
-
-    @cached_property
-    def witness(self) -> VertexMap:
-        """The lexicographically first assignment, in label order, of
-        largest |degree|.  Found on the first read, so a survey read
-        only for its degrees never pays for it."""
-        return _least_witness(self, self.max_abs)
+    witness: VertexMap
+    peak_states: int
 
 
 def degree_survey(K: Complex) -> DegreeSurvey:
@@ -307,12 +293,13 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     ``degrees[d]`` counts the surjective assignments of degree d over
     all 4^v assignments; non-surjective ones have degree zero and are
     not counted.  The witness is the lexicographically first assignment
-    of largest |degree| over all 4^v assignments, with the vertices in
-    label order.  It always exists, and that degree is at least 1: K is
-    closed, connected and orientable (the orientation below demands
-    it), and sending the three vertices of one triangle to v1, v2, v3
-    and every other vertex to v4 is a surjective map under which only
-    that triangle covers the facet v1 v2 v3, so its degree is 1 or -1.
+    of largest |degree| over all 4^v assignments, with the vertices
+    read in the order of ``_scan_order``.  It always exists, and that
+    degree is at least 1: K is closed, connected and orientable (the
+    orientation below demands it), and sending the three vertices of
+    one triangle to v1, v2, v3 and every other vertex to v4 is a
+    surjective map under which only that triangle covers the facet
+    v1 v2 v3, so its degree is 1 or -1.
 
     The scan assigns the vertices in the order of ``_scan_order``, one
     per step; assigning a vertex adds the signed images of the
@@ -325,24 +312,19 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     sigma o f has degree sign(sigma) deg f, so each surjective RGS of
     degree d adds 12 to ``degrees[d]`` and 12 to ``degrees[-d]``.  An
     RGS prefix's state is the values on the frontier, the number of
-    values used and the four totals, and the scan counts the prefixes
-    in each state.  Two prefixes in one state have the same
-    completions, since a completion's choices and the triangles it adds
-    read only the frontier and the count of values used, and they end
-    at the same totals.  So the final states carry every surjective RGS
-    with its degree, and the four totals must agree on each of them.
+    values used and the four totals, and the scan keeps per state the
+    number of prefixes in it and the least of them.  Two prefixes in
+    one state have the same completions, since a completion's choices
+    and the triangles it adds read only the frontier and the count of
+    values used, and they end at the same totals.  So the final states
+    carry every surjective RGS with its degree, and the four totals
+    must agree on each of them.
 
-    The witness pass runs on the first read of ``witness``.  It keeps
-    the states that reach a final state of largest |degree| and lifts
-    each by sigma, the partial injective map from the values used to
-    target vertices, with label vertex 0 sent to the first; for each
-    (state, sigma) it keeps the least label-order code of the assigned
-    vertices.  Two assignments in one (state, sigma) have the same
-    assigned vertices and the same completions, so the lesser stays
-    the lesser after any completion.  The least final code is the least
-    assignment of largest |degree| that sends vertex 0 first, and
-    swapping target vertices so that vertex 0 goes first lowers any
-    other, so it is the witness.  There are at most 24 lifts per state.
+    The scan meets the states in increasing order of their least
+    prefix and tries each state's values in increasing order, so the
+    first prefix to reach a state is its least.  The least RGS of an
+    orbit is its least member, so the least prefix among the final
+    states of largest |degree| is the witness.
     """
     if not K.is_pure or K.dimension != 2:
         raise PreconditionFailed(
@@ -385,7 +367,8 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     # step u while that vertex is on the frontier (zero off it), then
     # three bits count the values used, then four fields of ``width``
     # bits hold the totals, each offset by the facet count so that it
-    # stays non-negative.
+    # stays non-negative.  Its entry holds the count of its prefixes
+    # above bit 2v and the least of them, base 4 in step order, below.
     offset = len(K.facets)
     width = (2 * offset).bit_length()
     used_at = 2 * v
@@ -400,8 +383,9 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         o = 6 - x - y - z
         step[x, y, z] = (sort_sign((x, y, z)) * facet_sign[o]) << total_at[o]
 
-    scan = []
-    states = {sum(offset << at for at in total_at): 1}
+    prefix_mask = (1 << 2 * v) - 1
+    states = {sum(offset << at for at in total_at): 1 << 2 * v}
+    peak = 1
     for k in range(v):
         keep = -1 << used_at
         for u in range(k):
@@ -416,7 +400,7 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         # states that agree on what bucket k reads take the same moves
         moves: dict[int, list[tuple[int, int]]] = {}
         nxt: dict[int, int] = {}
-        for key, count in states.items():
+        for key, entry in states.items():
             seen = key & read
             choices = moves.get(seen)
             if choices is None:
@@ -434,87 +418,49 @@ def degree_survey(K: Complex) -> DegreeSurvey:
                         )
                     choices.append((add, x))
             base = key & keep
-            for add, _ in choices:
+            prefix = entry & prefix_mask
+            count = entry - prefix
+            prefix *= 4
+            for add, x in choices:
                 new = base + add
-                nxt[new] = nxt.get(new, 0) + count
-        scan.append((states, read, keep, moves))
+                got = nxt.get(new)
+                nxt[new] = count + (prefix + x if got is None else got)
         states = nxt
+        peak = max(peak, len(states))
 
     field_mask = (1 << width) - 1
     degrees: Counter = Counter()
-    ends = {}
-    for key, count in states.items():
+    best = -1
+    for key, entry in states.items():
         totals = [(key >> at & field_mask) - offset for at in total_at]
         deg = totals[0]
         if not totals[1] == totals[2] == totals[3] == deg:
             raise InconsistentAlg(
                 f"signed counts {totals} disagree across target facets"
             )
+        count = entry >> 2 * v
         degrees[deg] += 12 * count
         degrees[-deg] += 12 * count
-        ends[key] = abs(deg)
+        # the states come in increasing order of their least prefix
+        if abs(deg) > best:
+            best, least = abs(deg), entry & prefix_mask
     return DegreeSurvey(
-        max_abs=max(ends.values()),
+        max_abs=best,
         degrees=degrees,
-        _vertices=K.vertices,
-        _order=order,
-        _steps=scan,
-        _ends=ends,
-    )
-
-
-def _least_witness(survey: DegreeSurvey, best: int) -> VertexMap:
-    """The least label-order assignment of |degree| ``best``, found by
-    the lifted pass that ``degree_survey`` describes."""
-    reach = {key for key, deg in survey._ends.items() if deg == best}
-    ahead = [reach]
-    for states, read, keep, moves in reversed(survey._steps[1:]):
-        reach = {
-            key
-            for key in states
-            if any((key & keep) + add in reach for add, _ in moves[key & read])
-        }
-        ahead.append(reach)
-    ahead.reverse()  # ahead[k]: the states after step k that reach one
-
-    v = len(survey._vertices)
-    # (state, sigma) -> least code, in base 4 with vertex 0 first
-    lifted = {(key, ()): 0 for key in survey._steps[0][0]}
-    for k, (_, read, keep, moves) in enumerate(survey._steps):
-        u = survey._order[k]
-        weight = 1 << 2 * (v - 1 - u)
-        reach = ahead[k]
-        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (key, sigma), code in lifted.items():
-            base = key & keep
-            for add, x in moves[key & read]:
-                new = base + add
-                if new not in reach:
-                    continue
-                if x < len(sigma):
-                    lifts = [(sigma, sigma[x])]
-                else:
-                    lifts = [(sigma + (t,), t) for t in range(4) if t not in sigma]
-                for lift, t in lifts:
-                    if u == 0 and t:
-                        continue
-                    got = nxt.get((new, lift))
-                    mine = code + t * weight
-                    if got is None or mine < got:
-                        nxt[new, lift] = mine
-        lifted = nxt
-    least = min(lifted.values())
-    return VertexMap(
-        {
-            lab: v_label((least >> 2 * (v - 1 - i) & 3) + 1)
-            for i, lab in enumerate(survey._vertices)
-        }
+        witness=VertexMap(
+            {
+                K.vertices[u]: v_label((least >> 2 * (v - 1 - k) & 3) + 1)
+                for k, u in enumerate(order)
+            }
+        ),
+        peak_states=peak,
     )
 
 
 def max_abs_degree(K: Complex) -> tuple[int, VertexMap]:
     """Largest |degree| over all simplicial maps onto the standard
-    2-sphere, with one witness map."""
+    2-sphere, with the survey's witness: the least map of that |degree|
+    in scan order, found in the same pass as the degrees."""
     survey = degree_survey(K)
     return survey.max_abs, survey.witness
 

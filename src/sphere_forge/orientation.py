@@ -71,6 +71,11 @@ def coherent_orientation(
     """
     if base_sign not in (1, -1):
         raise PreconditionFailed("base sign must be +1 or -1")
+    if K.dimension < 0:
+        # its one facet, the empty simplex, has no ridges to walk across
+        raise PreconditionFailed(
+            "orientation needs a nonempty complex, got the empty complex"
+        )
     report = pseudomanifold_check(K)
     failed = [
         name

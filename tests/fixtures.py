@@ -157,25 +157,28 @@ def reference_canonical_form(triangles):
     return tuple(sorted(degree.values())), code
 
 
-def reference_label_order_survey(K):
-    """Reference map survey, the frontier merge in label order: (degrees,
-    max |degree|, lexicographically first witness assignment as a tuple
-    of target indices, None when every degree is zero).
+def reference_frontier_survey(K, order):
+    """Reference map survey, the frontier merge with the vertices
+    assigned in ``order``, a list of indices into ``K.vertices``:
+    (degrees, max |degree|, the lexicographically first assignment of
+    that |degree| with the vertices read in ``order``, as a tuple of
+    target indices in label order, None when every degree is zero).
 
-    The scan assigns vertices 0, 1, ..., v - 1 in turn, one restricted
-    growth string (RGS) per orbit of the target's S4, and keeps per
-    state (frontier values, values used, four signed totals) the number
-    of prefixes in it and the least of them.
+    The scan assigns vertices order[0], order[1], ... in turn, one
+    restricted growth string (RGS) per orbit of the target's S4, and
+    keeps per state (frontier values, values used, four signed totals)
+    the number of prefixes in it and the least of them.
     """
     vertices = K.vertices
     v = len(vertices)
-    index = {lab: i for i, lab in enumerate(vertices)}
+    step_of = {vertices[u]: k for k, u in enumerate(order)}
     oriented = coherent_orientation(K, K.facets[0], 1)
     bucket = [[] for _ in range(v)]
-    last = list(range(v))  # the last vertex of a triangle through u
+    last = list(range(v))  # the last step of a triangle through step u
     for facet in K.facets:
-        i, j, k = sorted(index[lab] for lab in facet)
-        bucket[k].append((i, j, oriented.signs[facet]))
+        where = [step_of[lab] for lab in facet]
+        i, j, k = sorted(where)
+        bucket[k].append((i, j, oriented.signs[facet] * sort_sign(where)))
         last[i] = max(last[i], k)
         last[j] = max(last[j], k)
 
@@ -248,7 +251,10 @@ def reference_label_order_survey(K):
             best = abs(deg)
             witness = entry & prefix_mask
     if witness is not None:
-        witness = tuple(witness >> 2 * (v - 1 - i) & 3 for i in range(v))
+        values = [0] * v
+        for k, u in enumerate(order):
+            values[u] = witness >> 2 * (v - 1 - k) & 3
+        witness = tuple(values)
     return degrees, best, witness
 
 

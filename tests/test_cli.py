@@ -429,6 +429,23 @@ def test_degree_on_non_pseudomanifold_source_names_the_failure(
     assert err.rstrip().endswith(f": {failed}")
 
 
+@pytest.mark.parametrize("method", ["counting", "both"])
+def test_degree_on_the_empty_complex_names_it(tmp_path, capsys, method):
+    """The empty complex passes the pseudomanifold check (closed and
+    connected), so the orientation refuses it by name."""
+    obj = json.loads(bundle_to_json(identity_map(2)))
+    obj["source"] = obj["target"] = {"facets": [[]]}
+    obj["map"] = []
+    obj["source_base"] = obj["target_base"] = []
+    del obj["expected_vertices"]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(obj))
+    assert main(["degree", "--bundle", str(path), "--method", method]) == 2
+    assert capsys.readouterr().err == (
+        "error: orientation needs a nonempty complex, got the empty complex\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

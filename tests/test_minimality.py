@@ -15,6 +15,7 @@ from sphere_forge import (
     f_vector_and_euler,
     max_abs_degree,
     sphere_check,
+    verify_bundle,
     verify_small_sphere_bounds,
 )
 from sphere_forge.complex_core import make_complex, simplex, standard_sphere
@@ -35,7 +36,7 @@ from sphere_forge.minimality import (
 )
 from sphere_forge.orientation import coherent_orientation
 
-from fixtures import reference_canonical_form, reference_label_order_survey
+from fixtures import reference_canonical_form, reference_frontier_survey
 
 
 @pytest.mark.parametrize("v,count", [(4, 1), (5, 1), (6, 2), (7, 5)])
@@ -161,10 +162,23 @@ def test_census_exports_in_standard_formats():
         assert loaded == entry.complex
 
 
-def _reference_survey(K):
+def _survey_order(K):
+    """The order in which the survey assigns K's vertices, as indices
+    into ``K.vertices``; read through the module, so it follows a
+    patched ``_scan_order``."""
+    return minimality._scan_order(len(K.vertices), K.face_lattice[3])
+
+
+def _witness_values(survey, K):
+    """The survey's witness as a tuple of target indices in label order."""
+    return tuple(survey.witness.assignment[lab].item_index - 1 for lab in K.vertices)
+
+
+def _reference_survey(K, order):
     """The plain product scan over all 4^v assignments, re-sorting every
     triangle of each: (degrees, max |degree|, lexicographically first
-    witness assignment as a tuple of target indices)."""
+    assignment of that |degree| with the vertices read in ``order``, as
+    a tuple of target indices in label order)."""
     vertices = K.vertices
     index = {lab: i for i, lab in enumerate(vertices)}
     triangles = [tuple(sorted(index[lab] for lab in facet)) for facet in K.facets]
@@ -182,9 +196,12 @@ def _reference_survey(K):
     best = 0
     witness = None
     degrees = Counter()
-    for assignment in product(range(4), repeat=len(vertices)):
-        if len(set(assignment)) != 4:
+    for values in product(range(4), repeat=len(vertices)):
+        if len(set(values)) != 4:
             continue
+        assignment = [0] * len(vertices)
+        for u, x in zip(order, values):
+            assignment[u] = x
         totals = [0, 0, 0, 0]
         for (i, j, k), s in zip(triangles, tri_signs):
             x, y, z = assignment[i], assignment[j], assignment[k]
@@ -207,20 +224,16 @@ def _reference_survey(K):
         degrees[deg] += 1
         if abs(deg) > best:
             best = abs(deg)
-            witness = assignment
+            witness = tuple(assignment)
     return degrees, best, witness
 
 
 def _assert_matches_reference(K):
-    degrees, best, witness = _reference_survey(K)
+    degrees, best, witness = _reference_survey(K, _survey_order(K))
     survey = degree_survey(K)
     assert survey.degrees == degrees
     assert survey.max_abs == best
-    if witness is None:
-        assert survey.witness is None
-    else:
-        got = tuple(survey.witness.assignment[lab].item_index - 1 for lab in K.vertices)
-        assert got == witness
+    assert _witness_values(survey, K) == witness
 
 
 @pytest.mark.parametrize("v", [4, 5, 6, 7])
@@ -272,9 +285,12 @@ def test_survey_matches_reference_scan_on_seven_vertex_torus():
 
 
 def test_survey_of_ten_vertex_join_cone_is_pinned():
-    """Too big for the reference scan, so the distribution and witness
-    are pinned as the one-assignment-at-a-time backtracking scan gave
-    them."""
+    """Too slow for the reference scan in the suite, so the distribution
+    is pinned as the one-assignment-at-a-time backtracking scan gave it,
+    and the witness as the product scan over all 4^10 assignments, read
+    in the survey's scan order (u4, u2_2, u1_2, u3_1, ...), gave it.
+    It is the one RGS of |degree| 3, and the scan meets the classes
+    u4, u2, u1, u3 in that order."""
     K = build_join_cone_sphere(2, 3).source
     survey = degree_survey(K)
     assert survey.degrees == Counter(
@@ -283,12 +299,12 @@ def test_survey_of_ten_vertex_join_cone_is_pinned():
     assert survey.max_abs == 3
     assert {str(a): str(b) for a, b in survey.witness.assignment.items()} == {
         "u4": "v1",
-        "u1_1": "v2",
-        "u1_2": "v2",
-        "u1_3": "v2",
-        "u2_1": "v3",
-        "u2_2": "v3",
-        "u2_3": "v3",
+        "u2_1": "v2",
+        "u2_2": "v2",
+        "u2_3": "v2",
+        "u1_1": "v3",
+        "u1_2": "v3",
+        "u1_3": "v3",
         "u3_1": "v4",
         "u3_2": "v4",
         "u3_3": "v4",
@@ -352,15 +368,18 @@ def _census_class_complexes(v):
 
 
 def _assert_matches_label_order_scan(K):
-    degrees, best, witness = reference_label_order_survey(K)
+    """Degrees and largest |degree| are those of the frontier merge in
+    label order; the witness is that of the frontier merge in the
+    survey's scan order."""
+    degrees, best, _ = reference_frontier_survey(K, range(len(K.vertices)))
     survey = degree_survey(K)
     assert survey.degrees == degrees
     assert survey.max_abs == best
-    if witness is None:
-        assert survey.witness is None
-    else:
-        got = tuple(survey.witness.assignment[lab].item_index - 1 for lab in K.vertices)
-        assert got == witness
+    assert reference_frontier_survey(K, _survey_order(K)) == (
+        degrees,
+        best,
+        _witness_values(survey, K),
+    )
 
 
 @pytest.mark.parametrize("v,classes", [(4, 1), (5, 1), (6, 2), (7, 5), (8, 14), (9, 50)])
@@ -377,8 +396,8 @@ def test_survey_matches_label_order_scan_on_census_classes(v, classes):
     ids=["join-cone n=2 d=3", "stacked n=2"],
 )
 def test_survey_matches_label_order_scan_on_relabellings(construct, args):
-    """The scan order comes from the surface, but the witness is still
-    the least assignment with the vertices in label order."""
+    """The scan order comes from the surface and moves with the labels;
+    the degrees do not."""
     K = construct(*args).source
     for seed in range(20):
         _assert_matches_label_order_scan(_relabelled(K, seed))
@@ -410,33 +429,6 @@ def test_scan_order_keeps_the_frontier_narrow_under_relabelling():
     K = build_join_cone_sphere(2, 3).source
     for seed in range(20):
         assert _frontier_width(_relabelled(K, seed)) <= 5
-
-
-def test_census_sweep_never_runs_the_witness_pass(monkeypatch):
-    """``verify_small_sphere_bounds`` reads only ``max_abs``."""
-
-    def refuse(scan, best):
-        raise AssertionError("witness pass ran")
-
-    monkeypatch.setattr(minimality, "_least_witness", refuse)
-    assert verify_small_sphere_bounds().passed
-    with pytest.raises(AssertionError, match="witness pass ran"):
-        max_abs_degree(build_join_cone_sphere(2, 2).source)
-
-
-def test_witness_pass_runs_once_per_survey(monkeypatch):
-    calls = []
-    least_witness = minimality._least_witness
-
-    def counted(scan, best):
-        calls.append(best)
-        return least_witness(scan, best)
-
-    monkeypatch.setattr(minimality, "_least_witness", counted)
-    survey = degree_survey(build_stacked_sphere(2).source)
-    assert calls == []
-    assert survey.witness is survey.witness
-    assert calls == [3]
 
 
 def _seven_vertex_torus():
@@ -510,32 +502,81 @@ def _shuffled_order(seed):
     ids=["label order"] + [f"shuffled {seed}" for seed in range(5)],
 )
 def test_survey_does_not_depend_on_its_vertex_order(monkeypatch, scan_order):
-    """Any scan order gives the same distribution, largest |degree| and
-    label-order witness; only the cost follows the order."""
+    """Any scan order gives the same distribution and largest |degree|,
+    and the witness is the least map read in that order; only the cost
+    follows the order."""
     sources = [K for v in range(4, 9) for K in _census_class_complexes(v)]
     assert len(sources) == 23
     sources.append(_seven_vertex_torus())
 
     def outcome():
-        surveys = [degree_survey(K) for K in sources]
-        return [(s.degrees, s.max_abs, dict(s.witness.assignment)) for s in surveys]
+        return [(s.degrees, s.max_abs) for s in map(degree_survey, sources)]
 
     expected = outcome()
     monkeypatch.setattr(minimality, "_scan_order", scan_order)
     assert outcome() == expected
+    for K in sources:
+        survey = degree_survey(K)
+        _, _, witness = reference_frontier_survey(K, _survey_order(K))
+        assert _witness_values(survey, K) == witness
 
 
 def test_scan_from_an_edge_holds_at_most_481_states(monkeypatch):
     """Over the relabellings ``Random(0..39)`` of the join-cone source
     (the shuffle of ``perfbench/workloads.py``), the survey holds at
     most 481 states at once; a second vertex of least label gave 524.
-    Degrees and witnesses are those of the label-order scan."""
+    Degrees are those of the label-order scan, and each witness is the
+    frontier merge's in the survey's scan order."""
     K = build_join_cone_sphere(2, 3).source
     sources = [_relabelled(K, seed) for seed in range(40)]
     surveys = [degree_survey(L) for L in sources]
-    assert max(len(step[0]) for survey in surveys for step in survey._steps) == 481
+    assert max(survey.peak_states for survey in surveys) == 481
+    for L, survey in zip(sources, surveys):
+        _, _, witness = reference_frontier_survey(L, _survey_order(L))
+        assert _witness_values(survey, L) == witness
     monkeypatch.setattr(minimality, "_scan_order", _label_order)
     for L, survey in zip(sources, surveys):
         expected = degree_survey(L)
         assert survey.degrees == expected.degrees
-        assert survey.witness.assignment == expected.witness.assignment
+        assert survey.max_abs == expected.max_abs
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        pytest.param(
+            lambda: [K for v in range(4, 10) for K in _census_class_complexes(v)],
+            id="census classes v=4..9",
+        ),
+        pytest.param(
+            lambda: [
+                _relabelled(build_join_cone_sphere(2, 3).source, s) for s in range(20)
+            ],
+            id="join-cone n=2 d=3 relabelled",
+        ),
+        pytest.param(
+            lambda: [_relabelled(build_stacked_sphere(2).source, s) for s in range(20)],
+            id="stacked n=2 relabelled",
+        ),
+    ],
+)
+def test_each_witness_passes_the_bundle_battery_at_the_largest_degree(sources):
+    """Each witness is checked on its own, not only against a reference:
+    as a bundle onto the boundary of the 3-simplex, built as the
+    benchmark's survey item builds it, it passes the full battery and
+    both oracles read |degree| max_abs."""
+    for K in sources():
+        survey = degree_survey(K)
+        bundle = ConstructionBundle(
+            source=K,
+            target=standard_sphere(2),
+            vertex_map=survey.witness,
+            source_base=K.facets[0].vertices,
+            target_base=(v_label(1), v_label(2), v_label(3)),
+            expected_degree=None,
+            expected_vertices=len(K.vertices),
+            label="survey witness",
+        )
+        report = verify_bundle(bundle)
+        assert report.passed, [c for c in report.checks if not c.ok]
+        assert abs(report.counting_degree) == survey.max_abs

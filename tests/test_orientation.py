@@ -190,3 +190,14 @@ def test_fundamental_cycle_of_a_point_is_not_closed():
     assert oriented.closed is False
     with pytest.raises(NotClosed, match="^fundamental cycle needs a closed complex$"):
         fundamental_cycle(oriented)
+
+
+def test_orientation_refuses_the_empty_complex():
+    """Its one facet, the empty simplex, has no ridges to walk across,
+    though the pseudomanifold check finds it closed and connected."""
+    empty = make_complex([[]])
+    with pytest.raises(
+        PreconditionFailed,
+        match="^orientation needs a nonempty complex, got the empty complex$",
+    ):
+        coherent_orientation(empty, empty.facets[0], 1)
