@@ -76,9 +76,15 @@ def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
     oracles, the expected degree when the bundle names one, and that the
     coherent fundamental cycle equals the top kernel generator up to one
     sign.  Both oracles assume a sphere, so a source that fails the
-    battery stops the run there.
+    battery stops the run there.  The empty complex is refused.
     """
     source = bundle.source
+    if source.is_empty:
+        # the battery and both oracles index chains by dimension, so the
+        # empty complex (dimension -1) has nothing to verify
+        raise PreconditionFailed(
+            "bundle verification needs a nonempty source, got the empty complex"
+        )
     checks = [
         CheckItem(
             "vertex_count",

@@ -1,4 +1,4 @@
-"""Exhaustive verification of the small-sphere degree bounds in dimension 2.
+"""Exhaustive verification of the small-sphere degree bounds.
 
 Triangulated 2-spheres on up to seven vertices are enumerated by a
 backtracking search that glues triangles over the smallest open edge
@@ -6,18 +6,21 @@ and keeps each closed surface that uses every vertex.  Each result is
 named by a canonical code, the least breadth-first walk from a facet
 flag, so one entry is kept per isomorphism class.  The two branching
 orders of the search find the same labelled triangulations, so each
-code is computed once and serves both.  Then the vertex assignments
-into the 4-vertex sphere are surveyed exhaustively, one per orbit of the
-target's symmetry group S4 (S(v, 4) surjective representatives
-instead of 4^v assignments).  The survey scans the source vertices in
-an order taken from the surface, growing one patch from an edge at a
-vertex of largest degree, and counts together the partial assignments
-that no later triangle can tell apart.  On 40 relabellings of the
-10-vertex join-cone source its frontier held at most five vertices and
-at most 481 states at once, where label order held up to nine vertices
-and 10 795 states.  The same pass finds the witness, the least
-assignment of largest |degree| with the vertices read in scan order:
-each state keeps the least prefix that reaches it.
+code is computed once and serves both.  The census is 2-dimensional.
+
+The map survey runs in any dimension n from 1 to 6.  It surveys the
+vertex assignments from a closed n-dimensional pseudomanifold onto the
+(n+2)-vertex n-sphere exhaustively, n + 2 colours, one per orbit of the
+target's symmetry group S(n+2), whose (n+2)! maps split into (n+2)!/2
+of each degree sign.  It scans the source vertices in an order taken
+from the complex, growing one patch from an edge at a vertex of largest
+degree, and counts together the partial assignments that no later facet
+can tell apart.  On 40 relabellings of the 10-vertex join-cone 2-sphere
+its frontier held at most five vertices and at most 481 states at once,
+where label order held up to nine vertices and 10 795 states.  The same
+pass finds the witness, the least assignment of largest |degree| with
+the vertices read in scan order: each state keeps the least prefix that
+reaches it.
 
 The facts verified: no 2-sphere with at most six vertices admits a map
 of absolute degree 2, and none with at most seven vertices admits
@@ -31,14 +34,9 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import permutations
+from math import comb, factorial
 
-from .complex_core import (
-    Complex,
-    make_complex,
-    pseudomanifold_check,
-    simplex,
-    standard_sphere,
-)
+from .complex_core import Complex, make_complex, pseudomanifold_check
 from .constructions import build_join_cone_sphere, build_stacked_sphere
 from .errors import InconsistentAlg, NotClosed, PreconditionFailed
 from .homology import sphere_check
@@ -221,39 +219,27 @@ def enumerate_2spheres(v: int) -> tuple[CensusEntry, ...]:
 # Exhaustive map sweep
 
 
-@cache
-def _target_facet_signs() -> tuple[int, int, int, int]:
-    """Orientation sign, from base ``v1 v2 v3``, of the target facet that
-    omits ``v<o+1>``, for o = 0..3."""
-    base = simplex([v_label(1), v_label(2), v_label(3)])
-    oriented = coherent_orientation(standard_sphere(2), base, 1)
-    by_omitted = {
-        6 - sum(v.item_index - 1 for v in facet): sign
-        for facet, sign in oriented.signs.items()
-    }
-    return tuple(by_omitted[o] for o in range(4))
-
-
-def _scan_order(v: int, triangles: tuple[IntTriangle, ...]) -> list[int]:
+def _scan_order(v: int, facets: tuple[tuple[int, ...], ...]) -> list[int]:
     """The order in which the map survey assigns the vertices 0..v-1.
 
-    It starts from an edge: a vertex of largest degree, then its
-    neighbour of largest degree, the least number on ties.  Then it
-    repeatedly takes the unassigned vertex that completes the most
-    triangles, then the least.  Once an edge is assigned, some
-    unassigned vertex completes a triangle until none is left, since the
-    surface is strongly connected; so each vertex joins an assigned
-    edge, the scan grows one patch and its frontier stays a short ring,
-    whatever the labels.
+    It starts from an edge: a vertex on the most facets, then its
+    neighbour on the most facets, the least number on ties.  Then it
+    repeatedly takes the unassigned vertex that is the last unassigned
+    vertex of the most facets, then the least.  On a surface some vertex
+    completes a triangle until none is left, since the surface is
+    strongly connected; so the scan grows one patch and its frontier
+    stays a short ring, whatever the labels.  In dimension n a facet
+    needs n assigned vertices first, so early steps may take the least.
     """
-    through: list[list[IntTriangle]] = [[] for _ in range(v)]
-    for tri in triangles:
-        for u in tri:
-            through[u].append(tri)
+    through: list[list[int]] = [[] for _ in range(v)]
+    for f, facet in enumerate(facets):
+        for u in facet:
+            through[u].append(f)
 
     def by_degree(w: int) -> tuple[int, int]:
         return -len(through[w]), w
 
+    unassigned = [len(facet) for facet in facets]
     completes = [0] * v
     scanned = [False] * v
     order = []
@@ -263,19 +249,21 @@ def _scan_order(v: int, triangles: tuple[IntTriangle, ...]) -> list[int]:
         scanned[u] = True
         if len(order) == v:
             return order
-        for tri in through[u]:
-            a, b = [w for w in tri if w != u]
-            completes[a] += scanned[b]
-            completes[b] += scanned[a]
+        for f in through[u]:
+            unassigned[f] -= 1
+            if unassigned[f] == 1:
+                (w,) = [w for w in facets[f] if not scanned[w]]
+                completes[w] += 1
         if len(order) == 1:
-            u = min({w for tri in through[u] for w in tri if w != u}, key=by_degree)
+            u = min({w for f in through[u] for w in facets[f] if w != u}, key=by_degree)
         else:
             u = min((w for w in range(v) if not scanned[w]), key=lambda w: (-completes[w], w))
 
 
 @dataclass(frozen=True, eq=False)
 class DegreeSurvey:
-    """What :func:`degree_survey` found: the degree distribution, the
+    """What :func:`degree_survey` found for an n-dimensional source: the
+    degree distribution of its maps onto the (n+2)-vertex n-sphere, the
     largest |degree|, the least map of that |degree| in scan order, and
     the most states the scan held at once."""
 
@@ -286,39 +274,37 @@ class DegreeSurvey:
 
 
 def degree_survey(K: Complex) -> DegreeSurvey:
-    """Degree distribution of all simplicial vertex maps from a closed
-    orientable surface K, a 2-sphere in every use here, onto the
-    standard 2-sphere ``v1 .. v4``.
+    """Degree distribution of all simplicial vertex maps from a closed,
+    connected, orientable n-dimensional pseudomanifold K, 1 <= n <= 6,
+    onto the standard n-sphere ``v1 .. v<n+2>``, whose n + 2 vertices
+    are the colours 0..n+1.
 
-    ``degrees[d]`` counts the surjective assignments of degree d over
-    all 4^v assignments; non-surjective ones have degree zero and are
-    not counted.  The witness is the lexicographically first assignment
-    of largest |degree| over all 4^v assignments, with the vertices
-    read in the order of ``_scan_order``.  It always exists, and that
-    degree is at least 1: K is closed, connected and orientable (the
-    orientation below demands it), and sending the three vertices of
-    one triangle to v1, v2, v3 and every other vertex to v4 is a
-    surjective map under which only that triangle covers the facet
-    v1 v2 v3, so its degree is 1 or -1.
+    ``degrees[d]`` counts the surjective assignments of degree d among
+    all (n+2)^v; the others have degree zero and are not counted.  The
+    witness is the lexicographically first assignment of largest
+    |degree|, read in the order of ``_scan_order``.  That degree is at
+    least 1: K is closed, connected and orientable (the orientation
+    below demands it), and sending one facet to v1 .. v<n+1> and every
+    other vertex to v<n+2> is a surjection under which only that facet
+    covers v1 .. v<n+1>, so its degree is 1 or -1.
 
-    The scan assigns the vertices in the order of ``_scan_order``, one
-    per step; assigning a vertex adds the signed images of the
-    triangles it completes to four totals, one per target facet.  After
-    each step the frontier is the assigned vertices that a triangle not
-    yet complete still reads.  The scan visits one assignment per orbit
-    of the symmetric group S4 relabelling the target: the restricted
-    growth strings (RGS) in scan order, whose values first appear in
-    the order 0, 1, 2, 3.  A surjection's orbit has 24 members and
-    sigma o f has degree sign(sigma) deg f, so each surjective RGS of
-    degree d adds 12 to ``degrees[d]`` and 12 to ``degrees[-d]``.  An
-    RGS prefix's state is the values on the frontier, the number of
-    values used and the four totals, and the scan keeps per state the
-    number of prefixes in it and the least of them.  Two prefixes in
-    one state have the same completions, since a completion's choices
-    and the triangles it adds read only the frontier and the count of
-    values used, and they end at the same totals.  So the final states
-    carry every surjective RGS with its degree, and the four totals
-    must agree on each of them.
+    The scan assigns one vertex per step, adding the signed images of
+    the facets it completes to n + 2 totals, one per target facet.
+    After each step the frontier is the assigned vertices that a facet
+    not yet complete still reads.  The scan visits one assignment per
+    orbit of the symmetric group S(n+2) relabelling the target: the
+    restricted growth strings (RGS) in scan order, whose values first
+    appear in the order 0, 1, .., n+1.  A surjection's orbit has (n+2)!
+    members and sigma o f has degree sign(sigma) deg f, so each
+    surjective RGS of degree d adds (n+2)!/2 to ``degrees[d]`` and to
+    ``degrees[-d]``.  An RGS prefix's state is the values on the
+    frontier, the number of values used and the totals, and the scan
+    keeps per state the number of prefixes in it and the least of them.
+    Two prefixes in one state have the same completions, since a
+    completion's choices and the facets it adds read only the frontier
+    and the count of values used, and they end at the same totals.  So
+    the final states carry every surjective RGS with its degree, and the
+    totals must agree on each of them.
 
     The scan meets the states in increasing order of their least
     prefix and tries each state's values in increasing order, so the
@@ -326,77 +312,91 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     orbit is its least member, so the least prefix among the final
     states of largest |degree| is the witness.
     """
-    if not K.is_pure or K.dimension != 2:
+    n = K.dimension
+    # the step table below has 2^(b(n+1)) entries: 2^21 at n = 6, 2^32 at 7
+    if not K.is_pure or not 1 <= n <= 6:
+        got = "the empty complex" if K.is_empty else f"dimension {n}"
         raise PreconditionFailed(
-            f"map survey needs a pure 2-dimensional complex, got dimension "
-            f"{K.dimension}{'' if K.is_pure else ' (not pure)'}"
+            f"map survey needs a pure complex of dimension 1 to 6, got "
+            f"{got}{'' if K.is_pure else ' (not pure)'}"
         )
     report = pseudomanifold_check(K)
     if not report.closed:
-        # a boundary edge leaves the signed counts of the target facets
+        # a boundary ridge leaves the signed counts of the target facets
         # free to differ, so there is no degree to survey
         problems = []
         if report.boundary_ridges:
-            problems.append(f"{report.boundary_ridges} edges on one triangle")
+            problems.append(f"{report.boundary_ridges} ridges on one facet")
         if report.max_ridge_multiplicity > 2:
-            problems.append(f"an edge on {report.max_ridge_multiplicity} triangles")
+            problems.append(f"a ridge on {report.max_ridge_multiplicity} facets")
         raise NotClosed(
-            f"map survey needs a closed surface, every edge on two triangles: "
-            f"{', '.join(problems)}"
+            f"map survey needs a closed pseudomanifold, every ridge on two "
+            f"facets: {', '.join(problems)}"
         )
     v = len(K.vertices)
+    colours = n + 2
     # facets in the same order as K.facets, vertices numbered in label order
-    triangles = K.face_lattice[3]
-    order = _scan_order(v, triangles)
-    step_of = [0] * v
-    for k, u in enumerate(order):
-        step_of[u] = k
+    facets = K.numbered_facets
+    order = _scan_order(v, facets)
+    step_of = {u: k for k, u in enumerate(order)}
     oriented = coherent_orientation(K, K.facets[0], 1)
-    bucket: list[list[tuple[int, int, int]]] = [[] for _ in range(v)]
-    last = list(range(v))  # the last step of a triangle through step u
-    for facet, tri in zip(K.facets, triangles):
-        where = [step_of[u] for u in tri]
-        i, j, k = sorted(where)
+
+    # A state is one int: the b bits from bit b*u hold the value assigned
+    # at step u while that vertex is on the frontier (zero off it), then
+    # a field counts the values used, then n + 2 fields of ``width`` bits
+    # hold the totals, each offset by the facet count so that it stays
+    # non-negative.  Its entry holds the count of its prefixes above bit
+    # b*v and the least of them, base 2^b in step order, below.
+    b = (n + 1).bit_length()
+    value = (1 << b) - 1
+    offset = len(facets)
+    width = (2 * offset).bit_length()
+    used_at = b * v
+    used_bits = colours.bit_length()
+    total_at = [used_at + used_bits + o * width for o in range(colours)]
+
+    # A facet completed at step k, with earlier steps i_0 < .. < i_(n-1),
+    # has the image code that holds the value at step i_m in field m and
+    # the value x at step k in field n, b bits each.  Its bucket entry
+    # keeps the shift and mask that move each earlier value into place.
+    bucket: list[list[tuple[tuple[tuple[int, int], ...], int]]] = [[] for _ in range(v)]
+    last = list(range(v))  # the last step of a facet through step u
+    for facet, numbered in zip(K.facets, facets):
+        where = [step_of[u] for u in numbered]
+        *earlier, k = sorted(where)
+        shifts = tuple((b * (i - m), value << b * m) for m, i in enumerate(earlier))
         # the facet's sign is for its vertices in label order; the scan
         # reads their values in step order
-        bucket[k].append((i, j, oriented.signs[facet] * sort_sign(where)))
-        last[i] = max(last[i], k)
-        last[j] = max(last[j], k)
+        bucket[k].append((shifts, oriented.signs[facet] * sort_sign(where)))
+        for i in earlier:
+            last[i] = max(last[i], k)
 
-    # A state is one int: bits 2u, 2u + 1 hold the value assigned at
-    # step u while that vertex is on the frontier (zero off it), then
-    # three bits count the values used, then four fields of ``width``
-    # bits hold the totals, each offset by the facet count so that it
-    # stays non-negative.  Its entry holds the count of its prefixes
-    # above bit 2v and the least of them, base 4 in step order, below.
-    offset = len(K.facets)
-    width = (2 * offset).bit_length()
-    used_at = 2 * v
-    total_at = [used_at + 3 + o * width for o in range(4)]
-    # A triangle whose vertices take the distinct values (x, y, z) is a
-    # preimage of the target facet omitting o = 6 - x - y - z, with sign
-    # sort_sign((x, y, z)); totals[o] is kept times that facet's own
-    # sign, so every total reads the degree.
-    facet_sign = _target_facet_signs()
-    step = {}
-    for x, y, z in permutations(range(4), 3):
-        o = 6 - x - y - z
-        step[x, y, z] = (sort_sign((x, y, z)) * facet_sign[o]) << total_at[o]
+    # An image with distinct values is a preimage of the target facet
+    # omitting o = C(n+2, 2) - sum(image), with sign sort_sign(image).
+    # totals[o] is kept times that facet's own sign, (-1)^(n+1-o) by the
+    # boundary formula with v1 .. v<n+1> positive, so each reads the degree.
+    top = b * n
+    step = [0] * (1 << top + b)
+    for image in permutations(range(colours), n + 1):
+        o = comb(colours, 2) - sum(image)
+        code = sum(x << b * m for m, x in enumerate(image))
+        step[code] = sort_sign(image) * (-1) ** (n + 1 - o) << total_at[o]
 
-    prefix_mask = (1 << 2 * v) - 1
-    states = {sum(offset << at for at in total_at): 1 << 2 * v}
+    prefix_mask = (1 << b * v) - 1
+    states = {sum(offset << at for at in total_at): 1 << b * v}
     peak = 1
     for k in range(v):
         keep = -1 << used_at
         for u in range(k):
             if last[u] > k:
-                keep |= 3 << 2 * u
-        read = 7 << used_at
-        for i, j, _ in bucket[k]:
-            read |= 3 << 2 * i | 3 << 2 * j
+                keep |= value << b * u
+        read = (1 << used_bits) - 1 << used_at
+        for shifts, _ in bucket[k]:
+            for shift, mask in shifts:
+                read |= mask << shift
         # the fewest values used after step k that leave vertices
-        # enough to use all four
-        need = k + 5 - v
+        # enough to use all n + 2
+        need = k + 1 + colours - v
         # states that agree on what bucket k reads take the same moves
         moves: dict[int, list[tuple[int, int]]] = {}
         nxt: dict[int, int] = {}
@@ -406,21 +406,25 @@ def degree_survey(K: Complex) -> DegreeSurvey:
             if choices is None:
                 choices = moves[seen] = []
                 used = seen >> used_at
-                for x in range(min(used + 1, 4)):
+                codes = []
+                for shifts, s in bucket[k]:
+                    code = 0
+                    for shift, mask in shifts:
+                        code |= seen >> shift & mask
+                    codes.append((code, s))
+                for x in range(min(used + 1, colours)):
                     if used + (x == used) < need:
                         continue
                     add = (x == used) << used_at
                     if last[k] > k:
-                        add += x << 2 * k
-                    for i, j, s in bucket[k]:
-                        add += s * step.get(
-                            (seen >> 2 * i & 3, seen >> 2 * j & 3, x), 0
-                        )
+                        add += x << b * k
+                    for code, s in codes:
+                        add += s * step[code | x << top]
                     choices.append((add, x))
             base = key & keep
             prefix = entry & prefix_mask
             count = entry - prefix
-            prefix *= 4
+            prefix <<= b
             for add, x in choices:
                 new = base + add
                 got = nxt.get(new)
@@ -429,38 +433,31 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         peak = max(peak, len(states))
 
     field_mask = (1 << width) - 1
+    half_orbit = factorial(colours) // 2
     degrees: Counter = Counter()
     best = -1
     for key, entry in states.items():
         totals = [(key >> at & field_mask) - offset for at in total_at]
         deg = totals[0]
-        if not totals[1] == totals[2] == totals[3] == deg:
-            raise InconsistentAlg(
-                f"signed counts {totals} disagree across target facets"
-            )
-        count = entry >> 2 * v
-        degrees[deg] += 12 * count
-        degrees[-deg] += 12 * count
+        if totals.count(deg) != colours:
+            raise InconsistentAlg(f"signed counts {totals} disagree across target facets")
+        count = entry >> b * v
+        degrees[deg] += half_orbit * count
+        degrees[-deg] += half_orbit * count
         # the states come in increasing order of their least prefix
         if abs(deg) > best:
             best, least = abs(deg), entry & prefix_mask
-    return DegreeSurvey(
-        max_abs=best,
-        degrees=degrees,
-        witness=VertexMap(
-            {
-                K.vertices[u]: v_label((least >> 2 * (v - 1 - k) & 3) + 1)
-                for k, u in enumerate(order)
-            }
-        ),
-        peak_states=peak,
-    )
+    witness = {
+        K.vertices[u]: v_label((least >> b * (v - 1 - k) & value) + 1)
+        for k, u in enumerate(order)
+    }
+    return DegreeSurvey(best, degrees, VertexMap(witness), peak)
 
 
 def max_abs_degree(K: Complex) -> tuple[int, VertexMap]:
-    """Largest |degree| over all simplicial maps onto the standard
-    2-sphere, with the survey's witness: the least map of that |degree|
-    in scan order, found in the same pass as the degrees."""
+    """Largest |degree| over all simplicial maps from the n-dimensional K
+    onto the standard n-sphere, with the survey's witness: the least map
+    of that |degree| in scan order, found in the same pass."""
     survey = degree_survey(K)
     return survey.max_abs, survey.witness
 

@@ -176,18 +176,23 @@ def degree_by_counting(bundle: ConstructionBundle) -> DegreeReport:
 def degree_by_cycle(bundle: ConstructionBundle) -> int:
     """Degree through top homology, independent of sign propagation.
 
-    Source and target must be pure, of one dimension, and each base a
-    facet.  The source fundamental cycle is the boundary-matrix kernel's
-    generator (KernelRankNotOne unless the kernel is a line and the
-    generator +-1 on every facet), normalized to be +1 on the source
-    base in its written order, then pushed forward facet by facet with
-    :func:`sort_sign`, which is 0 where an image is degenerate.  The
-    result is read off against the target's generator, normalized alike.
+    Source and target must be nonempty, pure, of one dimension, and
+    each base a facet.  The source fundamental cycle is the
+    boundary-matrix kernel's generator (KernelRankNotOne unless the
+    kernel is a line and the generator +-1 on every facet), normalized
+    to be +1 on the source base in its written order, then pushed
+    forward facet by facet with :func:`sort_sign`, which is 0 where an
+    image is degenerate.  The result is read off against the target's
+    generator, normalized alike.
     """
     K, L, f = bundle.source, bundle.target, bundle.vertex_map
     check_simplicial(f, K, L)
     _check_dimensions(K, L)
     for name, complex_ in (("source", K), ("target", L)):
+        if complex_.is_empty:
+            raise PreconditionFailed(
+                f"cycle degree needs a nonempty {name}, got the empty complex"
+            )
         if not complex_.is_pure:
             raise PreconditionFailed(f"cycle degree needs a pure {name}")
 

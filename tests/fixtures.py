@@ -6,7 +6,8 @@ each target facet for the (n=3, d=4) join-cone bundle.
 """
 
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
+from operator import itemgetter
 
 from hypothesis import strategies as st
 
@@ -19,9 +20,10 @@ from sphere_forge import (
     make_complex,
     parse_label,
     simplex,
+    standard_sphere,
+    v_label,
 )
 from sphere_forge.errors import PreconditionFailed
-from sphere_forge.minimality import _target_facet_signs
 from sphere_forge.orientation import Chain, coherent_orientation, sort_sign
 
 
@@ -157,6 +159,72 @@ def reference_canonical_form(triangles):
     return tuple(sorted(degree.values())), code
 
 
+def reference_product_survey(K, order):
+    """Reference map survey, the plain product scan over all (n+2)^v
+    assignments from the n-dimensional K onto the standard n-sphere,
+    re-sorting every facet of each: (degrees over the surjective
+    assignments, max |degree|, the lexicographically first assignment of
+    that |degree| with the vertices read in ``order``, as a tuple of
+    target indices in label order, None when every degree is zero).
+
+    Source and target signs both come from orientation walks, the
+    target's with base v1 .. v<n+1> positive; all n + 2 signed counts
+    must agree on every assignment.
+    """
+    n = K.dimension
+    colours = n + 2
+    v = len(K.vertices)
+    index = {lab: i for i, lab in enumerate(K.vertices)}
+    source = coherent_orientation(K, K.facets[0], 1)
+    # each facet reads its image off an assignment in label order
+    facets = [
+        (itemgetter(*[index[lab] for lab in facet]), source.signs[facet])
+        for facet in K.facets
+    ]
+    target = coherent_orientation(
+        standard_sphere(n), simplex([v_label(i) for i in range(1, n + 2)]), 1
+    )
+    target_signs = {
+        frozenset(w.item_index - 1 for w in facet): sign
+        for facet, sign in target.signs.items()
+    }
+
+    def oriented_face(image):
+        """The image's vertex set and the sign of the permutation that
+        sorts it, by counting inversions; None when a value repeats."""
+        if len(set(image)) < len(image):
+            return None
+        inversions = sum(x > y for i, x in enumerate(image) for y in image[i + 1 :])
+        return frozenset(image), (-1) ** inversions
+
+    faces = {}  # memo of oriented_face
+    best = 0
+    witness = None
+    degrees = Counter()
+    for values in product(range(colours), repeat=v):
+        if len(set(values)) != colours:
+            continue
+        assignment = [0] * v
+        for u, x in zip(order, values):
+            assignment[u] = x
+        counts = Counter()
+        for image_of, sign in facets:
+            image = image_of(assignment)
+            face = faces.get(image, ())
+            if face == ():
+                face = faces[image] = oriented_face(image)
+            if face is not None:
+                counts[face[0]] += sign * face[1]
+        totals = {sign * counts[face] for face, sign in target_signs.items()}
+        assert len(totals) == 1, totals
+        deg = totals.pop()
+        degrees[deg] += 1
+        if abs(deg) > best:
+            best = abs(deg)
+            witness = tuple(assignment)
+    return degrees, best, witness
+
+
 def reference_frontier_survey(K, order):
     """Reference map survey, the frontier merge with the vertices
     assigned in ``order``, a list of indices into ``K.vertices``:
@@ -189,7 +257,16 @@ def reference_frontier_survey(K, order):
     width = (2 * offset).bit_length()
     used_at = 2 * v
     total_at = [used_at + 3 + o * width for o in range(4)]
-    facet_sign = _target_facet_signs()
+    # the target's facet signs from an orientation walk over it, with
+    # base v1 v2 v3 positive
+    target = coherent_orientation(
+        standard_sphere(2), simplex([v_label(1), v_label(2), v_label(3)]), 1
+    )
+    by_omitted = {
+        6 - sum(w.item_index - 1 for w in facet): sign
+        for facet, sign in target.signs.items()
+    }
+    facet_sign = [by_omitted[o] for o in range(4)]
     step = {}
     for x, y, z in permutations(range(4), 3):
         o = 6 - x - y - z

@@ -447,6 +447,31 @@ def test_degree_on_the_empty_complex_names_it(tmp_path, capsys, method):
 
 
 @pytest.mark.parametrize(
+    "argv,refused_by",
+    [
+        (["degree", "--method", "cycle", "--bundle"], "cycle degree"),
+        (["verify", "bundle", "--in"], "bundle verification"),
+    ],
+)
+def test_cycle_degree_and_bundle_check_name_the_empty_complex(
+    tmp_path, capsys, argv, refused_by
+):
+    """Neither path orients the source first, so each refuses the empty
+    complex itself, before any boundary matrix or sphere check."""
+    obj = json.loads(bundle_to_json(identity_map(2)))
+    obj["source"] = obj["target"] = {"facets": [[]]}
+    obj["map"] = []
+    obj["source_base"] = obj["target_base"] = []
+    del obj["expected_vertices"]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(obj))
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {refused_by} needs a nonempty source, got the empty complex\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["degree", "--method", "cycle", "--bundle"],

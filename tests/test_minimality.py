@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sphere_forge import (
     ConstructionBundle,
     VertexMap,
+    build_facet_cone_sphere,
     build_join_cone_sphere,
     degree_by_counting,
     build_stacked_sphere,
@@ -18,7 +19,7 @@ from sphere_forge import (
     verify_bundle,
     verify_small_sphere_bounds,
 )
-from sphere_forge.complex_core import make_complex, simplex, standard_sphere
+from sphere_forge.complex_core import join, make_complex, standard_sphere
 from sphere_forge import minimality
 from sphere_forge.cli import main
 from sphere_forge.errors import (
@@ -26,7 +27,7 @@ from sphere_forge.errors import (
     NotClosed,
     PreconditionFailed,
 )
-from sphere_forge.labels import v_label
+from sphere_forge.labels import parse_label, v_label
 from sphere_forge.minimality import (
     _canonical_form,
     _scan_order,
@@ -34,9 +35,13 @@ from sphere_forge.minimality import (
     census_label,
     degree_survey,
 )
-from sphere_forge.orientation import coherent_orientation
+from sphere_forge.orientation import OrientedComplex
 
-from fixtures import reference_canonical_form, reference_frontier_survey
+from fixtures import (
+    reference_canonical_form,
+    reference_frontier_survey,
+    reference_product_survey,
+)
 
 
 @pytest.mark.parametrize("v,count", [(4, 1), (5, 1), (6, 2), (7, 5)])
@@ -166,7 +171,7 @@ def _survey_order(K):
     """The order in which the survey assigns K's vertices, as indices
     into ``K.vertices``; read through the module, so it follows a
     patched ``_scan_order``."""
-    return minimality._scan_order(len(K.vertices), K.face_lattice[3])
+    return minimality._scan_order(len(K.vertices), K.numbered_facets)
 
 
 def _witness_values(survey, K):
@@ -174,62 +179,8 @@ def _witness_values(survey, K):
     return tuple(survey.witness.assignment[lab].item_index - 1 for lab in K.vertices)
 
 
-def _reference_survey(K, order):
-    """The plain product scan over all 4^v assignments, re-sorting every
-    triangle of each: (degrees, max |degree|, lexicographically first
-    assignment of that |degree| with the vertices read in ``order``, as
-    a tuple of target indices in label order)."""
-    vertices = K.vertices
-    index = {lab: i for i, lab in enumerate(vertices)}
-    triangles = [tuple(sorted(index[lab] for lab in facet)) for facet in K.facets]
-    oriented = coherent_orientation(K, K.facets[0], 1)
-    tri_signs = [oriented.signs[facet] for facet in K.facets]
-    target = coherent_orientation(
-        standard_sphere(2), simplex([v_label(1), v_label(2), v_label(3)]), 1
-    )
-    target_signs = {
-        frozenset(w.item_index - 1 for w in facet): sign
-        for facet, sign in target.signs.items()
-    }
-    facet_sign = [target_signs[frozenset({0, 1, 2, 3} - {o})] for o in range(4)]
-
-    best = 0
-    witness = None
-    degrees = Counter()
-    for values in product(range(4), repeat=len(vertices)):
-        if len(set(values)) != 4:
-            continue
-        assignment = [0] * len(vertices)
-        for u, x in zip(order, values):
-            assignment[u] = x
-        totals = [0, 0, 0, 0]
-        for (i, j, k), s in zip(triangles, tri_signs):
-            x, y, z = assignment[i], assignment[j], assignment[k]
-            if x == y or y == z or x == z:
-                continue
-            parity = 1
-            if x > y:
-                x, y = y, x
-                parity = -parity
-            if y > z:
-                y, z = z, y
-                parity = -parity
-            if x > y:
-                x, y = y, x
-                parity = -parity
-            totals[6 - x - y - z] += s * parity
-        values = {facet_sign[o] * totals[o] for o in range(4)}
-        assert len(values) == 1
-        deg = values.pop()
-        degrees[deg] += 1
-        if abs(deg) > best:
-            best = abs(deg)
-            witness = tuple(assignment)
-    return degrees, best, witness
-
-
 def _assert_matches_reference(K):
-    degrees, best, witness = _reference_survey(K, _survey_order(K))
+    degrees, best, witness = reference_product_survey(K, _survey_order(K))
     survey = degree_survey(K)
     assert survey.degrees == degrees
     assert survey.max_abs == best
@@ -318,11 +269,20 @@ def test_survey_counts_every_surjection_once(v):
         assert sum(degree_survey(entry.complex).degrees.values()) == surjections
 
 
-def test_survey_refuses_sources_not_of_dimension_two():
-    with pytest.raises(PreconditionFailed, match="dimension 3"):
-        degree_survey(standard_sphere(3))
-    with pytest.raises(PreconditionFailed, match="dimension 1"):
-        degree_survey(standard_sphere(1))
+def test_survey_refuses_sources_outside_dimensions_one_to_six():
+    """Dimension 0 and the empty complex have no survey; dimension 7
+    would need a step table of 2^32 entries.  Dimension 3 is surveyed:
+    the 5 vertices of the boundary of the 4-simplex map onto themselves
+    in 5! ways, each of degree +-1."""
+    with pytest.raises(PreconditionFailed, match="got dimension 0$"):
+        degree_survey(standard_sphere(0))
+    with pytest.raises(PreconditionFailed, match="got the empty complex$"):
+        degree_survey(make_complex([[]]))
+    with pytest.raises(PreconditionFailed, match="got dimension 7$"):
+        degree_survey(standard_sphere(7))
+    survey = degree_survey(standard_sphere(3))
+    assert survey.degrees == Counter({1: 60, -1: 60})
+    assert survey.max_abs == 1
 
 
 def test_survey_refuses_a_surface_with_boundary():
@@ -330,21 +290,29 @@ def test_survey_refuses_a_surface_with_boundary():
     their signed counts differ across target facets."""
     w = [census_label(i) for i in range(4)]
     disc = make_complex([[w[0], w[1], w[2]], [w[1], w[2], w[3]]])
-    with pytest.raises(NotClosed, match="4 edges on one triangle"):
+    with pytest.raises(NotClosed, match="4 ridges on one facet"):
         degree_survey(disc)
     pinched = make_complex(
         [[w[0], w[1], w[2]], [w[0], w[1], w[3]], [w[0], w[1], census_label(4)]]
     )
-    with pytest.raises(NotClosed, match="an edge on 3 triangles"):
+    with pytest.raises(NotClosed, match="a ridge on 3 facets"):
         degree_survey(pinched)
 
 
 def test_survey_raises_when_signed_counts_disagree(monkeypatch):
     """The totals check is an exception, not an assert, so it also runs
-    under ``python -O``."""
-    signs = minimality._target_facet_signs()
-    flipped = (-signs[0],) + signs[1:]
-    monkeypatch.setattr(minimality, "_target_facet_signs", lambda: flipped)
+    under ``python -O``.  One facet's sign flipped makes the source
+    orientation incoherent, so the bijections count that facet against
+    its target facet alone."""
+    orient = minimality.coherent_orientation
+
+    def flip_one(K, base, sign):
+        oriented = orient(K, base, sign)
+        signs = dict(oriented.signs)
+        signs[K.facets[0]] *= -1
+        return OrientedComplex(oriented.complex, signs, oriented.closed)
+
+    monkeypatch.setattr(minimality, "coherent_orientation", flip_one)
     with pytest.raises(InconsistentAlg, match="disagree"):
         degree_survey(enumerate_2spheres(4)[0].complex)
 
@@ -580,3 +548,77 @@ def test_each_witness_passes_the_bundle_battery_at_the_largest_degree(sources):
         report = verify_bundle(bundle)
         assert report.passed, [c for c in report.checks if not c.ok]
         assert abs(report.counting_degree) == survey.max_abs
+
+
+def _suspension(K):
+    """The join of two new points with K, one dimension up."""
+    return join(make_complex([[parse_label("x1")], [parse_label("x2")]]), K)
+
+
+@pytest.mark.parametrize(
+    "K",
+    [standard_sphere(3)]
+    + [_suspension(entry.complex) for v in (4, 5) for entry in enumerate_2spheres(v)],
+    ids=["boundary of the 4-simplex", "suspended 4-vertex sphere", "suspended 5-vertex sphere"],
+)
+def test_survey_matches_reference_scan_in_dimension_three(K):
+    """Five colours: every degree, the largest |degree| and the least
+    map of it in scan order, against all 5^v assignments."""
+    assert K.dimension == 3
+    _assert_matches_reference(K)
+
+
+@pytest.mark.parametrize("L", range(3, 13))
+def test_polygons_map_with_degree_a_third_of_their_edges(L):
+    """A map of an L-gon onto the triangle winds at most once around it
+    per three edges."""
+    w = [census_label(i) for i in range(L)]
+    polygon = make_complex([w[i], w[(i + 1) % L]] for i in range(L))
+    assert degree_survey(polygon).max_abs == L // 3
+
+
+@pytest.mark.parametrize("v", [4, 5, 6, 7])
+def test_survey_counts_every_surjection_onto_five_colours_once(v):
+    """Each suspended census sphere has v + 2 vertices, and the summed
+    degrees count the surjections onto five colours, by
+    inclusion-exclusion."""
+    surjections = sum((-1) ** j * comb(5, j) * (5 - j) ** (v + 2) for j in range(5))
+    for entry in enumerate_2spheres(v):
+        degrees = degree_survey(_suspension(entry.complex)).degrees
+        assert sum(degrees.values()) == surjections
+
+
+@pytest.mark.parametrize(
+    "construct,args,largest,peak",
+    [
+        (build_join_cone_sphere, (3, 2), 2, 91),
+        (build_facet_cone_sphere, (3, 3), 3, 213),
+        (build_stacked_sphere, (3,), 4, 390),
+        (build_stacked_sphere, (4,), 5, 4110),
+    ],
+    ids=["join-cone n=3 d=2", "facet-cone n=3 k=3", "stacked n=3", "stacked n=4"],
+)
+def test_survey_of_paper_spheres_above_dimension_two(construct, args, largest, peak):
+    """The largest |degree| onto the boundary of the (n+1)-simplex is
+    pinned, and the witness, as a bundle, passes the full battery with
+    both oracles reading that |degree|.  The most states held at once
+    is pinned too, since it follows the scan order and nothing else
+    here does."""
+    K = construct(*args).source
+    n = K.dimension
+    survey = degree_survey(K)
+    assert survey.max_abs == largest
+    assert survey.peak_states == peak
+    bundle = ConstructionBundle(
+        source=K,
+        target=standard_sphere(n),
+        vertex_map=survey.witness,
+        source_base=K.facets[0].vertices,
+        target_base=tuple(v_label(i) for i in range(1, n + 2)),
+        expected_degree=None,
+        expected_vertices=len(K.vertices),
+        label="survey witness",
+    )
+    report = verify_bundle(bundle)
+    assert report.passed, [c for c in report.checks if not c.ok]
+    assert abs(report.counting_degree) == abs(report.cycle_degree) == largest
