@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .complex_core import Complex, f_vector_and_euler, standard_sphere
 from .constructions import (
@@ -60,8 +60,7 @@ CONSTRUCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     exit_code: int
     text: str
     data: dict
@@ -149,7 +148,7 @@ def _degree_payload(bundle: ConstructionBundle, method: str) -> tuple[dict, list
     agree = True
     if method in ("counting", "both"):
         report = degree_by_counting(bundle)
-        data["counting"] = report.as_dict()
+        data["counting"] = report._asdict()
         lines.append(f"degree = {report.degree} (counting)")
         for sigma in sorted(report.per_facet):
             plus = ", ".join(f"[{t}]" for t in report.alpha_plus[sigma]) or "-"
@@ -204,7 +203,7 @@ def run_verify_sphere(
     report = sphere_check(K, dim, level)
     lines = [f"sphere check (n = {dim}, level = {report.level})", *_check_lines(report.items)]
     lines += (f"  note: {note}" for note in report.notes)
-    return CommandResult(0 if report.passed else 1, "\n".join(lines), report.as_dict())
+    return CommandResult(0 if report.passed else 1, "\n".join(lines), report._asdict())
 
 
 def run_verify_disc_signs(d: int) -> CommandResult:
@@ -222,7 +221,7 @@ def run_verify_disc_signs(d: int) -> CommandResult:
     ]
     ok = all(c.ok for c in checks)
     lines = [f"disc d={d}: {counts.positives} positive, {counts.negatives} negative"]
-    data = {"d": d, "checks": [c.as_dict() for c in checks], "passed": ok}
+    data = {"d": d, "checks": [c._asdict() for c in checks], "passed": ok}
     return CommandResult(0 if ok else 1, "\n".join(lines + _check_lines(checks)), data)
 
 
@@ -243,7 +242,7 @@ def run_verify_minimality(n: int | None = None) -> CommandResult:
         f"degree 3 attained with 8 vertices: {report.degree3_attained_at_8}",
     ]
     lines += (f"  COUNTEREXAMPLE (implementation bug): {c}" for c in report.counterexamples)
-    return CommandResult(0 if report.passed else 1, "\n".join(lines), report.as_dict())
+    return CommandResult(0 if report.passed else 1, "\n".join(lines), report._asdict())
 
 
 def run_verify_bundle(in_path: str) -> CommandResult:
@@ -252,9 +251,9 @@ def run_verify_bundle(in_path: str) -> CommandResult:
     result = verify_bundle(bundle)
     data = {
         "label": bundle.label,
-        "checks": [c.as_dict() for c in result.checks],
+        "checks": [c._asdict() for c in result.checks],
         "passed": result.passed,
-        "sphere_check": result.sphere.as_dict(),
+        "sphere_check": result.sphere._asdict(),
     }
     lines = [f"bundle: {bundle.label}"] + _check_lines(result.checks)
     return CommandResult(0 if result.passed else 1, "\n".join(lines), data)

@@ -36,9 +36,8 @@ operations on closed complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, filterfalse, islice, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionFailed
 from .labels import VertexLabel, v_label
@@ -92,7 +91,8 @@ class stored:
     dict, where later reads find it before this (non-data) descriptor.
     Unlike :func:`functools.cached_property`, which before Python 3.12
     takes a class-wide lock on every first read, it takes no lock; it
-    writes the dict directly, so frozen dataclasses can use it."""
+    writes the dict directly, so classes that refuse attribute
+    assignment (:class:`Frozen`) can use it."""
 
     def __init__(self, compute):
         self.compute = compute
@@ -106,11 +106,33 @@ class stored:
         return value
 
 
-@dataclass(frozen=True)
-class Complex:
-    """Facets in canonical order.  Build through :func:`make_complex`."""
+class Frozen:
+    """Base of the plain classes that refuse attribute assignment and
+    deletion; each sets its own fields once, in ``__init__``, through
+    ``object.__setattr__``."""
 
-    facets: tuple[Simplex, ...]
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Complex(Frozen):
+    """Facets in canonical order.  Build through :func:`make_complex`.
+    Equal facets make equal complexes; attributes cannot be assigned."""
+
+    __slots__ = ("facets", "__dict__")  # the dict holds what is stored
+
+    def __init__(self, facets: tuple[Simplex, ...]):
+        object.__setattr__(self, "facets", facets)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.facets == other.facets
+        return NotImplemented
 
     @stored
     def vertices(self) -> tuple[VertexLabel, ...]:
@@ -304,8 +326,7 @@ def faces(K: Complex, k: int) -> tuple[Simplex, ...]:
     return tuple(Simplex([labels[i] for i in f]) for f in K.face_lattice[k + 1])
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple):
     """Face counts ``(f_-1, f_0, ..., f_d)``; ``f_-1`` is always 1."""
 
     counts: tuple[int, ...]
@@ -415,8 +436,7 @@ def standard_sphere(n: int) -> Complex:
     return Complex(tuple(sorted(Simplex(c) for c in combinations(verts, n + 1))))
 
 
-@dataclass(frozen=True)
-class PseudomanifoldReport:
+class PseudomanifoldReport(NamedTuple):
     """Outcome of the closed-pseudomanifold battery."""
 
     pure: bool

@@ -16,15 +16,17 @@ one last vertex, lifts the m-sphere to dimension n one vertex at a time
 label rule, :func:`_image` (forget the disc position and the prime:
 ``u<j>_<i>`` and ``u<j>`` and ``u<j>p`` all go to ``v<j>``), and checks
 the structure.  ``join-cone``, ``double-cone`` and ``facet-cone`` build
-their ball at a base dimension m = 2, 3 or k and are lifted from there;
+their ball at a base dimension m = 2, 3 or |k| and are lifted from there;
 ``stacked`` builds at m = n and is not lifted.  A builder supplies only
 its preconditions, its base ball and source base, and its promised
-degree and vertex count.
+degree and vertex count.  A negative degree is the positive one's
+construction with the map composed with :func:`~.simplicial_map.swap_map`,
+the exchange of the target's last two vertices, which has degree -1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complex_core import (
     Complex,
@@ -48,11 +50,17 @@ from .homology import (
 )
 from .labels import VertexLabel, u_label, u_pair, v_label
 from .orientation import coherent_orientation, fundamental_cycle
-from .simplicial_map import ConstructionBundle, VertexMap, degree_by_counting, degree_by_cycle
+from .simplicial_map import (
+    ConstructionBundle,
+    VertexMap,
+    compose,
+    degree_by_counting,
+    degree_by_cycle,
+    swap_map,
+)
 
 
-@dataclass(frozen=True)
-class BundleVerification:
+class BundleVerification(NamedTuple):
     """Outcome of :func:`verify_bundle`: the named checks, the sphere
     report behind the ``sphere_check`` item, and both oracles' degrees
     (None when the source fails the sphere battery)."""
@@ -178,13 +186,17 @@ def _close(
     u<n+1>`` to the source base, map every vertex by :func:`_image`
     onto the standard sphere with base ``v1 .. v<n+1>``, and check the
     vertex count, that no facet collapses, that the source is a closed
-    connected pseudomanifold and that the source base is a facet."""
+    connected pseudomanifold and that the source base is a facet.  The
+    ball is that of |degree|; a negative degree composes the map with
+    the exchange of ``v<n+1>`` and ``v<n+2>``."""
     sphere = union(cone(apex, boundary_complex(ball)), ball)
     m = sphere.dimension
     for _ in range(m, n):
         sphere = _lift(sphere)
     source_base += tuple(u_label(l) for l in range(m + 2, n + 2))
     assignment = {u: _image(u) for u in sphere.vertices}
+    if degree < 0:
+        assignment = compose(VertexMap(assignment), swap_map(n).vertex_map).assignment
     if len(sphere.vertices) != vertices:
         raise AssertionError(
             f"{label}: built {len(sphere.vertices)} vertices, promised {vertices}"
@@ -209,25 +221,27 @@ def _close(
 
 
 def build_join_cone_sphere(n: int, d: int) -> ConstructionBundle:
-    """Disc-times-simplex sphere: degree d on 3d + n - 1 vertices.
+    """Disc-times-simplex sphere: degree d != 0 on 3|d| + n - 1 vertices.
 
-    At its base dimension 2 the d-disc is closed by coning its boundary
-    with u4; each dimension above adds one lift.
+    At its base dimension 2 the |d|-disc is closed by coning its
+    boundary with u4; each dimension above adds one lift.
     """
     if n < 2:
         raise PreconditionFailed("join-cone construction needs n >= 2")
-    if d < 1:
-        raise PreconditionFailed("join-cone construction needs d >= 1")
-    ball = build_delta(d).complex
+    if d == 0:
+        raise PreconditionFailed("join-cone construction needs d != 0")
+    ball = build_delta(abs(d)).complex
     source_base = (u_pair(1, 1), u_pair(2, 1), u_pair(3, 1))
     return _close(
-        ball, u_label(4), source_base, n, d, 3 * d + n - 1, f"join-cone n={n} d={d}"
+        ball, u_label(4), source_base, n, d, 3 * abs(d) + n - 1, f"join-cone n={n} d={d}"
     )
 
 
 def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle:
-    """Two cones over nested discs: degree 3d (even variant, 6d + n
-    vertices) or 3d + 1 (odd variant, 6d + n + 3 vertices).
+    """Two cones over nested discs: for d >= 1, degree 3d (even
+    variant, 6d + n vertices) or 3d + 1 (odd variant, 6d + n + 3
+    vertices); for d <= -1, the negatives 3d or 3d - 1 on the vertex
+    count of |d|.
 
     At its base dimension 3, a cone with apex u4 covers the whole disc
     and a second apex u4' covers only the sub-disc inside the first
@@ -236,12 +250,13 @@ def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle
     """
     if n < 3:
         raise PreconditionFailed("double-cone construction needs n >= 3")
-    if d < 1:
-        raise PreconditionFailed("double-cone construction needs d >= 1")
+    if d == 0:
+        raise PreconditionFailed("double-cone construction needs d != 0")
     if variant not in ("even", "odd"):
         raise PreconditionFailed("variant must be 'even' or 'odd'")
     even = variant == "even"
-    disc = build_delta(2 * d if even else 2 * d + 1)
+    m = abs(d)
+    disc = build_delta(2 * m if even else 2 * m + 1)
     outer_cone = cone(u_label(4), disc.complex)
     inner_cone = cone(u_label(4, primed=True), disc.inner_subdisc())
     source_base = (u_pair(1, 1), u_pair(2, 1), u_pair(3, 1), u_label(4))
@@ -250,32 +265,34 @@ def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle
         u_label(5),
         source_base,
         n,
-        3 * d if even else 3 * d + 1,
-        (6 * d + n) if even else (6 * d + n + 3),
+        (3 * m if even else 3 * m + 1) * (1 if d > 0 else -1),
+        (6 * m + n) if even else (6 * m + n + 3),
         f"double-cone n={n} d={d} variant={variant}",
     )
 
 
 def build_facet_cone_sphere(n: int, k: int) -> ConstructionBundle:
-    """Stacked-simplex sphere: degree k on k + n + 3 vertices (2 <= k <= n).
+    """Stacked-simplex sphere: degree k on |k| + n + 3 vertices
+    (2 <= |k| <= n).
 
-    At its base dimension k, a central k-simplex keeps its facets and
-    also gains a cone u'_i over each of its ridges, and coning the
-    boundary with u_{k+2} closes the sphere; each dimension above adds
+    At its base dimension |k|, a central |k|-simplex keeps its facets
+    and also gains a cone u'_i over each of its ridges, and coning the
+    boundary with u_{|k|+2} closes the sphere; each dimension above adds
     one lift.
     """
-    if not 2 <= k <= n:
-        raise PreconditionFailed("facet-cone construction needs 2 <= k <= n")
-    core = [u_label(i) for i in range(1, k + 2)]
+    if not 2 <= abs(k) <= n:
+        raise PreconditionFailed("facet-cone construction needs 2 <= |k| <= n")
+    m = abs(k)
+    core = [u_label(i) for i in range(1, m + 2)]
     facets = [core]
-    for i in range(1, k + 2):
+    for i in range(1, m + 2):
         facets.append(
             [u_label(i, primed=True)] + [u for u in core if u != u_label(i)]
         )
     ball = make_complex(facets)
-    source_base = tuple(u_label(i, primed=(i == k)) for i in range(1, k + 2))
+    source_base = tuple(u_label(i, primed=(i == m)) for i in range(1, m + 2))
     return _close(
-        ball, u_label(k + 2), source_base, n, k, k + n + 3, f"facet-cone n={n} k={k}"
+        ball, u_label(m + 2), source_base, n, k, m + n + 3, f"facet-cone n={n} k={k}"
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complex_core import Complex, Simplex, make_complex, simplex
+from .complex_core import Complex, Frozen, Simplex, make_complex, simplex
 from .errors import PreconditionFailed
 from .labels import VertexLabel, u_pair
 from .orientation import coherent_orientation, sort_sign
@@ -27,24 +27,38 @@ from .orientation import coherent_orientation, sort_sign
 Triangle = tuple[VertexLabel, VertexLabel, VertexLabel]
 
 
-@dataclass(frozen=True)
-class PolygonCycle:
-    """Cyclically ordered distinct vertices; position 0 is the start."""
+class PolygonCycle(Frozen):
+    """Cyclically ordered distinct vertices; position 0 is the start.
+    Equal vertex tuples make equal cycles; attributes cannot be assigned."""
 
-    vertices: tuple[VertexLabel, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if len(self.vertices) < 3:
+    def __init__(self, vertices: tuple[VertexLabel, ...]):
+        if len(vertices) < 3:
             raise PreconditionFailed("polygon needs at least three vertices")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise PreconditionFailed("polygon vertices must be distinct")
+        object.__setattr__(self, "vertices", vertices)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices,))
+
+    def __repr__(self) -> str:
+        return f"PolygonCycle(vertices={self.vertices!r})"
+
+    def __reduce__(self):
+        return PolygonCycle, (self.vertices,)
 
     def __len__(self):
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
+class ReductionRecord(NamedTuple):
     """One reduction pass: the cycle it consumed and what it produced."""
 
     cycle: PolygonCycle

@@ -35,14 +35,14 @@ link is certified once (see :func:`sphere_check`).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from itertools import chain, combinations, count, cycle, repeat
 from math import gcd
 from operator import getitem
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .complex_core import (
     Complex,
+    Frozen,
     Simplex,
     f_vector_and_euler,
     faces,
@@ -53,17 +53,37 @@ from .complex_core import (
 from .errors import KernelRankNotOne, PreconditionFailed
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Frozen):
     """Sparse integer matrix stored by column.
 
     ``columns[j]`` holds the nonzero ``(row, value)`` pairs of column j
-    in ascending row order; values are exact Python ints.
+    in ascending row order; values are exact Python ints.  Matrices with
+    equal shape and columns are equal; attributes cannot be assigned.
     """
 
-    rows: int
-    cols: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("rows", "cols", "columns", "__dict__")  # the dict holds the kernel
+
+    def __init__(self, rows: int, cols: int, columns: tuple):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "columns", columns)
+
+    def _key(self) -> tuple:
+        return self.rows, self.cols, self.columns
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"IntegerMatrix(rows={self.rows}, cols={self.cols}, columns={self.columns})"
+
+    def __reduce__(self):
+        return IntegerMatrix, self._key()
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
@@ -90,22 +110,22 @@ class IntegerMatrix:
         return tuple(_reduce_kernel(self))
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """Nonzero invariant factors ``d_1 | d_2 | ... | d_r`` and the rank r.
 
     ``unit_lows`` holds the rows on which the reduction's unit columns
     end (see :func:`smith_normal_form`); it is a by-product of one
-    reduction, not part of the Smith form, so equality ignores it.
+    reduction, not part of the Smith form.  Equality compares it too,
+    as a tuple's does, so compare ``diagonal`` and ``rank`` to compare
+    Smith forms.
     """
 
     diagonal: tuple[int, ...]
     rank: int
-    unit_lows: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
+    unit_lows: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """One integral homology group: free rank plus torsion orders (each >= 2)."""
 
     betti: int
@@ -401,35 +421,35 @@ LEVEL_NECESSARY = "necessary"
 LEVEL_CERTIFY = "certify_low_dim"
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
+class SphereCheckReport(NamedTuple):
+    """The items of :func:`sphere_check`, in report order; ``passed``
+    says that every item is ok, decided once where the report is built."""
 
-@dataclass(frozen=True)
-class SphereCheckReport:
     n: int
     level: str
     items: tuple[CheckItem, ...]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+    passed: bool
 
-    @property
-    def passed(self) -> bool:
-        return all(item.ok for item in self.items)
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "level": self.level,
-            "passed": self.passed,
-            "checks": [item.as_dict() for item in self.items],
-            "notes": list(self.notes),
-        }
+def _report_dict(report: SphereCheckReport) -> dict:
+    return {
+        "n": report.n,
+        "level": report.level,
+        "passed": report.passed,
+        "checks": [item._asdict() for item in report.items],
+        "notes": list(report.notes),
+    }
+
+
+# a NamedTuple class body may not define _asdict, so it is set here
+SphereCheckReport._asdict = _report_dict
 
 
 def sphere_check(
@@ -482,7 +502,8 @@ def sphere_check(
             "n = 3: a closed 3-manifold with 3-sphere homology is "
             "accepted as certification"
         )
-    report = links[K] = SphereCheckReport(n, level, items, tuple(notes))
+    passed = all(item.ok for item in items)
+    report = links[K] = SphereCheckReport(n, level, items, tuple(notes), passed)
     return report
 
 

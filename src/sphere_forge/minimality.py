@@ -31,10 +31,10 @@ and 3 through the packaged constructions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import permutations
 from math import comb, factorial
+from typing import NamedTuple
 
 from .complex_core import Complex, make_complex, pseudomanifold_check
 from .constructions import build_join_cone_sphere, build_stacked_sphere
@@ -185,8 +185,7 @@ def _canonical_form(triangles: frozenset[IntTriangle]) -> tuple:
     return tuple(sorted(degree)), tuple(best)
 
 
-@dataclass(frozen=True, eq=False)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """One isomorphism class of triangulated 2-spheres."""
 
     complex: Complex
@@ -229,7 +228,10 @@ def _scan_order(v: int, facets: tuple[tuple[int, ...], ...]) -> list[int]:
     completes a triangle until none is left, since the surface is
     strongly connected; so the scan grows one patch and its frontier
     stays a short ring, whatever the labels.  In dimension n a facet
-    needs n assigned vertices first, so early steps may take the least.
+    needs n assigned vertices first, so early steps may complete none.
+    Then the scan takes the vertex on the most facets that miss two
+    unassigned vertices, then three, and so on, then the least, so the
+    patch still grows from what is assigned instead of by label.
     """
     through: list[list[int]] = [[] for _ in range(v)]
     for f, facet in enumerate(facets):
@@ -238,6 +240,13 @@ def _scan_order(v: int, facets: tuple[tuple[int, ...], ...]) -> list[int]:
 
     def by_degree(w: int) -> tuple[int, int]:
         return -len(through[w]), w
+
+    def by_misses(w: int) -> tuple[list[int], int]:
+        # entry m - 2 counts, negated, the facets through w missing m vertices
+        misses = [0] * len(facets[0])
+        for f in through[w]:
+            misses[unassigned[f] - 1] -= 1
+        return misses[1:], w
 
     unassigned = [len(facet) for facet in facets]
     completes = [0] * v
@@ -257,11 +266,13 @@ def _scan_order(v: int, facets: tuple[tuple[int, ...], ...]) -> list[int]:
         if len(order) == 1:
             u = min({w for f in through[u] for w in facets[f] if w != u}, key=by_degree)
         else:
-            u = min((w for w in range(v) if not scanned[w]), key=lambda w: (-completes[w], w))
+            rest = [w for w in range(v) if not scanned[w]]
+            u = min(rest, key=lambda w: (-completes[w], w))
+            if not completes[u]:
+                u = min(rest, key=by_misses)
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeSurvey:
+class DegreeSurvey(NamedTuple):
     """What :func:`degree_survey` found for an n-dimensional source: the
     degree distribution of its maps onto the (n+2)-vertex n-sphere, the
     largest |degree|, the least map of that |degree| in scan order, and
@@ -466,8 +477,10 @@ def max_abs_degree(K: Complex) -> tuple[int, VertexMap]:
 # The verification bundle
 
 
-@dataclass(frozen=True, eq=False)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
+    """What :func:`verify_small_sphere_bounds` found; ``passed`` says
+    that every bound and attainment holds and no census entry failed."""
+
     census_sizes: dict[int, int]
     orders_agree: bool
     max_degree_by_vertices: dict[int, int]
@@ -476,20 +489,7 @@ class MinimalityReport:
     degree2_attained_at_7: bool
     degree3_attained_at_8: bool
     counterexamples: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.orders_agree
-            and self.degree2_bound_ok
-            and self.degree3_bound_ok
-            and self.degree2_attained_at_7
-            and self.degree3_attained_at_8
-            and not self.counterexamples
-        )
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+    passed: bool
 
 
 def verify_small_sphere_bounds() -> MinimalityReport:
@@ -526,14 +526,18 @@ def verify_small_sphere_bounds() -> MinimalityReport:
 
     degree2 = degree_by_counting(build_join_cone_sphere(2, 2)).degree == 2
     degree3 = degree_by_counting(build_stacked_sphere(2)).degree == 3
+    bound2 = all(max_by_v[v] <= 1 for v in range(4, 7))
+    bound3 = all(max_by_v[v] <= 2 for v in range(4, 8))
+    passed = orders_agree and bound2 and bound3 and degree2 and degree3 and not counterexamples
 
     return MinimalityReport(
         census_sizes={v: len(entries) for v, entries in census.items()},
         orders_agree=orders_agree,
         max_degree_by_vertices=max_by_v,
-        degree2_bound_ok=all(max_by_v[v] <= 1 for v in range(4, 7)),
-        degree3_bound_ok=all(max_by_v[v] <= 2 for v in range(4, 8)),
+        degree2_bound_ok=bound2,
+        degree3_bound_ok=bound3,
         degree2_attained_at_7=degree2,
         degree3_attained_at_8=degree3,
         counterexamples=tuple(counterexamples),
+        passed=passed,
     )

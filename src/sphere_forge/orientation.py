@@ -15,7 +15,7 @@ only thing the two degree oracles in :mod:`simplicial_map` share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .complex_core import Complex, Simplex, pseudomanifold_check
 from .errors import NonOrientable, NotClosed, PreconditionFailed
@@ -49,8 +49,7 @@ class OrientedComplex:
     closed: bool
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """Finitely supported integer combination of same-dimension simplices."""
 
     coefficients: Mapping[Simplex, int]

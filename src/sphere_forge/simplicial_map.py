@@ -23,21 +23,29 @@ degenerate image).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .complex_core import Complex, Simplex, simplex, standard_sphere
+from .complex_core import Complex, Frozen, Simplex, simplex, standard_sphere
 from .errors import InconsistentAlg, KernelRankNotOne, NotClosed, PreconditionFailed
 from .homology import top_kernel_generator
 from .labels import VertexLabel, v_label
 from .orientation import OrientedComplex, coherent_orientation, sort_sign
 
 
-@dataclass(frozen=True, eq=False)
-class VertexMap:
+class VertexMap(Frozen):
     """A vertex-to-vertex assignment; :func:`check_simplicial` checks
-    its totality."""
+    its totality.  Equal only to itself; attributes cannot be assigned."""
 
-    assignment: Mapping[VertexLabel, VertexLabel]
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: Mapping[VertexLabel, VertexLabel]):
+        object.__setattr__(self, "assignment", assignment)
+
+    def __repr__(self) -> str:
+        return f"VertexMap(assignment={self.assignment!r})"
+
+    def __reduce__(self):
+        return VertexMap, (self.assignment,)
 
     def image(self, vertices: Sequence[VertexLabel]) -> tuple[VertexLabel, ...]:
         return tuple(self.assignment[v] for v in vertices)
@@ -84,8 +92,7 @@ def check_simplicial(f: VertexMap, K: Complex, L: Complex) -> tuple[Simplex, ...
     return tuple(degenerate)
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     """Per-facet signed counts plus the common degree."""
 
     degree: int
@@ -95,21 +102,24 @@ class DegreeReport:
     method: str
     degenerate_facets: tuple[Simplex, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "method": self.method,
-            "per_facet": {str(k): v for k, v in sorted(self.per_facet.items())},
-            "alpha_plus": {
-                str(k): [str(t) for t in v]
-                for k, v in sorted(self.alpha_plus.items())
-            },
-            "alpha_minus": {
-                str(k): [str(t) for t in v]
-                for k, v in sorted(self.alpha_minus.items())
-            },
-            "degenerate_facets": [str(t) for t in self.degenerate_facets],
-        }
+
+def _report_dict(report: DegreeReport) -> dict:
+    return {
+        "degree": report.degree,
+        "method": report.method,
+        "per_facet": {str(k): v for k, v in sorted(report.per_facet.items())},
+        "alpha_plus": {
+            str(k): [str(t) for t in v] for k, v in sorted(report.alpha_plus.items())
+        },
+        "alpha_minus": {
+            str(k): [str(t) for t in v] for k, v in sorted(report.alpha_minus.items())
+        },
+        "degenerate_facets": [str(t) for t in report.degenerate_facets],
+    }
+
+
+# a NamedTuple class body may not define _asdict, so it is set here
+DegreeReport._asdict = _report_dict
 
 
 def _oriented_from_base(K: Complex, base: Sequence[VertexLabel]) -> OrientedComplex:

@@ -59,6 +59,35 @@ def test_build_bad_parameters(capsys):
     assert "n >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "construction",
+    [
+        ["join-cone", "--n", "2", "--d", "0"],
+        ["double-cone", "--n", "3", "--d", "0", "--variant", "odd"],
+        ["facet-cone", "--n", "3", "--k", "0"],
+    ],
+    ids=["join-cone", "double-cone", "facet-cone"],
+)
+def test_build_refuses_degree_zero_in_one_line(construction, capsys):
+    rc = main(["build", "--construction", *construction])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_build_negative_degree_verifies_through_the_cli(tmp_path, capsys):
+    out = tmp_path / "bundle.json"
+    build = ["build", "--construction", "join-cone", "--n", "3", "--d", "-2"]
+    rc = main([*build, "--out", str(out)])
+    assert rc == 0
+    assert "join-cone n=3 d=-2: degree -2, 8 vertices" in capsys.readouterr().out
+    assert main(["verify", "bundle", "--in", str(out)]) == 0
+    assert "[pass] expected_degree: expected -2" in capsys.readouterr().out
+    assert main(["degree", "--bundle", str(out), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counting"]["degree"] == payload["cycle"] == -2
+
+
 def test_build_missing_flag(capsys):
     rc = main(["build", "--construction", "join-cone", "--n", "3"])
     assert rc == 2

@@ -15,6 +15,7 @@ from sphere_forge import (
     pseudomanifold_check,
     simplex,
     sphere_check,
+    verify_bundle,
 )
 from sphere_forge.errors import PreconditionFailed
 from sphere_forge.labels import u_label, u_pair, v_label
@@ -111,9 +112,45 @@ def test_facet_cone_counts(n, k, vertices):
 
 
 def test_facet_cone_preconditions():
-    for bad in [(3, 1), (2, 3), (1, 1)]:
+    for bad in [(3, 1), (2, 3), (1, 1), (3, 0), (3, -1), (2, -3)]:
         with pytest.raises(PreconditionFailed):
             build_facet_cone_sphere(*bad)
+
+
+# d = -1..-3 at n = 2..4, wherever the construction takes |d|
+NEGATIVE_DEGREES = (
+    [(build_join_cone_sphere, (n, d)) for n in (2, 3, 4) for d in (-1, -2, -3)]
+    + [
+        (build_double_cone_sphere, (n, d, variant))
+        for n in (3, 4)
+        for d in (-1, -2, -3)
+        for variant in ("even", "odd")
+    ]
+    + [(build_facet_cone_sphere, (n, k)) for n in (2, 3, 4) for k in (-2, -3) if -k <= n]
+)
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    NEGATIVE_DEGREES,
+    ids=[f"{build.__name__}{args}" for build, args in NEGATIVE_DEGREES],
+)
+def test_negative_degrees_pass_the_battery_with_both_oracles(build, args):
+    """A negative degree builds the source of |d| and composes its map
+    with the exchange of the target's last two vertices: the vertex
+    count is that of |d|, the promised degree is negated (3d - 1 for
+    the odd double cone), and both oracles read it."""
+    n, d, *variant = args
+    bundle = build(*args)
+    positive = build(n, -d, *variant)
+    assert bundle.source == positive.source
+    assert bundle.expected_vertices == positive.expected_vertices
+    assert bundle.expected_degree == -positive.expected_degree
+    if variant == ["odd"]:
+        assert bundle.expected_degree == 3 * d - 1
+    report = verify_bundle(bundle)
+    assert report.passed, [c for c in report.checks if not c.ok]
+    assert report.counting_degree == report.cycle_degree == bundle.expected_degree < 0
 
 
 @pytest.mark.parametrize(
@@ -146,7 +183,7 @@ def test_bundles_are_spheres():
     ]
     for bundle, level in cases:
         report = sphere_check(bundle.source, bundle.source.dimension, level)
-        assert report.passed, (bundle.label, report.as_dict())
+        assert report.passed, (bundle.label, report._asdict())
 
 
 def test_bundle_map_shape():

@@ -1,5 +1,7 @@
-"""The package imports nothing but itself and the standard library, and
-its modules import one another without a cycle."""
+"""The package imports nothing but itself and the standard library, its
+modules import one another without a cycle, and its records are built
+without generated code: only the classes that ``dataclasses.replace``
+copies are dataclasses."""
 
 import ast
 import sys
@@ -49,3 +51,44 @@ def test_intra_package_imports_form_no_cycle():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def _decorator_name(node):
+    """``dataclass`` for ``@dataclass``, ``@dataclass(...)`` and
+    ``@dataclasses.dataclass(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_only_the_replace_targets_are_dataclasses():
+    """Each dataclass costs start-up time in generated code, so value
+    records are NamedTuples or plain classes; the three left are the
+    ones the tests and the benchmark copy with ``dataclasses.replace``."""
+    decorated = {
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)
+    }
+    assert decorated == {
+        "disc_delta.DeltaDisc",
+        "orientation.OrientedComplex",
+        "simplicial_map.ConstructionBundle",
+    }
+
+
+def test_records_refuse_attribute_assignment():
+    from sphere_forge.complex_core import make_complex
+    from sphere_forge.homology import CheckItem, boundary_matrix
+    from sphere_forge.labels import v_label
+
+    K = make_complex([[v_label(1), v_label(2)], [v_label(2), v_label(3)]])
+    M = boundary_matrix(K, 1)
+    item = CheckItem("pure", True)
+    for record, name in ((K, "facets"), (M, "columns"), (item, "ok"), (item, "detail")):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
+        assert getattr(record, name) == before

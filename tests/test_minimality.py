@@ -592,9 +592,9 @@ def test_survey_counts_every_surjection_onto_five_colours_once(v):
     "construct,args,largest,peak",
     [
         (build_join_cone_sphere, (3, 2), 2, 91),
-        (build_facet_cone_sphere, (3, 3), 3, 213),
-        (build_stacked_sphere, (3,), 4, 390),
-        (build_stacked_sphere, (4,), 5, 4110),
+        (build_facet_cone_sphere, (3, 3), 3, 171),
+        (build_stacked_sphere, (3,), 4, 235),
+        (build_stacked_sphere, (4,), 5, 991),
     ],
     ids=["join-cone n=3 d=2", "facet-cone n=3 k=3", "stacked n=3", "stacked n=4"],
 )
@@ -622,3 +622,16 @@ def test_survey_of_paper_spheres_above_dimension_two(construct, args, largest, p
     report = verify_bundle(bundle)
     assert report.passed, [c for c in report.checks if not c.ok]
     assert abs(report.counting_degree) == abs(report.cycle_degree) == largest
+
+
+def test_survey_of_relabelled_stacked_four_sphere_holds_at_most_1000_states():
+    """Before some facet has n assigned vertices none completes, and the
+    scan takes the vertex on the most facets missing two vertices, then
+    three, not the least label; by label order the relabellings
+    ``Random(0..9)`` of ``stacked n=4`` held from 1 639 to 156 223
+    states.  The largest |degree| does not move."""
+    K = build_stacked_sphere(4).source
+    for seed in range(10):
+        survey = degree_survey(_relabelled(K, seed))
+        assert survey.peak_states <= 1000
+        assert survey.max_abs == 5
