@@ -123,6 +123,9 @@ def _adhoc_bundle(K: Complex, f: VertexMap) -> ConstructionBundle:
     nondegenerate image (any facet if the map collapses everything).
     Both degree oracles refuse a partial map, in ``check_simplicial``.
     """
+    if K.is_empty:
+        # no standard sphere has dimension -1
+        raise PreconditionFailed("degree needs a nonempty complex, got the empty complex")
     check_map_domain(f.assignment, K)
     target = standard_sphere(K.dimension)
     source_base = K.facets[0].vertices
@@ -199,6 +202,10 @@ def run_verify_sphere(
 ) -> CommandResult:
     """The sphere battery on a complex file, in dimension ``n`` if given."""
     K, _ = complex_from_json(Path(in_path).read_text())
+    if n is None and K.is_empty:
+        raise PreconditionFailed(
+            "sphere check needs --n or a nonempty complex, got the empty complex"
+        )
     dim = K.dimension if n is None else n
     report = sphere_check(K, dim, level)
     lines = [f"sphere check (n = {dim}, level = {report.level})", *_check_lines(report.items)]

@@ -450,6 +450,17 @@ class PseudomanifoldReport(NamedTuple):
     def is_closed_pseudomanifold(self) -> bool:
         return self.pure and self.ridge_bound_ok and self.closed and self.connected
 
+    @property
+    def closure_faults(self) -> list[str]:
+        """Every reason the complex is not closed, in words; empty when
+        it is."""
+        faults = [] if self.pure else ["not pure"]
+        if self.boundary_ridges:
+            faults.append(f"{self.boundary_ridges} boundary ridges")
+        if self.max_ridge_multiplicity > 2:
+            faults.append(f"a ridge in {self.max_ridge_multiplicity} facets")
+        return faults
+
 
 def pseudomanifold_check(K: Complex) -> PseudomanifoldReport:
     """Check purity, the two-facets-per-ridge condition, and dual-graph

@@ -525,9 +525,7 @@ def _battery(K: Complex, n: int, level: str, links: dict) -> Iterator[CheckItem]
     yield CheckItem(
         "closed",
         pm.closed,
-        f"{pm.boundary_ridges} boundary ridges"
-        if pm.boundary_ridges
-        else "every ridge in exactly two facets",
+        ", ".join(pm.closure_faults) or "every ridge in exactly two facets",
     )
     yield CheckItem("connected", pm.connected)
     if not (pm.pure and pm.ridge_bound_ok):

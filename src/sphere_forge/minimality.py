@@ -8,19 +8,19 @@ flag, so one entry is kept per isomorphism class.  The two branching
 orders of the search find the same labelled triangulations, so each
 code is computed once and serves both.  The census is 2-dimensional.
 
-The map survey runs in any dimension n from 1 to 6.  It surveys the
-vertex assignments from a closed n-dimensional pseudomanifold onto the
-(n+2)-vertex n-sphere exhaustively, n + 2 colours, one per orbit of the
-target's symmetry group S(n+2), whose (n+2)! maps split into (n+2)!/2
-of each degree sign.  It scans the source vertices in an order taken
-from the complex, growing one patch from an edge at a vertex of largest
-degree, and counts together the partial assignments that no later facet
-can tell apart.  On 40 relabellings of the 10-vertex join-cone 2-sphere
-its frontier held at most five vertices and at most 481 states at once,
-where label order held up to nine vertices and 10 795 states.  The same
-pass finds the witness, the least assignment of largest |degree| with
-the vertices read in scan order: each state keeps the least prefix that
-reaches it.
+The map survey runs in any dimension n from 1 to 6.  It finds the
+largest |degree| of the vertex assignments from a closed n-dimensional
+pseudomanifold onto the (n+2)-vertex n-sphere, n + 2 colours, and the
+least assignment that attains it.  It visits one assignment per orbit
+of the target's symmetry group S(n+2), which changes only the sign of
+the degree.  It scans the source vertices in an order taken from the
+complex, growing one patch from an edge at a vertex of largest degree,
+and merges the partial assignments that no later facet can tell apart,
+keeping the least of them.  On 40 relabellings of the 10-vertex
+join-cone 2-sphere its frontier held at most five vertices and at most
+481 states at once, where label order held up to nine vertices and
+10 795 states.  The witness is the least assignment of largest
+|degree| with the vertices read in scan order.
 
 The facts verified: no 2-sphere with at most six vertices admits a map
 of absolute degree 2, and none with at most seven vertices admits
@@ -30,10 +30,9 @@ and 3 through the packaged constructions.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from .complex_core import Complex, make_complex, pseudomanifold_check
@@ -274,25 +273,22 @@ def _scan_order(v: int, facets: tuple[tuple[int, ...], ...]) -> list[int]:
 
 class DegreeSurvey(NamedTuple):
     """What :func:`degree_survey` found for an n-dimensional source: the
-    degree distribution of its maps onto the (n+2)-vertex n-sphere, the
-    largest |degree|, the least map of that |degree| in scan order, and
-    the most states the scan held at once."""
+    largest |degree| of its maps onto the (n+2)-vertex n-sphere, the
+    least map of that |degree| in scan order, and the most states the
+    scan held at once."""
 
     max_abs: int
-    degrees: Counter
     witness: VertexMap
     peak_states: int
 
 
 def degree_survey(K: Complex) -> DegreeSurvey:
-    """Degree distribution of all simplicial vertex maps from a closed,
+    """Largest |degree| of the simplicial vertex maps from a closed,
     connected, orientable n-dimensional pseudomanifold K, 1 <= n <= 6,
     onto the standard n-sphere ``v1 .. v<n+2>``, whose n + 2 vertices
-    are the colours 0..n+1.
+    are the colours 0..n+1, with a witness.
 
-    ``degrees[d]`` counts the surjective assignments of degree d among
-    all (n+2)^v; the others have degree zero and are not counted.  The
-    witness is the lexicographically first assignment of largest
+    The witness is the lexicographically first assignment of largest
     |degree|, read in the order of ``_scan_order``.  That degree is at
     least 1: K is closed, connected and orientable (the orientation
     below demands it), and sending one facet to v1 .. v<n+1> and every
@@ -305,23 +301,23 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     not yet complete still reads.  The scan visits one assignment per
     orbit of the symmetric group S(n+2) relabelling the target: the
     restricted growth strings (RGS) in scan order, whose values first
-    appear in the order 0, 1, .., n+1.  A surjection's orbit has (n+2)!
-    members and sigma o f has degree sign(sigma) deg f, so each
-    surjective RGS of degree d adds (n+2)!/2 to ``degrees[d]`` and to
-    ``degrees[-d]``.  An RGS prefix's state is the values on the
-    frontier, the number of values used and the totals, and the scan
-    keeps per state the number of prefixes in it and the least of them.
-    Two prefixes in one state have the same completions, since a
-    completion's choices and the facets it adds read only the frontier
-    and the count of values used, and they end at the same totals.  So
-    the final states carry every surjective RGS with its degree, and the
-    totals must agree on each of them.
+    appear in the order 0, 1, .., n+1.  Relabelling the target by sigma
+    multiplies the degree by sign(sigma), so an orbit has one |degree|;
+    its least member is its RGS, so the witness is an RGS, and a
+    surjective one, since a map that misses a colour has degree zero.
+    An RGS prefix's state is the values on the frontier, the number of
+    values used and the totals, and the scan keeps per state the least
+    prefix that reaches it.  Two prefixes in one state have the same
+    completions, since a completion's choices and the facets it adds
+    read only the frontier and the count of values used, and they end
+    at the same totals.  So the final states carry the degree of every
+    surjective RGS, the totals must agree on each of them, and the
+    least RGS in a final state is the least prefix it keeps.
 
     The scan meets the states in increasing order of their least
     prefix and tries each state's values in increasing order, so the
-    first prefix to reach a state is its least.  The least RGS of an
-    orbit is its least member, so the least prefix among the final
-    states of largest |degree| is the witness.
+    first prefix to reach a state is its least, and the first final
+    state of largest |degree| holds the witness.
     """
     n = K.dimension
     # the step table below has 2^(b(n+1)) entries: 2^21 at n = 6, 2^32 at 7
@@ -331,18 +327,13 @@ def degree_survey(K: Complex) -> DegreeSurvey:
             f"map survey needs a pure complex of dimension 1 to 6, got "
             f"{got}{'' if K.is_pure else ' (not pure)'}"
         )
-    report = pseudomanifold_check(K)
-    if not report.closed:
+    faults = pseudomanifold_check(K).closure_faults
+    if faults:
         # a boundary ridge leaves the signed counts of the target facets
         # free to differ, so there is no degree to survey
-        problems = []
-        if report.boundary_ridges:
-            problems.append(f"{report.boundary_ridges} ridges on one facet")
-        if report.max_ridge_multiplicity > 2:
-            problems.append(f"a ridge on {report.max_ridge_multiplicity} facets")
         raise NotClosed(
-            f"map survey needs a closed pseudomanifold, every ridge on two "
-            f"facets: {', '.join(problems)}"
+            f"map survey needs a closed pseudomanifold, every ridge in two "
+            f"facets: {', '.join(faults)}"
         )
     v = len(K.vertices)
     colours = n + 2
@@ -356,8 +347,8 @@ def degree_survey(K: Complex) -> DegreeSurvey:
     # at step u while that vertex is on the frontier (zero off it), then
     # a field counts the values used, then n + 2 fields of ``width`` bits
     # hold the totals, each offset by the facet count so that it stays
-    # non-negative.  Its entry holds the count of its prefixes above bit
-    # b*v and the least of them, base 2^b in step order, below.
+    # non-negative.  Its entry holds the least of its prefixes, base 2^b
+    # in step order.
     b = (n + 1).bit_length()
     value = (1 << b) - 1
     offset = len(facets)
@@ -393,8 +384,7 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         code = sum(x << b * m for m, x in enumerate(image))
         step[code] = sort_sign(image) * (-1) ** (n + 1 - o) << total_at[o]
 
-    prefix_mask = (1 << b * v) - 1
-    states = {sum(offset << at for at in total_at): 1 << b * v}
+    states = {sum(offset << at for at in total_at): 0}
     peak = 1
     for k in range(v):
         keep = -1 << used_at
@@ -411,7 +401,7 @@ def degree_survey(K: Complex) -> DegreeSurvey:
         # states that agree on what bucket k reads take the same moves
         moves: dict[int, list[tuple[int, int]]] = {}
         nxt: dict[int, int] = {}
-        for key, entry in states.items():
+        for key, prefix in states.items():
             seen = key & read
             choices = moves.get(seen)
             if choices is None:
@@ -433,36 +423,28 @@ def degree_survey(K: Complex) -> DegreeSurvey:
                         add += s * step[code | x << top]
                     choices.append((add, x))
             base = key & keep
-            prefix = entry & prefix_mask
-            count = entry - prefix
             prefix <<= b
             for add, x in choices:
-                new = base + add
-                got = nxt.get(new)
-                nxt[new] = count + (prefix + x if got is None else got)
+                # the first prefix to reach a state is its least
+                nxt.setdefault(base + add, prefix + x)
         states = nxt
         peak = max(peak, len(states))
 
     field_mask = (1 << width) - 1
-    half_orbit = factorial(colours) // 2
-    degrees: Counter = Counter()
     best = -1
-    for key, entry in states.items():
+    for key, prefix in states.items():
         totals = [(key >> at & field_mask) - offset for at in total_at]
         deg = totals[0]
         if totals.count(deg) != colours:
             raise InconsistentAlg(f"signed counts {totals} disagree across target facets")
-        count = entry >> b * v
-        degrees[deg] += half_orbit * count
-        degrees[-deg] += half_orbit * count
         # the states come in increasing order of their least prefix
         if abs(deg) > best:
-            best, least = abs(deg), entry & prefix_mask
+            best, least = abs(deg), prefix
     witness = {
         K.vertices[u]: v_label((least >> b * (v - 1 - k) & value) + 1)
         for k, u in enumerate(order)
     }
-    return DegreeSurvey(best, degrees, VertexMap(witness), peak)
+    return DegreeSurvey(best, VertexMap(witness), peak)
 
 
 def max_abs_degree(K: Complex) -> tuple[int, VertexMap]:

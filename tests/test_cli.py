@@ -501,6 +501,38 @@ def test_cycle_degree_and_bundle_check_name_the_empty_complex(
 
 
 @pytest.mark.parametrize(
+    "argv,refused_by",
+    [
+        (["verify", "sphere", "--in", "K.json"], "sphere check needs --n or a nonempty complex"),
+        (["degree", "--in", "K.json", "--map", "f.map"], "degree needs a nonempty complex"),
+    ],
+    ids=["verify sphere", "degree with a map file"],
+)
+def test_complex_file_commands_name_the_empty_complex(
+    tmp_path, monkeypatch, capsys, argv, refused_by
+):
+    """The empty complex has dimension -1: the sphere battery has no
+    dimension to take from it, and no standard sphere matches it."""
+    monkeypatch.chdir(tmp_path)
+    Path("K.json").write_text(json.dumps({"facets": [[]]}))
+    Path("f.map").write_text("")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {refused_by}, got the empty complex\n"
+
+
+def test_sphere_check_of_the_empty_complex_in_a_given_dimension_fails_its_item(
+    tmp_path, capsys
+):
+    path = tmp_path / "K.json"
+    path.write_text(json.dumps({"facets": [[]]}))
+    assert main(["verify", "sphere", "--in", str(path), "--n", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "sphere check (n = 2, level = necessary)\n"
+        "  [FAIL] dimension: dim = -1, expected 2\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["degree", "--method", "cycle", "--bundle"],

@@ -532,6 +532,30 @@ def test_sphere_check_pass_and_fail():
         sphere_check(standard_sphere(2), 2, "bogus")
 
 
+THETA_GRAPH = ["a c", "c b", "a d", "d b", "a e", "e b"]
+TETRAHEDRON_AND_TRIANGLE = ["a b c", "a b d", "a c d", "b c d", "x y", "y z", "x z"]
+
+
+@pytest.mark.parametrize(
+    "facets,n,detail",
+    [
+        (THETA_GRAPH, 1, "a ridge in 3 facets"),
+        (TETRAHEDRON_AND_TRIANGLE, 2, "not pure"),
+        (DELTA4_TRIANGLES, 2, "12 boundary ridges"),
+        (THETA_GRAPH + ["a f", "f g"], 1, "1 boundary ridges, a ridge in 4 facets"),
+        (["a b c", "a b d", "a c d", "b c d"], 2, "every ridge in exactly two facets"),
+    ],
+    ids=["theta graph", "tetrahedron and triangle", "disc", "theta graph and path", "closed"],
+)
+def test_closed_item_names_every_cause(facets, n, detail):
+    """A failing item names what fails, never the passing text: the
+    theta graph has no boundary ridge but three edges on a vertex."""
+    K = complex_of(facets)
+    (item,) = [item for item in sphere_check(K, n).items if item.name == "closed"]
+    assert item.detail == detail
+    assert item.ok == (detail == "every ridge in exactly two facets")
+
+
 def test_the_empty_complex_has_no_homology_groups():
     assert homology_groups(empty_complex()) == ()
 
