@@ -2,25 +2,38 @@
 
 A complex is represented by its inclusion-maximal simplices only.  What
 later steps need of it is derived once, on first read, and kept on the
-complex (:class:`stored`):
+complex (:class:`stored`): its hash and one vertex numbering
+(:attr:`Complex.numbered_facets`).  Vertices are numbered in label order
+and each facet is the ascending tuple of its vertex numbers, so integer
+order is label order and everything built on it hashes and compares
+small ints instead of labels.
 
-* one vertex numbering (:attr:`Complex.numbered_facets`): vertices are
-  numbered in label order and each facet is the ascending tuple of its
-  vertex numbers, so integer order is label order and everything built
-  on it hashes and compares small ints instead of labels;
-* the integer face lattice (:attr:`Complex.face_lattice`), built from
-  the top down, which :func:`faces` reads the k-faces off;
-* the ridge index (:attr:`Complex.facet_ridges`), by facet and vertex
+Everything else depends on that integer facet pattern alone, so it
+lives on a :class:`Shape`, which all live complexes with one pattern
+share (:attr:`Complex.shape`), each part derived on first read:
+
+* the integer face lattice (:attr:`Shape.face_lattice`), built from the
+  top down, which :func:`faces` reads the k-faces off;
+* the ridge index (:attr:`Shape.facet_ridges`), by facet and vertex
   position, and one walk across it from facet 0
-  (:attr:`Complex.dual_walk`), which decides connectivity and carries
-  the one coherent orientation that every base facet reads;
-* the star index (:attr:`Complex.stars`), vertex to the facets holding
+  (:attr:`Shape.dual_walk`), which decides connectivity and carries the
+  one coherent orientation that every base facet reads;
+* the star index (:attr:`Shape.stars`), vertex to the facets holding
   it, which :func:`link` filters instead of scanning every facet; the
   link keeps the star's order and takes no sort;
-* the hash, and in :attr:`Complex.memo` the facts later layers derive:
-  the boundary matrices and the :func:`pseudomanifold_check` report.
+* the :func:`pseudomanifold_check` report, and the boundary matrices
+  that :mod:`sphere_forge.homology` builds, each keeping its Smith
+  forms.
 
-Everything a complex hands out is immutable or a fresh copy.
+Shapes are kept in a weak table keyed by the pattern: a shape lives as
+long as some complex holds it, and an equal or order-preserving
+relabelled complex made meanwhile finds it there instead of deriving it
+again.  Once the last complex holding it goes, so does the shape.  A
+complex reads the four indexes above through attributes of the same
+names.
+
+Everything a complex or a shape hands out is immutable or a fresh copy,
+except the shape's table of boundary matrices, which homology fills.
 A simplex is its vertex tuple in label order (:class:`Simplex`
 subclasses ``tuple``), so it equals, hashes and sorts as that tuple and
 a plain tuple of the same labels finds it in any dict or set.
@@ -38,6 +51,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations, filterfalse, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import PreconditionFailed
 from .labels import VertexLabel, v_label
@@ -120,6 +134,141 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class Shape(Frozen):
+    """What a complex derives from its integer facet pattern alone
+    (:attr:`Complex.numbered_facets`), each part derived on first read.
+    Complexes with equal patterns share one shape: :attr:`Complex.shape`
+    looks it up in a weak table keyed by the pattern, so a shape lives
+    while some complex holds it and leaves the table once none does."""
+
+    __slots__ = ("facets", "__dict__", "__weakref__")  # the dict holds what is stored
+
+    def __init__(self, facets: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "facets", facets)
+
+    @stored
+    def face_lattice(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every face as an ascending tuple of vertex numbers (see
+        :attr:`Complex.numbered_facets`): entry ``k + 1`` holds the
+        k-faces, sorted, so they are listed in label order too.  Built
+        from the top down: the k-faces are the facets with k + 1 vertices
+        and the (k + 1)-vertex subsets of the (k+1)-faces, so one pass
+        serves pure and mixed complexes alike."""
+        seeds: list[list[tuple[int, ...]]] = [
+            [] for _ in range(max(map(len, self.facets)) + 1)
+        ]
+        for f in self.facets:
+            seeds[len(f)].append(f)
+        levels: list[tuple[tuple[int, ...], ...]] = []
+        above: tuple[tuple[int, ...], ...] = ()
+        for size in reversed(range(len(seeds))):
+            level = set(chain.from_iterable(map(combinations, above, repeat(size))))
+            level.update(seeds[size])
+            above = tuple(sorted(level))
+            levels.append(above)
+        return tuple(reversed(levels))
+
+    @stored
+    def facet_ridges(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """Entry ``[i][p]`` is the ridge facet i has without its vertex at
+        position p: the ``(facet, position)`` pairs of every facet on that
+        ridge, i included, in ascending facet order.  All slots of one
+        ridge share one tuple; ridges are keyed by vertex numbers.  The
+        ridge of a point is ``()``."""
+        by_ridge: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for i, f in enumerate(self.facets):
+            p = len(f) - 1
+            # combinations omits the last vertex first
+            for r in combinations(f, p):
+                by_ridge.setdefault(r, []).append((i, p))
+                p -= 1
+        index = [[()] * len(f) for f in self.facets]
+        for members in map(tuple, by_ridge.values()):
+            for i, p in members:
+                index[i][p] = members
+        return tuple(map(tuple, index))
+
+    @stored
+    def dual_walk(self) -> tuple[int, tuple[int, ...], int | None]:
+        """Breadth-first walk from facet 0 across shared ridges
+        (:attr:`facet_ridges`): how many facets it reaches, a sign per
+        facet (0 where it does not reach), and the first facet whose sign
+        a crossing contradicts, or ``None``.  Facet 0 gets +1, and facets
+        i and j on the ridge i has without its vertex at position p, as j
+        without position q, are coherent when ``sign(i) * sign(j) ==
+        -(-1)**(p + q)``: the transposition rule for induced orientations,
+        read on sorted vertex lists."""
+        index = self.facet_ridges
+        signs = [0] * len(index)
+        signs[0] = 1
+        order = [0]
+        contradiction = None
+        for i in order:  # grows while it is walked
+            flip = -signs[i]  # -sign(i) * (-1)**p, for p = 0, 1, ...
+            for slot in index[i]:
+                for j, q in slot:
+                    if j != i:
+                        expected = -flip if q & 1 else flip
+                        if not signs[j]:
+                            signs[j] = expected
+                            order.append(j)
+                        elif signs[j] != expected and contradiction is None:
+                            contradiction = j
+                flip = -flip
+        return len(order), tuple(signs), contradiction
+
+    @stored
+    def stars(self) -> tuple[tuple[int, ...], ...]:
+        """Entry ``[v]`` lists, ascending, the indices of the facets that
+        hold vertex number v."""
+        count = 1 + max(chain.from_iterable(self.facets), default=-1)
+        stars: list[list[int]] = [[] for _ in range(count)]
+        for i, f in enumerate(self.facets):
+            for v in f:
+                stars[v].append(i)
+        return tuple(map(tuple, stars))
+
+    @stored
+    def pseudomanifold_report(self) -> PseudomanifoldReport:
+        """What :func:`pseudomanifold_check` reports."""
+        if self.facets == ((),):
+            return PseudomanifoldReport(True, 0, True, True, True, 0)
+        pure = len(set(map(len, self.facets))) == 1
+        sizes = [len(slot) for slots in self.facet_ridges for slot in slots]
+        max_mult = max(sizes)
+        boundary = sizes.count(1)
+        return PseudomanifoldReport(
+            pure=pure,
+            max_ridge_multiplicity=max_mult,
+            ridge_bound_ok=max_mult <= 2,
+            closed=pure and boundary == 0 and max_mult == 2,
+            connected=self.dual_walk[0] == len(self.facets),
+            boundary_ridges=boundary,
+        )
+
+    @stored
+    def boundary_matrices(self) -> dict:
+        """The boundary matrices by dimension, each built on first request
+        by :func:`~sphere_forge.homology.boundary_matrix`."""
+        return {}
+
+
+# pattern -> the one live Shape of that pattern
+_SHAPES: WeakValueDictionary[tuple[tuple[int, ...], ...], Shape] = WeakValueDictionary()
+
+
+def _from_shape(name: str) -> stored:
+    """The :class:`Shape` attribute ``name``, read through a complex and
+    kept on it."""
+
+    def compute(K):
+        return getattr(K.shape, name)
+
+    compute.__name__ = name
+    compute.__doc__ = getattr(Shape, name).__doc__
+    return stored(compute)
+
+
 class Complex(Frozen):
     """Facets in canonical order.  Build through :func:`make_complex`.
     Equal facets make equal complexes; attributes cannot be assigned."""
@@ -166,99 +315,25 @@ class Complex(Frozen):
     def numbered_facets(self) -> tuple[tuple[int, ...], ...]:
         """Each facet as the ascending tuple of its vertex numbers, vertex
         i being ``self.vertices[i]``.  Numbering follows label order, so
-        integer order is label order.  The face lattice, the ridge index
-        and the star index are all built on this one numbering."""
+        integer order is label order.  Everything on :attr:`shape` is
+        built on this one numbering."""
         number = self._numbers.__getitem__
         return tuple(tuple(map(number, f)) for f in self.facets)
 
     @stored
-    def face_lattice(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Every face as an ascending tuple of vertex numbers (see
-        :attr:`numbered_facets`): entry ``k + 1`` holds the k-faces,
-        sorted, so they are listed in label order too.  Built from the
-        top down: the k-faces are the facets with k + 1 vertices and the
-        (k + 1)-vertex subsets of the (k+1)-faces, so one pass serves
-        pure and mixed complexes alike."""
-        seeds: list[list[tuple[int, ...]]] = [[] for _ in range(self.dimension + 2)]
-        for f in self.numbered_facets:
-            seeds[len(f)].append(f)
-        levels: list[tuple[tuple[int, ...], ...]] = []
-        above: tuple[tuple[int, ...], ...] = ()
-        for size in reversed(range(len(seeds))):
-            level = set(chain.from_iterable(map(combinations, above, repeat(size))))
-            level.update(seeds[size])
-            above = tuple(sorted(level))
-            levels.append(above)
-        return tuple(reversed(levels))
+    def shape(self) -> Shape:
+        """The :class:`Shape` of :attr:`numbered_facets`, shared by every
+        live complex with that pattern."""
+        pattern = self.numbered_facets
+        shape = _SHAPES.get(pattern)
+        if shape is None:
+            shape = _SHAPES[pattern] = Shape(pattern)
+        return shape
 
-    @stored
-    def facet_ridges(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """Entry ``[i][p]`` is the ridge facet i has without its vertex at
-        position p: the ``(facet, position)`` pairs of every facet on that
-        ridge, i included, in ascending facet order.  All slots of one
-        ridge share one tuple; ridges are keyed by vertex numbers.  The
-        ridge of a point is ``()``."""
-        by_ridge: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for i, f in enumerate(self.numbered_facets):
-            p = len(f) - 1
-            # combinations omits the last vertex first
-            for r in combinations(f, p):
-                by_ridge.setdefault(r, []).append((i, p))
-                p -= 1
-        index = [[()] * len(f) for f in self.facets]
-        for members in map(tuple, by_ridge.values()):
-            for i, p in members:
-                index[i][p] = members
-        return tuple(map(tuple, index))
-
-    @stored
-    def dual_walk(self) -> tuple[int, tuple[int, ...], int | None]:
-        """Breadth-first walk from facet 0 across shared ridges
-        (:attr:`facet_ridges`): how many facets it reaches, a sign per
-        facet (0 where it does not reach), and the first facet whose sign
-        a crossing contradicts, or ``None``.  Facet 0 gets +1, and facets
-        i and j on the ridge i has without its vertex at position p, as j
-        without position q, are coherent when ``sign(i) * sign(j) ==
-        -(-1)**(p + q)``: the transposition rule for induced orientations,
-        read on sorted vertex lists."""
-        index = self.facet_ridges
-        signs = [0] * len(index)
-        signs[0] = 1
-        order = [0]
-        contradiction = None
-        for i in order:  # grows while it is walked
-            flip = -signs[i]  # -sign(i) * (-1)**p, for p = 0, 1, ...
-            for slot in index[i]:
-                for j, q in slot:
-                    if j != i:
-                        expected = -flip if q & 1 else flip
-                        if not signs[j]:
-                            signs[j] = expected
-                            order.append(j)
-                        elif signs[j] != expected and contradiction is None:
-                            contradiction = j
-                flip = -flip
-        return len(order), tuple(signs), contradiction
-
-    @stored
-    def stars(self) -> tuple[tuple[int, ...], ...]:
-        """Entry ``[i]`` lists, ascending, the indices of the facets that
-        hold vertex ``self.vertices[i]``."""
-        stars: list[list[int]] = [[] for _ in self.vertices]
-        for i, f in enumerate(self.numbered_facets):
-            for v in f:
-                stars[v].append(i)
-        return tuple(map(tuple, stars))
-
-    @stored
-    def memo(self) -> dict:
-        """Facts that later layers derive from this complex and keep for
-        reuse, keyed by the function that derives them: the boundary
-        matrices (by dimension) and the :func:`pseudomanifold_check`
-        report.  The dict lives and dies with the complex, so an equal
-        complex built again starts with its own.  Every entry must be
-        immutable, since each caller gets the same one."""
-        return {}
+    face_lattice = _from_shape("face_lattice")
+    facet_ridges = _from_shape("facet_ridges")
+    dual_walk = _from_shape("dual_walk")
+    stars = _from_shape("stars")
 
     @stored
     def _hash(self) -> int:
@@ -465,27 +540,6 @@ class PseudomanifoldReport(NamedTuple):
 def pseudomanifold_check(K: Complex) -> PseudomanifoldReport:
     """Check purity, the two-facets-per-ridge condition, and dual-graph
     connectivity.  Failures are reported, never raised.  The report is
-    kept in :attr:`Complex.memo`, so a repeat call returns it."""
-    report = K.memo.get("pseudomanifold_check")
-    if report is None:
-        report = K.memo["pseudomanifold_check"] = _pseudomanifold_report(K)
-    return report
-
-
-def _pseudomanifold_report(K: Complex) -> PseudomanifoldReport:
-    if K.is_empty:
-        return PseudomanifoldReport(True, 0, True, True, True, 0)
-    pure = K.is_pure
-    sizes = [len(slot) for slots in K.facet_ridges for slot in slots]
-    max_mult = max(sizes)
-    boundary = sizes.count(1)
-    closed = pure and boundary == 0 and max_mult == 2
-    connected = K.dual_walk[0] == len(K.facets)
-    return PseudomanifoldReport(
-        pure=pure,
-        max_ridge_multiplicity=max_mult,
-        ridge_bound_ok=max_mult <= 2,
-        closed=closed,
-        connected=connected,
-        boundary_ridges=boundary,
-    )
+    kept on :attr:`Complex.shape`, so a repeat call, or a call on any
+    complex with the same facet pattern, returns it."""
+    return K.shape.pseudomanifold_report

@@ -6,7 +6,9 @@ build -> write -> read -> write round-trips byte-identically.  One
 emitter, :func:`dumps_canonical`, writes every JSON file and report; its
 output is byte for byte ``json.dumps(payload, indent=2, sort_keys=True)``
 plus a newline, but it writes a list of strings with one C-level join
-instead of the standard library's pure-Python indenting encoder.
+instead of the standard library's pure-Python indenting encoder, and it
+writes a vertex label, as a value or a key, as the label prints, where
+``json.dumps`` would write the encoded sort key the label's text holds.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from .simplicial_map import ConstructionBundle, VertexMap
 
 def _key(key) -> str:
     """A dict key as ``json.dumps`` writes it: numbers, booleans and
-    None in their JSON spelling, then quoted."""
+    None in their JSON spelling, then quoted.  A label is written as it
+    prints."""
     if isinstance(key, str):
-        return _quote(key)
+        return _quote(str(key))
     if key is None or isinstance(key, (int, float)):
         return _quote(json.dumps(key))
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
@@ -33,16 +36,21 @@ def _key(key) -> str:
 def _encode(value, newline: str) -> str:
     """``value`` at the depth whose line break plus indent is ``newline``.
     Keys sort before they become text, as with ``sort_keys=True``, so
-    int keys sort numerically; tuples are written as lists."""
+    int keys sort numerically and label keys in label order; tuples are
+    written as lists, and labels as they print."""
     if isinstance(value, str):
-        return _quote(value)
+        return _quote(str(value))
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
-        try:
-            body = ("," + inner).join(map(_quote, value))
-        except TypeError:  # not a list of strings
+        body = None
+        if VertexLabel not in map(type, value):  # a label must print first
+            try:
+                body = ("," + inner).join(map(_quote, value))
+            except TypeError:  # not a list of strings
+                pass
+        if body is None:
             body = ("," + inner).join([_encode(x, inner) for x in value])
         return "[" + inner + body + newline + "]"
     if isinstance(value, dict):

@@ -25,12 +25,15 @@ reduced (see :func:`homology_groups`).  Kernels are the same
 left-to-right reduction by lowest entries, except that a non-unit low
 is not set aside: Euclid's algorithm on that row lets the remainder
 take it over, and each column carries its combination of input columns
-(see :func:`kernel_basis`).  Boundary matrices are built
-once per complex and kept in :attr:`Complex.memo`, so they live exactly
-as long as the complex does; a matrix's kernel basis is likewise kept
-on the :class:`IntegerMatrix`.  The sphere battery keeps one table of link
-reports per top-level call, keyed by the link complex, so each distinct
-link is certified once (see :func:`sphere_check`).
+(see :func:`kernel_basis`).  Boundary matrices depend only on the
+complex's integer facet pattern, so they are built once per
+:class:`~sphere_forge.complex_core.Shape` and kept there: every live
+complex with that pattern gets the same matrices, which go with the
+shape once no complex holds it.  A matrix keeps its kernel basis and
+its Smith forms, one per set of skipped columns, so the homology of a
+shape is reduced once while it lives.  The sphere battery keeps one
+table of link reports per top-level call, keyed by the link complex, so
+each distinct link is certified once (see :func:`sphere_check`).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .complex_core import (
     Complex,
     Frozen,
+    Shape,
     Simplex,
     f_vector_and_euler,
     faces,
@@ -61,7 +65,7 @@ class IntegerMatrix(Frozen):
     equal shape and columns are equal; attributes cannot be assigned.
     """
 
-    __slots__ = ("rows", "cols", "columns", "__dict__")  # the dict holds the kernel
+    __slots__ = ("rows", "cols", "columns", "__dict__")  # the dict holds reductions
 
     def __init__(self, rows: int, cols: int, columns: tuple):
         object.__setattr__(self, "rows", rows)
@@ -109,6 +113,10 @@ class IntegerMatrix(Frozen):
     def _kernel(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_reduce_kernel(self))
 
+    @stored
+    def _smith_forms(self) -> dict[frozenset[int], SNFResult]:
+        return {}
+
 
 class SNFResult(NamedTuple):
     """Nonzero invariant factors ``d_1 | d_2 | ... | d_r`` and the rank r.
@@ -139,19 +147,21 @@ def boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
     canonical order; omitting the i-th vertex (0-based within the sorted
     facet) contributes ``(-1)**i``.  For ``k == 0`` this is the
     augmentation onto the empty simplex, which unreduced homology
-    treats as zero.  Built once per complex; later calls return the
-    same (immutable) matrix.
+    treats as zero.  Built once per :class:`~sphere_forge.complex_core.Shape`:
+    later calls, on K or on any live complex with its facet pattern,
+    return the same (immutable) matrix.
     """
     if k < 0 or k > K.dimension:
         raise PreconditionFailed(f"k={k} outside 0..{K.dimension}")
-    key = ("boundary_matrix", k)
-    if key not in K.memo:
-        K.memo[key] = _build_boundary_matrix(K, k)
-    return K.memo[key]
+    shape = K.shape
+    M = shape.boundary_matrices.get(k)
+    if M is None:
+        M = shape.boundary_matrices[k] = _build_boundary_matrix(shape, k)
+    return M
 
 
-def _build_boundary_matrix(K: Complex, k: int) -> IntegerMatrix:
-    lattice = K.face_lattice
+def _build_boundary_matrix(shape: Shape, k: int) -> IntegerMatrix:
+    lattice = shape.face_lattice
     rows = lattice[k]
     # one (row, sign) pair per row and sign, shared by every column
     plus = dict(zip(rows, zip(count(), repeat(1))))
@@ -297,11 +307,22 @@ def smith_normal_form(
     unimodular column operations, so M has the Smith form of the
     columns that remain.  A non-unit low c*e_i writes only c times
     column i that way, which is why such columns are never skipped.
+
+    M keeps its Smith forms, one per ``_skip``, so a repeat call returns
+    the same result without reducing M again.
     """
+    forms = M._smith_forms
+    result = forms.get(_skip)
+    if result is None:
+        result = forms[_skip] = _reduce_smith(M, _skip)
+    return result
+
+
+def _reduce_smith(M: IntegerMatrix, skip: frozenset[int]) -> SNFResult:
     units: dict[int, dict[int, int]] = {}  # low row -> column with +-1 there
     residual: list[dict[int, int]] = []
     for j, column in enumerate(M.columns):
-        if j in _skip:
+        if j in skip:
             continue
         col = dict(column)
         while col:

@@ -11,11 +11,24 @@ optional prime marker.  The textual grammar is::
 Indices are decimal without leading zeros, so each label has one
 spelling: ``u01`` is refused rather than read as ``u1``.
 
-A label is its own sort key: the tuple ``(base, has class, class, has
-item, item, primed)``, so comparison, equality and hashing are the
-tuple's and an absent component orders before any present one.  Every
-place the library needs a "sorted vertex list" uses this order, so it
-fixes simplex normal forms and all boundary-operator signs.
+A label is a ``str`` whose text encodes its sort key, the tuple
+``(base, has class, class, has item, item, primed)``, in an
+order-preserving way: the base and a space, then each index as ``-``
+when absent or as its digit count (one character from ``1`` up) and its
+digits, then ``p`` when primed.  So ``u4`` is the text ``u -14`` and
+``u1_3p`` is ``u 1113p``.  Two labels compare as their keys compare, an
+absent component ordering before any present one, and equality, hashing
+and comparison are the string's, done in C, with the hash computed once
+per label.  No printed label holds a space, so a label never equals the
+text it prints as.  ``str``, ``format`` and ``repr`` print the usual
+label; a label used as text in any other way (``json.dumps``, ``+``,
+``str.join``) gives its encoded key, so print it first.  Every place the
+library needs a "sorted vertex list" uses this order, so it fixes
+simplex normal forms and all boundary-operator signs.
+
+Each distinct label's printed text and fields are kept, keyed by its
+encoded text, in a table filled as labels are made; the table holds one
+entry per distinct label for the life of the process.
 """
 
 from __future__ import annotations
@@ -26,8 +39,21 @@ from functools import cache
 _INDEX = "(0|[1-9][0-9]*)"  # no leading zero, so each index has one spelling
 _LABEL_RE = re.compile(rf"^([a-z]+)(?:{_INDEX}_{_INDEX}|{_INDEX})?(p)?$")
 
+# encoded text -> (printed text, (base, class_index, item_index, primed))
+_DECODED: dict[str, tuple[str, tuple]] = {}
 
-class VertexLabel(tuple):
+
+def _encode_index(index: int | None) -> str:
+    """``-`` when absent, else the digit count and the digits: without
+    leading zeros, more digits mean a larger index, and ``-`` orders
+    before every digit count."""
+    if index is None:
+        return "-"
+    digits = str(index)
+    return chr(ord("0") + len(digits)) + digits
+
+
+class VertexLabel(str):
     __slots__ = ()
 
     def __new__(
@@ -46,50 +72,45 @@ class VertexLabel(tuple):
         for idx in (class_index, item_index):
             if idx is not None and idx < 0:
                 raise ValueError("label indices must be nonnegative")
-        return tuple.__new__(
-            cls,
-            (
-                base,
-                class_index is not None,
-                class_index or 0,
-                item_index is not None,
-                item_index or 0,
-                primed,
-            ),
-        )
+        mark = "p" if primed else ""
+        text = f"{base} {_encode_index(class_index)}{_encode_index(item_index)}{mark}"
+        if text not in _DECODED:
+            if class_index is not None:
+                mid = f"{class_index}_{item_index}"
+            else:
+                mid = "" if item_index is None else str(item_index)
+            fields = (base, class_index, item_index, bool(primed))
+            _DECODED[text] = (f"{base}{mid}{mark}", fields)
+        return str.__new__(cls, text)
 
-    def __getnewargs__(self):
-        # pickle and copy rebuild a label from its fields, not its key
-        return (self.base, self.class_index, self.item_index, self.primed)
+    def __reduce__(self):
+        # pickle and copy rebuild a label from its fields, not its text
+        return VertexLabel, _DECODED[self][1]
 
     @property
     def base(self) -> str:
-        return self[0]
+        return _DECODED[self][1][0]
 
     @property
     def class_index(self) -> int | None:
-        return self[2] if self[1] else None
+        return _DECODED[self][1][1]
 
     @property
     def item_index(self) -> int | None:
-        return self[4] if self[3] else None
+        return _DECODED[self][1][2]
 
     @property
     def primed(self) -> bool:
-        return self[5]
+        return _DECODED[self][1][3]
 
     def __str__(self) -> str:
-        base, has_class, class_index, has_item, item_index, primed = self
-        if has_class:
-            mid = f"{class_index}_{item_index}"
-        elif has_item:
-            mid = str(item_index)
-        else:
-            mid = ""
-        return f"{base}{mid}{'p' if primed else ''}"
+        return _DECODED[self][0]
+
+    def __format__(self, spec: str) -> str:
+        return format(_DECODED[self][0], spec)
 
     def __repr__(self) -> str:
-        return f"VertexLabel({str(self)!r})"
+        return f"VertexLabel({_DECODED[self][0]!r})"
 
 
 @cache

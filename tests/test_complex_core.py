@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from collections import Counter
 from itertools import combinations, product
 
@@ -8,10 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from sphere_forge import (
     boundary_complex,
+    boundary_matrix,
     coherent_orientation,
     cone,
     faces,
     f_vector_and_euler,
+    homology_groups,
     join,
     link,
     make_complex,
@@ -20,7 +24,14 @@ from sphere_forge import (
     standard_sphere,
     union,
 )
-from sphere_forge.complex_core import EMPTY_SIMPLEX, Simplex, empty_complex
+from sphere_forge.complex_core import (
+    _SHAPES,
+    EMPTY_SIMPLEX,
+    Complex,
+    Shape,
+    Simplex,
+    empty_complex,
+)
 from sphere_forge.errors import NonOrientable, PreconditionFailed
 from sphere_forge.labels import parse_label, v_label
 
@@ -260,14 +271,15 @@ def test_pseudomanifold_reports():
     assert rep.max_ridge_multiplicity == 3 and not rep.ridge_bound_ok
 
 
-def test_pseudomanifold_report_is_kept_and_an_equal_complex_keeps_its_own():
+def test_pseudomanifold_report_is_kept_and_shared_by_equal_complexes():
     K = cone(parse_label("u4"), DELTA4)
     first = pseudomanifold_check(K)
-    assert pseudomanifold_check(K) == first
+    assert pseudomanifold_check(K) is first
     again = make_complex(K.facets)
-    assert again == K and hash(again) == hash(K)
-    assert again is not K and again.memo == {} and again.memo is not K.memo
-    assert pseudomanifold_check(again) == first
+    assert again == K and hash(again) == hash(K) and again is not K
+    assert again.shape is K.shape and pseudomanifold_check(again) is first
+    # a complex with another facet pattern has its own report
+    assert pseudomanifold_check(DELTA4) is not first
 
 
 def test_the_empty_complex_is_closed_and_has_no_boundary():
@@ -496,3 +508,77 @@ def test_ridge_index_against_pairwise_brute_force(facet_sets):
         assert signs[base] == sign
         assert ridge_rule_holds(K, signs)
         assert signs in (first, {f: -s for f, s in first.items()})
+
+
+# ---------------------------------------------------------------------------
+# Shapes: what a complex derives from its integer facet pattern, shared
+
+
+def relabelled_in_order(K, name):
+    """K with its i-th vertex in label order renamed ``name(i)``, which
+    must be increasing in i: the facet pattern stays the same."""
+    rename = {v: name(i) for i, v in enumerate(K.vertices)}
+    return make_complex([[rename[v] for v in f] for f in K.facets])
+
+
+def test_relabelled_copies_share_one_shape_and_boundary_matrix():
+    K = cone(parse_label("u4"), DELTA4)
+    L = relabelled_in_order(K, lambda i: parse_label(f"x{i}"))
+    assert L != K and L.numbered_facets == K.numbered_facets
+    assert L.shape is K.shape
+    for k in range(K.dimension + 1):
+        assert boundary_matrix(L, k) is boundary_matrix(K, k)
+    assert L.face_lattice is K.face_lattice and L.dual_walk is K.dual_walk
+
+
+def test_shape_leaves_the_table_once_no_complex_holds_it():
+    # a pattern no other test keeps alive: a 9-gon with a pendant edge
+    K = complex_of([f"q{i} q{(i + 1) % 9}" for i in range(9)] + ["q0 z"])
+    pattern = K.numbered_facets
+    assert pattern not in _SHAPES
+    twin = relabelled_in_order(K, lambda i: parse_label(f"y{i}"))
+    shape = weakref.ref(K.shape)
+    assert twin.shape is shape() and _SHAPES[pattern] is shape()
+    assert boundary_matrix(twin, 1) is shape().boundary_matrices[1]
+    del K
+    gc.collect()
+    assert _SHAPES[pattern] is shape()  # the twin still holds it
+    del twin
+    gc.collect()
+    assert shape() is None and pattern not in _SHAPES
+
+
+def private_copy(K):
+    """An equal complex with a shape derived afresh, outside the table."""
+    fresh = Complex(K.facets)
+    fresh.__dict__["shape"] = Shape(tuple(tuple(f) for f in K.numbered_facets))
+    return fresh
+
+
+@given(
+    st.permutations(MIXED_LABELS),
+    st.permutations(MIXED_LABELS),
+    st.lists(st.sets(st.integers(0, 8), min_size=1, max_size=4), min_size=1, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_shared_shape_matches_a_private_derivation(names, other_names, facet_sets):
+    """Over relabellings, whether two copies share a shape or not, what
+    each reads off its shared shape equals a derivation of its own."""
+    copies = [
+        make_complex([[parse_label(names[i]) for i in f] for f in facet_sets]),
+        make_complex([[parse_label(other_names[i]) for i in f] for f in facet_sets]),
+    ]
+    copies.append(relabelled_in_order(copies[0], lambda i: parse_label(f"w{i}")))
+    assert copies[2].shape is copies[0].shape
+    assert (copies[1].shape is copies[0].shape) == (
+        copies[1].numbered_facets == copies[0].numbered_facets
+    )
+    for K in copies:
+        own = private_copy(K)
+        assert own.shape is not K.shape and own.shape.facets is not K.shape.facets
+        assert K.face_lattice == own.face_lattice
+        assert K.facet_ridges == own.facet_ridges
+        assert K.dual_walk == own.dual_walk
+        assert K.stars == own.stars
+        assert pseudomanifold_check(K) == pseudomanifold_check(own)
+        assert homology_groups(K) == homology_groups(own)

@@ -21,7 +21,8 @@ from sphere_forge.formats import (
     map_from_text,
     map_to_text,
 )
-from sphere_forge.labels import v_label
+from sphere_forge.complex_core import simplex
+from sphere_forge.labels import u_label, u_pair, v_label
 
 from fixtures import labels
 
@@ -233,3 +234,22 @@ _json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_dumps_canonical_is_indented_sorted_json_dumps(value):
     assert dumps_canonical(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_canonical_writes_a_label_value_as_it_prints():
+    """A label is a str whose text is its sort key; the emitter writes
+    the text it prints as, alone, in a list, in a tuple and in a simplex."""
+    assert dumps_canonical({"x": u_label(4)}) == '{\n  "x": "u4"\n}\n'
+    mixed = [u_pair(1, 3), "u4", (v_label(2),), simplex([u_label(4, True), v_label(10)]), 7]
+    assert dumps_canonical(mixed) == json.dumps(
+        ["u1_3", "u4", ["v2"], ["u4p", "v10"], 7], indent=2
+    ) + "\n"
+
+
+def test_dumps_canonical_writes_a_label_key_as_it_prints():
+    """Label keys sort in label order, before they become text, as int
+    keys sort numerically."""
+    payload = {v_label(10): 2, u_label(4): 1, v_label(9): [v_label(1)]}
+    assert dumps_canonical(payload) == (
+        '{\n  "u4": 1,\n  "v9": [\n    "v1"\n  ],\n  "v10": 2\n}\n'
+    )

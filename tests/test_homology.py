@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -87,22 +88,42 @@ def test_boundary_matrix_rank():
     assert smith_normal_form(M).rank == 3
 
 
-def test_boundary_matrices_are_built_once_per_complex(monkeypatch):
+def test_boundary_matrices_are_built_once_per_live_shape(monkeypatch):
     from sphere_forge import homology
 
     built = []
     build = homology._build_boundary_matrix
     monkeypatch.setattr(
-        homology, "_build_boundary_matrix", lambda K, k: built.append(k) or build(K, k)
+        homology, "_build_boundary_matrix", lambda shape, k: built.append(k) or build(shape, k)
     )
     K = standard_sphere(3)
     assert sphere_check(K, 3).passed
     assert top_kernel_generator(K) == top_kernel_generator(K)
     assert sorted(built) == [1, 2, 3]
-    assert boundary_matrix(K, 3) is boundary_matrix(K, 3)
-    # the cache lives on the object: an equal complex built afresh has its own
-    assert boundary_matrix(standard_sphere(3), 3) is not boundary_matrix(K, 3)
+    kept = boundary_matrix(K, 3)
+    assert boundary_matrix(K, 3) is kept
+    # while K lives, an equal complex built afresh shares its shape and matrices
+    assert boundary_matrix(standard_sphere(3), 3) is kept
+    assert homology_groups(standard_sphere(3)) == homology_groups(K)
+    assert sorted(built) == [1, 2, 3]
+    # once no complex holds the shape, a new complex builds its matrices anew
+    del K, kept
+    gc.collect()
+    again = boundary_matrix(standard_sphere(3), 3)
     assert sorted(built) == [1, 2, 3, 3]
+    assert again.entries == textbook_boundary(standard_sphere(3), 3)
+
+
+def test_smith_forms_are_kept_on_the_matrix_by_skipped_columns():
+    M = boundary_matrix(standard_sphere(2), 2)
+    whole = smith_normal_form(M)
+    assert smith_normal_form(M) is whole
+    # the last facet's column is a combination of the columns before it
+    skipped = smith_normal_form(M, _skip=frozenset({M.cols - 1}))
+    assert skipped is not whole and skipped[:2] == whole[:2]
+    assert smith_normal_form(M, _skip=frozenset({M.cols - 1})) is skipped
+    fresh = IntegerMatrix(M.rows, M.cols, M.columns)
+    assert smith_normal_form(fresh) == whole and smith_normal_form(fresh) is not whole
 
 
 def textbook_boundary(K, k):

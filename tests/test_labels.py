@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -108,10 +110,44 @@ small_labels = st.one_of(
 )
 
 
+def documented_text(lab):
+    """The encoding the labels module documents, spelled out here on
+    its own: base, a space, each index as ``-`` or digit count and
+    digits, then ``p`` when primed."""
+
+    def index(i):
+        return "-" if i is None else chr(ord("0") + len(str(i))) + str(i)
+
+    return f"{lab.base} {index(lab.class_index)}{index(lab.item_index)}{'p' * lab.primed}"
+
+
 @given(small_labels, small_labels)
 def test_label_is_its_documented_key(a, b):
-    assert a == documented_key(a) and hash(a) == hash(documented_key(a))
+    """A label equals and hashes as its encoded text, and orders and
+    compares as the documented tuple key."""
+    text = documented_text(a)
+    assert type(text) is str and a == text and hash(a) == hash(text)
+    assert str(a) != text and str(a) not in (a, b)
     assert (a < b) == (documented_key(a) < documented_key(b))
+    assert (a <= b) == (documented_key(a) <= documented_key(b))
     assert (a == b) == (documented_key(a) == documented_key(b))
     if documented_key(a) == documented_key(b):
         assert hash(a) == hash(b)
+
+
+@given(label_strategy)
+def test_label_prints_and_pickles_as_its_fields(lab):
+    """str, format and repr print the usual label; pickle and copy
+    rebuild it from its fields."""
+    text = str(lab)
+    assert type(text) is str and f"{lab}" == text and "%s" % lab == text
+    assert f"{lab:>12}" == f"{text:>12}" and repr(lab) == f"VertexLabel({text!r})"
+    copies = [pickle.loads(pickle.dumps(lab, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in [*copies, copy.copy(lab), copy.deepcopy(lab)]:
+        assert type(back) is VertexLabel and back == lab and str(back) == text
+        assert (back.base, back.class_index, back.item_index, back.primed) == (
+            lab.base,
+            lab.class_index,
+            lab.item_index,
+            lab.primed,
+        )
