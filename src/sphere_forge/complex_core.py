@@ -28,9 +28,7 @@ share (:attr:`Complex.shape`), each part derived on first read:
 Shapes are kept in a weak table keyed by the pattern: a shape lives as
 long as some complex holds it, and an equal or order-preserving
 relabelled complex made meanwhile finds it there instead of deriving it
-again.  Once the last complex holding it goes, so does the shape.  A
-complex reads the four indexes above through attributes of the same
-names.
+again.  Once the last complex holding it goes, so does the shape.
 
 Everything a complex or a shape hands out is immutable or a fresh copy,
 except the shape's table of boundary matrices, which homology fills.
@@ -257,18 +255,6 @@ class Shape(Frozen):
 _SHAPES: WeakValueDictionary[tuple[tuple[int, ...], ...], Shape] = WeakValueDictionary()
 
 
-def _from_shape(name: str) -> stored:
-    """The :class:`Shape` attribute ``name``, read through a complex and
-    kept on it."""
-
-    def compute(K):
-        return getattr(K.shape, name)
-
-    compute.__name__ = name
-    compute.__doc__ = getattr(Shape, name).__doc__
-    return stored(compute)
-
-
 class Complex(Frozen):
     """Facets in canonical order.  Build through :func:`make_complex`.
     Equal facets make equal complexes; attributes cannot be assigned."""
@@ -330,11 +316,6 @@ class Complex(Frozen):
             shape = _SHAPES[pattern] = Shape(pattern)
         return shape
 
-    face_lattice = _from_shape("face_lattice")
-    facet_ridges = _from_shape("facet_ridges")
-    dual_walk = _from_shape("dual_walk")
-    stars = _from_shape("stars")
-
     @stored
     def _hash(self) -> int:
         return hash((self.facets,))
@@ -394,11 +375,11 @@ def union(*complexes: Complex) -> Complex:
 def faces(K: Complex, k: int) -> tuple[Simplex, ...]:
     """The k-faces of K in canonical order (the row/column order of the
     boundary matrices), ``()`` when k is out of range.  Read off
-    :attr:`Complex.face_lattice`, whose integer order is label order."""
+    :attr:`Shape.face_lattice`, whose integer order is label order."""
     if k < -1 or k > K.dimension:
         return ()
     labels = K.vertices
-    return tuple(Simplex([labels[i] for i in f]) for f in K.face_lattice[k + 1])
+    return tuple(Simplex([labels[i] for i in f]) for f in K.shape.face_lattice[k + 1])
 
 
 class FVector(NamedTuple):
@@ -416,7 +397,7 @@ class FVector(NamedTuple):
 
 
 def f_vector_and_euler(K: Complex) -> tuple[FVector, int]:
-    fv = FVector(tuple(map(len, K.face_lattice)))
+    fv = FVector(tuple(map(len, K.shape.face_lattice)))
     return fv, fv.euler
 
 
@@ -452,7 +433,7 @@ def boundary_complex(K: Complex) -> Complex:
         return K
     ridges = [
         Simplex(f[:p] + f[p + 1 :])
-        for f, slots in zip(K.facets, K.facet_ridges)
+        for f, slots in zip(K.facets, K.shape.facet_ridges)
         for p, slot in enumerate(slots)
         if len(slot) == 1
     ]
@@ -465,7 +446,7 @@ def link(face: Simplex, K: Complex) -> Complex:
     """Faces disjoint from ``face`` whose join with it lies in K.
 
     Only the facets in the smallest star among ``face``'s vertices
-    (:attr:`Complex.stars`) are tested, and a vertex's star needs no
+    (:attr:`Shape.stars`) are tested, and a vertex's star needs no
     test, since each of its facets holds the vertex; the empty face's
     link is all of K.  The star is derivable as ``face * link(face, K)``
     and is not a separate operation.
@@ -485,7 +466,7 @@ def link(face: Simplex, K: Complex) -> Complex:
     if not fs:
         held = facets
     else:
-        numbers, stars = K._numbers, K.stars
+        numbers, stars = K._numbers, K.shape.stars
         star = None
         for v in face:
             i = numbers.get(v)

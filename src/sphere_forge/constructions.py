@@ -63,16 +63,14 @@ from .simplicial_map import (
 class BundleVerification(NamedTuple):
     """Outcome of :func:`verify_bundle`: the named checks, the sphere
     report behind the ``sphere_check`` item, and both oracles' degrees
-    (None when the source fails the sphere battery)."""
+    (None when the source fails the sphere battery); ``passed`` says
+    that every check is ok, decided once where the outcome is built."""
 
     checks: tuple[CheckItem, ...]
     sphere: SphereCheckReport
     counting_degree: int | None
     cycle_degree: int | None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+    passed: bool
 
 
 def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
@@ -103,7 +101,7 @@ def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
     sphere = sphere_check(source, source.dimension, LEVEL_CERTIFY)
     checks.append(CheckItem("sphere_check", sphere.passed, f"level {sphere.level}"))
     if not sphere.passed:
-        return BundleVerification(tuple(checks), sphere, None, None)
+        return BundleVerification(tuple(checks), sphere, None, None, False)
 
     counting = degree_by_counting(bundle).degree
     cycle = degree_by_cycle(bundle)
@@ -131,7 +129,8 @@ def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
             "entrywise up to sign",
         )
     )
-    return BundleVerification(tuple(checks), sphere, counting, cycle)
+    passed = all(c.ok for c in checks)
+    return BundleVerification(tuple(checks), sphere, counting, cycle, passed)
 
 
 def _image(u: VertexLabel) -> VertexLabel:

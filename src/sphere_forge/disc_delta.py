@@ -16,7 +16,6 @@ pattern, and the inner start position differs between the even pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complex_core import Complex, Frozen, Simplex, make_complex, simplex
@@ -98,8 +97,7 @@ def reduction_step(cycle: PolygonCycle) -> ReductionRecord:
     return ReductionRecord(cycle, strip, extras, inner)
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaDisc:
+class DeltaDisc(NamedTuple):
     """A reduced disc: its complex, per-triangle signs, and the trace."""
 
     complex: Complex
@@ -169,7 +167,7 @@ def disc_sign_census(disc: DeltaDisc) -> DiscSignCensus:
 
     boundary_ok = all(
         disc.signs[facet] == 1
-        for facet, slots in zip(disc.complex.facets, disc.complex.facet_ridges)
+        for facet, slots in zip(disc.complex.facets, disc.complex.shape.facet_ridges)
         if any(len(slot) == 1 for slot in slots)
     )
 

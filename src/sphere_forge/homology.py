@@ -7,11 +7,11 @@ stored sparse by column from the start -- a boundary column carries
 exactly ``k+1`` entries of +-1 -- and every consumer (Smith reduction,
 kernels) reads those columns; a dense grid is only ever materialized on
 request through :attr:`IntegerMatrix.entries`.  Boundary matrices are
-built on the complex's integer face lattice
-(:attr:`Complex.face_lattice`), so row lookups hash tuples of small ints,
-and each row lookup returns its ``(row, +-1)`` pair whole: one matrix
-holds one pair object per row and sign, shared by every column that
-has it.
+built on the integer face lattice of the complex's shape
+(:attr:`~sphere_forge.complex_core.Shape.face_lattice`), so row lookups
+hash tuples of small ints, and each row lookup returns its
+``(row, +-1)`` pair whole: one matrix holds one pair object per row
+and sign, shared by every column that has it.
 
 Smith reduction first reduces columns by their lowest entry against the
 columns whose lowest entry is a unit; when every column ends on a unit
@@ -411,7 +411,7 @@ def homology_groups(K: Complex) -> tuple[HomologyGroup, ...]:
     for k in range(n, 0, -1):
         snf[k] = smith_normal_form(boundary_matrix(K, k), _skip=cleared)
         cleared = snf[k].unit_lows
-    counts = [len(fs) for fs in K.face_lattice[1:]]
+    counts = [len(fs) for fs in K.shape.face_lattice[1:]]
     groups = []
     for k in range(0, n + 1):
         rank_k = snf[k].rank if k >= 1 else 0

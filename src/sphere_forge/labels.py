@@ -28,7 +28,9 @@ simplex normal forms and all boundary-operator signs.
 
 Each distinct label's printed text and fields are kept, keyed by its
 encoded text, in a table filled as labels are made; the table holds one
-entry per distinct label for the life of the process.
+entry per distinct label for the life of the process.  Like
+:func:`parse_label`, the builder helpers are cached: each hands out one
+object per label.
 """
 
 from __future__ import annotations
@@ -133,16 +135,19 @@ def parse_label(text: str) -> VertexLabel:
     return VertexLabel(base)
 
 
+@cache
 def v_label(i: int) -> VertexLabel:
     """Target-sphere vertex ``v<i>``."""
     return VertexLabel("v", None, i)
 
 
+@cache
 def u_label(i: int, primed: bool = False) -> VertexLabel:
     """Construction vertex ``u<i>`` or its primed twin."""
     return VertexLabel("u", None, i, primed)
 
 
+@cache
 def u_pair(j: int, i: int) -> VertexLabel:
     """Disc vertex ``u<j>_<i>`` (class *j*, position *i*)."""
     return VertexLabel("u", j, i)

@@ -2,8 +2,8 @@
 
 Orientations are stored as a sign per facet, read relative to the
 facet's canonically sorted vertex list.  The signs come from
-:attr:`~sphere_forge.complex_core.Complex.dual_walk`, the one walk per
-complex from facet 0, which states the coherence rule for facets on a
+:attr:`~sphere_forge.complex_core.Shape.dual_walk`, the one walk per
+shape from facet 0, which states the coherence rule for facets on a
 shared ridge; an orientation from any other base facet or base sign is
 that walk's signs, negated when the base's sign differs.
 
@@ -14,7 +14,6 @@ only thing the two degree oracles in :mod:`simplicial_map` share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .complex_core import Complex, Simplex, pseudomanifold_check
@@ -34,8 +33,7 @@ def sort_sign(seq: Sequence) -> int:
     return sign
 
 
-@dataclass(frozen=True, eq=False)
-class OrientedComplex:
+class OrientedComplex(NamedTuple):
     """A complex plus a coherent sign per facet.
 
     ``closed`` is the verdict of the :func:`pseudomanifold_check` that
@@ -62,7 +60,7 @@ def coherent_orientation(
     base_sign: int = 1,
 ) -> OrientedComplex:
     """The coherent orientation that gives ``base`` the sign
-    ``base_sign``: the signs of :attr:`Complex.dual_walk`, negated when
+    ``base_sign``: the signs of ``K.shape.dual_walk``, negated when
     they give ``base`` the other sign.  Raises NonOrientable when that
     walk meets contradictory signs, with its first contradiction as the
     witness, the same from every base.  Each call hands out a fresh
@@ -95,7 +93,7 @@ def coherent_orientation(
     except ValueError:
         raise PreconditionFailed(f"base [{base}] is not a facet") from None
 
-    _, signs, contradiction = K.dual_walk
+    _, signs, contradiction = K.shape.dual_walk
     if contradiction is not None:
         witness = facets[contradiction]
         raise NonOrientable(f"sign contradiction at facet [{witness}]", witness=witness)

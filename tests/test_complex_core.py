@@ -333,7 +333,7 @@ def test_simplex_is_its_vertex_tuple():
     for i in (0, 1):
         f = DELTA2.facets[i]
         assert f[:1] + f[2:] == simplex_of("u1_1 u3_1")
-        assert DELTA2.facet_ridges[i][1] == ((0, 1), (1, 1))
+        assert DELTA2.shape.facet_ridges[i][1] == ((0, 1), (1, 1))
 
 
 @given(
@@ -412,7 +412,7 @@ def test_face_lattice_holds_the_facets_of_every_size(K, lattice):
     """The lattice is built from the top down, so each level must also
     take the facets of its own size: the edge c d and the vertex e lie
     in no larger facet."""
-    assert K.face_lattice == lattice
+    assert K.shape.face_lattice == lattice
     assert_lattice_in_label_order(K)
 
 
@@ -528,7 +528,6 @@ def test_relabelled_copies_share_one_shape_and_boundary_matrix():
     assert L.shape is K.shape
     for k in range(K.dimension + 1):
         assert boundary_matrix(L, k) is boundary_matrix(K, k)
-    assert L.face_lattice is K.face_lattice and L.dual_walk is K.dual_walk
 
 
 def test_shape_leaves_the_table_once_no_complex_holds_it():
@@ -576,9 +575,9 @@ def test_shared_shape_matches_a_private_derivation(names, other_names, facet_set
     for K in copies:
         own = private_copy(K)
         assert own.shape is not K.shape and own.shape.facets is not K.shape.facets
-        assert K.face_lattice == own.face_lattice
-        assert K.facet_ridges == own.facet_ridges
-        assert K.dual_walk == own.dual_walk
-        assert K.stars == own.stars
+        assert K.shape.face_lattice == own.shape.face_lattice
+        assert K.shape.facet_ridges == own.shape.facet_ridges
+        assert K.shape.dual_walk == own.shape.dual_walk
+        assert K.shape.stars == own.shape.stars
         assert pseudomanifold_check(K) == pseudomanifold_check(own)
         assert homology_groups(K) == homology_groups(own)

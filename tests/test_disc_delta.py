@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from sphere_forge import (
@@ -97,7 +95,7 @@ def test_sign_census_notices_a_flipped_sign():
     but breaks the agreement with the propagated orientation."""
     disc = build_delta(12)
     flipped = next(t for t, s in disc.signs.items() if s < 0)
-    census = disc_sign_census(dataclasses.replace(disc, signs={**disc.signs, flipped: 1}))
+    census = disc_sign_census(disc._replace(signs={**disc.signs, flipped: 1}))
     assert census == (24, 10, True, False)
 
 

@@ -1,7 +1,7 @@
 """The package imports nothing but itself and the standard library, its
 modules import one another without a cycle, and its records are built
-without generated code: only the classes that ``dataclasses.replace``
-copies are dataclasses."""
+without generated code: only the bundle, which the benchmark copies
+with ``dataclasses.replace``, is a dataclass."""
 
 import ast
 import sys
@@ -63,8 +63,8 @@ def _decorator_name(node):
 
 def test_only_the_replace_targets_are_dataclasses():
     """Each dataclass costs start-up time in generated code, so value
-    records are NamedTuples or plain classes; the three left are the
-    ones the tests and the benchmark copy with ``dataclasses.replace``."""
+    records are NamedTuples or plain classes; the one left is the bundle,
+    because the benchmark copies it with ``dataclasses.replace``."""
     decorated = {
         f"{path.stem}.{node.name}"
         for path in PACKAGE.glob("*.py")
@@ -72,22 +72,44 @@ def test_only_the_replace_targets_are_dataclasses():
         if isinstance(node, ast.ClassDef)
         and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)
     }
-    assert decorated == {
-        "disc_delta.DeltaDisc",
-        "orientation.OrientedComplex",
-        "simplicial_map.ConstructionBundle",
+    assert decorated == {"simplicial_map.ConstructionBundle"}
+
+
+def test_only_the_bundle_module_imports_dataclasses():
+    """Importing ``dataclasses`` costs several milliseconds of start-up,
+    so the module that defines the one dataclass is the only one that
+    imports it; a stray import, unused by any decorator, would still pay."""
+    importers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(name.split(".")[0] == "dataclasses" for name in _absolute_imports(path))
     }
+    assert importers == {"simplicial_map"}
 
 
 def test_records_refuse_attribute_assignment():
     from sphere_forge.complex_core import make_complex
-    from sphere_forge.homology import CheckItem, boundary_matrix
+    from sphere_forge.constructions import BundleVerification
+    from sphere_forge.disc_delta import build_delta
+    from sphere_forge.homology import CheckItem, boundary_matrix, sphere_check
     from sphere_forge.labels import v_label
+    from sphere_forge.orientation import coherent_orientation
 
     K = make_complex([[v_label(1), v_label(2)], [v_label(2), v_label(3)]])
     M = boundary_matrix(K, 1)
     item = CheckItem("pure", True)
-    for record, name in ((K, "facets"), (M, "columns"), (item, "ok"), (item, "detail")):
+    oriented = coherent_orientation(K, K.facets[0])
+    disc = build_delta(1)
+    verification = BundleVerification((item,), sphere_check(K, 1), None, None, True)
+    for record, name in (
+        (K, "facets"),
+        (M, "columns"),
+        (item, "ok"),
+        (item, "detail"),
+        (oriented, "signs"),
+        (disc, "trace"),
+        (verification, "passed"),
+    ):
         before = getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, ())

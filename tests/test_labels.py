@@ -54,6 +54,12 @@ def test_order_absent_before_present():
     assert u_label(9) < v_label(1)  # base first
 
 
+def test_builder_helpers_make_each_label_once():
+    assert u_label(4) is u_label(4)
+    assert u_pair(2, 3) is u_pair(2, 3)
+    assert v_label(1) is v_label(1)
+
+
 label_strategy = st.builds(
     VertexLabel,
     base=st.sampled_from(["a", "u", "v", "w", "zz"]),

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -315,7 +314,7 @@ def test_inconsistent_alg_guard(monkeypatch):
         signs = dict(oriented.signs)
         victim = next(iter(signs))
         signs[victim] = -signs[victim]
-        return dataclasses.replace(oriented, signs=signs)
+        return oriented._replace(signs=signs)
 
     monkeypatch.setattr(simplicial_map, "coherent_orientation", broken_orientation)
     with pytest.raises(InconsistentAlg):
