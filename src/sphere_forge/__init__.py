@@ -30,7 +30,7 @@ from .constructions import (
     build_stacked_sphere,
     verify_bundle,
 )
-from .disc_delta import DeltaDisc, PolygonCycle, build_delta, disc_sign_census, reduction_step
+from .disc_delta import DeltaDisc, build_delta, disc_sign_census
 from .homology import (
     HomologyGroup,
     IntegerMatrix,

@@ -243,9 +243,9 @@ def build_double_cone_sphere(n: int, d: int, variant: str) -> ConstructionBundle
     count of |d|.
 
     At its base dimension 3, a cone with apex u4 covers the whole disc
-    and a second apex u4' covers only the sub-disc inside the first
-    reduction polygon, read from the disc's trace; u5 cones off the
-    boundary of that 3-ball, and each dimension above adds one lift.
+    and a second apex u4' covers only the sub-disc inside the disc's
+    first inner polygon; u5 cones off the boundary of that 3-ball, and
+    each dimension above adds one lift.
     """
     if n < 3:
         raise PreconditionFailed("double-cone construction needs n >= 3")

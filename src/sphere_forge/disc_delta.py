@@ -1,149 +1,94 @@
 """The triangulated disc family built by iterated polygon reduction.
 
 Starting from a labelled 3d-gon, each pass walks the cycle two steps at
-a time, fencing off a strip of triangles and leaving a polygon of a
+a time, fencing off a ring of triangles and leaving a polygon of a
 third fewer vertices inside; iterating reaches a single triangle.  The
 passes alternate between two shapes depending on whether the current
 third of the length is even or odd, and triangle signs alternate per
 pass, which yields a coherent orientation with all boundary triangles
 positive.
 
-The recursion works on positions within the stored cyclic order, not on
-re-derived vertex names: inner polygons do not repeat the outer naming
-pattern, and the inner start position differs between the even pass
-(position 0) and the odd pass (position 4).
+A polygon is a plain tuple of labels in cyclic order.  The recursion
+works on positions within it, not on re-derived vertex names: inner
+polygons do not repeat the outer naming pattern, and the inner start
+position differs between the even pass (position 0) and the odd pass
+(position 4).  A 3m-gon's inner polygon has 3m/2 vertices (m even) or
+3(m - 1)/2 (m odd), so every polygon has a multiple of 3 vertices, at
+least 3, and each later polygon is a subset of the first inner one.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complex_core import Complex, Frozen, Simplex, make_complex, simplex
+from .complex_core import Complex, Simplex, make_complex, simplex
 from .errors import PreconditionFailed
 from .labels import VertexLabel, u_pair
-from .orientation import coherent_orientation, sort_sign
+from .orientation import coherent_orientation
 
-Triangle = tuple[VertexLabel, VertexLabel, VertexLabel]
-
-
-class PolygonCycle(Frozen):
-    """Cyclically ordered distinct vertices; position 0 is the start.
-    Equal vertex tuples make equal cycles; attributes cannot be assigned."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: tuple[VertexLabel, ...]):
-        if len(vertices) < 3:
-            raise PreconditionFailed("polygon needs at least three vertices")
-        if len(set(vertices)) != len(vertices):
-            raise PreconditionFailed("polygon vertices must be distinct")
-        object.__setattr__(self, "vertices", vertices)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.vertices == other.vertices
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.vertices,))
-
-    def __repr__(self) -> str:
-        return f"PolygonCycle(vertices={self.vertices!r})"
-
-    def __reduce__(self):
-        return PolygonCycle, (self.vertices,)
-
-    def __len__(self):
-        return len(self.vertices)
+Polygon = tuple[VertexLabel, ...]
 
 
-class ReductionRecord(NamedTuple):
-    """One reduction pass: the cycle it consumed and what it produced."""
+def _ring(c: Polygon) -> tuple[list[tuple[Polygon, int]], Polygon]:
+    """Triangulate the ring inside the polygon ``c`` of length 3m.
 
-    cycle: PolygonCycle
-    strip: tuple[Triangle, ...]
-    extras: tuple[Triangle, ...]
-    inner: PolygonCycle | None
-
-    @property
-    def triangles(self) -> tuple[Triangle, ...]:
-        return self.strip + self.extras
-
-
-def reduction_step(cycle: PolygonCycle) -> ReductionRecord:
-    """Triangulate one ring of the polygon.
-
-    For length 3m the strip triangles are ``(c[2t], c[2t+1], c[2t+2])``.
-    With m even the strip wraps all the way around and the inner polygon
-    is the even positions starting at 0.  With m odd the strip stops one
-    edge short and two extra triangles ``(c0, c2, c4)`` and
-    ``(c0, c4, c[-1])`` complete the ring; the inner polygon is then the
-    even positions from 4 onward.  Length 3 is terminal.
+    Returns the ring's triangles, each with its sign relative to the
+    ring, and the inner polygon (empty when ``c`` is a triangle).  The
+    strip triangles are ``(c[2t], c[2t+1], c[2t+2])``.  With m even the
+    strip wraps all the way around and the inner polygon is the even
+    positions starting at 0.  With m odd the strip stops one edge short
+    and two extra triangles ``(c0, c2, c4)`` and ``(c0, c4, c[-1])``
+    complete the ring; the inner polygon is then the even positions from
+    4 onward.  ``(c0, c2, c4)`` sits between the two polygons and takes
+    the inner ring's sign one level early.
     """
-    L = len(cycle)
-    if L % 3:
-        raise PreconditionFailed(f"polygon length {L} is not a multiple of 3")
+    L = len(c)
     m = L // 3
-    c = cycle.vertices
     if m == 1:
-        return ReductionRecord(cycle, ((c[0], c[1], c[2]),), (), None)
+        return [(c, 1)], ()
     if m % 2 == 0:
-        strip = tuple((c[2 * t], c[2 * t + 1], c[(2 * t + 2) % L]) for t in range(L // 2))
-        inner = PolygonCycle(c[0:L:2])
-        return ReductionRecord(cycle, strip, (), inner)
-    strip = tuple((c[2 * t], c[2 * t + 1], c[2 * t + 2]) for t in range((L - 1) // 2))
-    extras = ((c[0], c[2], c[4]), (c[0], c[4], c[L - 1]))
-    inner = PolygonCycle(c[4:L:2])
-    return ReductionRecord(cycle, strip, extras, inner)
+        strip = [((c[2 * t], c[2 * t + 1], c[(2 * t + 2) % L]), 1) for t in range(L // 2)]
+        return strip, c[0:L:2]
+    strip = [((c[2 * t], c[2 * t + 1], c[2 * t + 2]), 1) for t in range((L - 1) // 2)]
+    return strip + [((c[0], c[2], c[4]), -1), ((c[0], c[4], c[L - 1]), 1)], c[4:L:2]
 
 
 class DeltaDisc(NamedTuple):
-    """A reduced disc: its complex, per-triangle signs, and the trace."""
+    """A reduced disc: its complex, per-triangle signs, and its polygons,
+    the outer 3d-gon first and the final triangle last."""
 
     complex: Complex
     signs: dict[Simplex, int]
-    trace: tuple[ReductionRecord, ...]
+    polygons: tuple[Polygon, ...]
     d: int
 
     def inner_subdisc(self) -> Complex:
-        """The sub-disc bounded by the first inner polygon (passes >= 1)."""
-        if len(self.trace) < 2:
+        """The sub-disc bounded by the first inner polygon: the triangles
+        whose vertices all lie on it."""
+        if len(self.polygons) < 2:
             raise PreconditionFailed("disc has no inner polygon")
-        triangles = []
-        for record in self.trace[1:]:
-            triangles.extend(record.triangles)
-        return make_complex(triangles)
+        inner = set(self.polygons[1])
+        return make_complex([f for f in self.complex.facets if inner.issuperset(f)])
 
 
 def build_delta(d: int) -> DeltaDisc:
     """Build the 3d-vertex disc with its alternating sign assignment.
 
-    The outermost ring is positive; each inner ring flips sign, except
-    that the odd-pass triangle ``(c0, c2, c4)`` takes the inner ring's
-    sign one level early (it sits between the two polygons).
+    The outermost ring is positive and each inner ring flips sign.
     """
     if d < 1:
         raise PreconditionFailed("build_delta needs d >= 1")
-    outer = PolygonCycle(
-        tuple(u_pair(j, i) for i in range(1, d + 1) for j in (1, 2, 3))
-    )
-    trace: list[ReductionRecord] = []
+    polygon = tuple(u_pair(j, i) for i in range(1, d + 1) for j in (1, 2, 3))
+    polygons: list[Polygon] = []
     signs: dict[Simplex, int] = {}
-    cycle: PolygonCycle | None = outer
     level_sign = 1
-    while cycle is not None:
-        record = reduction_step(cycle)
-        trace.append(record)
-        for tri in record.strip:
-            signs[simplex(tri)] = level_sign
-        if record.extras:
-            between, closing = record.extras
-            signs[simplex(between)] = -level_sign
-            signs[simplex(closing)] = level_sign
-        cycle = record.inner
+    while polygon:
+        polygons.append(polygon)
+        ring, polygon = _ring(polygon)
+        for tri, sign in ring:
+            signs[simplex(tri)] = sign * level_sign
         level_sign = -level_sign
-    disc = make_complex([simplex(t) for rec in trace for t in rec.triangles])
-    return DeltaDisc(complex=disc, signs=signs, trace=tuple(trace), d=d)
+    return DeltaDisc(make_complex(signs), signs, tuple(polygons), d)
 
 
 class DiscSignCensus(NamedTuple):
@@ -158,9 +103,10 @@ def disc_sign_census(disc: DeltaDisc) -> DiscSignCensus:
 
     ``boundary_in_positive``: every boundary edge's unique triangle is
     positive.  ``sign_agrees_with_orientation``: the level-alternating
-    signs coincide with propagated coherent orientation signs read in
-    each triangle's class order (one vertex per class, so class order is
-    the sorted order).
+    signs coincide with the coherent orientation propagated from the
+    outer polygon's first triangle.  Each triangle has one vertex per
+    class and labels sort by class first, so a facet's sorted order is
+    its class order and the two signs compare directly.
     """
     positives = sum(1 for s in disc.signs.values() if s > 0)
     negatives = sum(1 for s in disc.signs.values() if s < 0)
@@ -171,13 +117,6 @@ def disc_sign_census(disc: DeltaDisc) -> DiscSignCensus:
         if any(len(slot) == 1 for slot in slots)
     )
 
-    base = simplex(disc.trace[0].strip[0])
-    oriented = coherent_orientation(disc.complex, base, 1)
-    agrees = True
-    for facet in disc.complex.facets:
-        class_order = sorted(facet, key=lambda lab: (lab.class_index, lab))
-        expected = oriented.signs[facet] * sort_sign(class_order)
-        if disc.signs[facet] != expected:
-            agrees = False
-            break
+    oriented = coherent_orientation(disc.complex, simplex(disc.polygons[0][:3]), 1)
+    agrees = all(disc.signs[f] == oriented.signs[f] for f in disc.complex.facets)
     return DiscSignCensus(positives, negatives, boundary_ok, agrees)

@@ -198,11 +198,11 @@ def census_label(i: int) -> VertexLabel:
 def enumerate_2spheres(v: int) -> tuple[CensusEntry, ...]:
     """One census entry per isomorphism class of v-vertex 2-spheres.
 
-    Only 4 <= v <= 7 is supported: that is the range the degree bounds
-    need and the census sizes (1, 1, 2, 5) are tested over.
+    Only 4 <= v <= 9 is supported: the degree bounds need 4..7, and the
+    census sizes (1, 1, 2, 5, 14, 50) are tested over 4..9.
     """
-    if not 4 <= v <= 7:
-        raise PreconditionFailed(f"census supports 4 <= v <= 7, got {v}")
+    if not 4 <= v <= 9:
+        raise PreconditionFailed(f"census supports 4 <= v <= 9, got {v}")
     keys = {_canonical_form(t) for t in _search_triangulations(v, False)}
     return tuple(
         CensusEntry(

@@ -5,11 +5,9 @@ from sphere_forge import (
     build_delta,
     f_vector_and_euler,
     disc_sign_census,
-    reduction_step,
 )
-from sphere_forge.disc_delta import PolygonCycle
 from sphere_forge.errors import PreconditionFailed
-from sphere_forge.labels import parse_label, u_pair
+from sphere_forge.labels import u_pair
 
 from fixtures import (
     DELTA2_NEGATIVE,
@@ -22,39 +20,31 @@ from fixtures import (
 )
 
 
-def outer_cycle(d):
-    return PolygonCycle(tuple(u_pair(j, i) for i in range(1, d + 1) for j in (1, 2, 3)))
+def outer_ring(disc):
+    """The triangles outside the first inner polygon, with their signs."""
+    inner = set(disc.polygons[1])
+    return {f: s for f, s in disc.signs.items() if not inner.issuperset(f)}
 
 
-def test_reduction_step_terminal():
-    rec = reduction_step(PolygonCycle(tuple(parse_label(x) for x in "a b c".split())))
-    assert rec.strip == ((parse_label("a"), parse_label("b"), parse_label("c")),)
-    assert rec.extras == () and rec.inner is None
+def test_single_triangle_is_terminal():
+    disc = build_delta(1)
+    assert disc.polygons == ((u_pair(1, 1), u_pair(2, 1), u_pair(3, 1)),)
+    assert disc.signs == {simplex_of("u1_1 u2_1 u3_1"): 1}
 
 
-def test_reduction_step_bad_length():
-    with pytest.raises(
-        PreconditionFailed, match="^polygon length 4 is not a multiple of 3$"
-    ):
-        reduction_step(PolygonCycle(tuple(parse_label(x) for x in "a b c d".split())))
+def test_even_six_gon_ring():
+    disc = build_delta(2)
+    assert outer_ring(disc) == {simplex_of(t): 1 for t in DELTA2_POSITIVE}
+    assert disc.polygons[1] == (u_pair(1, 1), u_pair(3, 1), u_pair(2, 2))
 
 
-def test_reduction_step_even_six():
-    rec = reduction_step(outer_cycle(2))
-    strips = {frozenset(t) for t in rec.strip}
-    assert strips == {
-        frozenset(simplex_of(t).vertices) for t in DELTA2_POSITIVE
-    }
-    assert rec.extras == ()
-    assert rec.inner.vertices == (u_pair(1, 1), u_pair(3, 1), u_pair(2, 2))
-
-
-def test_reduction_step_odd_nine():
-    rec = reduction_step(outer_cycle(3))
-    triangles = {frozenset(t) for t in rec.triangles}
-    assert frozenset((u_pair(1, 1), u_pair(2, 2), u_pair(3, 1))) in triangles
-    assert frozenset((u_pair(1, 1), u_pair(2, 2), u_pair(3, 3))) in triangles
-    assert rec.inner.vertices == (u_pair(2, 2), u_pair(1, 3), u_pair(3, 3))
+def test_odd_nine_gon_ring():
+    disc = build_delta(3)
+    ring = outer_ring(disc)
+    # (c0, c2, c4) takes the inner sign; (c0, c4, c8) closes the ring
+    assert ring[simplex_of("u1_1 u2_2 u3_1")] == -1
+    assert ring[simplex_of("u1_1 u2_2 u3_3")] == 1
+    assert disc.polygons[1] == (u_pair(2, 2), u_pair(1, 3), u_pair(3, 3))
 
 
 @pytest.mark.parametrize(
@@ -120,15 +110,16 @@ def test_sweep_structure():
             assert {v.class_index for v in facet.vertices} == {1, 2, 3}
 
 
-def test_trace_levels_shrink_by_thirds():
-    disc = build_delta(12)
-    lengths = [len(rec.cycle) for rec in disc.trace]
-    assert lengths[0] == 36
-    assert all(length % 3 == 0 for length in lengths)
-    assert lengths[-1] == 3
-    for a, b in zip(lengths, lengths[1:]):
-        m = a // 3
-        assert b == (3 * (m // 2) if m % 2 == 0 else 3 * ((m - 1) // 2))
+def test_polygons_shrink_by_thirds():
+    """Every polygon has a multiple of 3 vertices, the last one 3."""
+    for d in range(1, 41):
+        lengths = [len(p) for p in build_delta(d).polygons]
+        assert lengths[0] == 3 * d
+        assert all(length % 3 == 0 for length in lengths)
+        assert lengths[-1] == 3
+        for a, b in zip(lengths, lengths[1:]):
+            m = a // 3
+            assert b == (3 * (m // 2) if m % 2 == 0 else 3 * ((m - 1) // 2))
 
 
 def test_inner_subdisc():
@@ -136,13 +127,18 @@ def test_inner_subdisc():
     inner = disc.inner_subdisc()
     assert len(inner.facets) == 4
     # bounded by the first inner polygon
-    assert set(boundary_complex(inner).vertices) == set(disc.trace[0].inner.vertices)
+    assert set(boundary_complex(inner).vertices) == set(disc.polygons[1])
     with pytest.raises(PreconditionFailed):
         build_delta(1).inner_subdisc()
 
 
-def test_polygon_cycle_validation():
-    with pytest.raises(PreconditionFailed):
-        PolygonCycle((parse_label("a"), parse_label("b")))
-    with pytest.raises(PreconditionFailed):
-        PolygonCycle(tuple(parse_label(x) for x in "a b a".split()))
+def test_inner_subdisc_is_bounded_by_the_first_inner_polygon():
+    """Its boundary edges are the cyclic consecutive pairs of the first
+    inner polygon, and every later polygon lies on that polygon."""
+    for d in range(2, 41):
+        disc = build_delta(d)
+        inner = disc.polygons[1]
+        cycle = {frozenset(pair) for pair in zip(inner, inner[1:] + inner[:1])}
+        edges = boundary_complex(disc.inner_subdisc()).facets
+        assert {frozenset(e) for e in edges} == cycle
+        assert all(set(p) <= set(inner) for p in disc.polygons[2:])

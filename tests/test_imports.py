@@ -107,7 +107,7 @@ def test_records_refuse_attribute_assignment():
         (item, "ok"),
         (item, "detail"),
         (oriented, "signs"),
-        (disc, "trace"),
+        (disc, "polygons"),
         (verification, "passed"),
     ):
         before = getattr(record, name)

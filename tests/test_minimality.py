@@ -44,7 +44,7 @@ from fixtures import (
 )
 
 
-@pytest.mark.parametrize("v,count", [(4, 1), (5, 1), (6, 2), (7, 5)])
+@pytest.mark.parametrize("v,count", [(4, 1), (5, 1), (6, 2), (7, 5), (8, 14), (9, 50)])
 def test_census_sizes(v, count):
     assert len(enumerate_2spheres(v)) == count
 
@@ -112,10 +112,16 @@ def test_census_entries_are_spheres():
 
 
 def test_census_out_of_range():
-    with pytest.raises(PreconditionFailed, match="^census supports 4 <= v <= 7, got 8$"):
-        enumerate_2spheres(8)
-    with pytest.raises(PreconditionFailed, match="^census supports 4 <= v <= 7, got 3$"):
+    with pytest.raises(PreconditionFailed, match="^census supports 4 <= v <= 9, got 10$"):
+        enumerate_2spheres(10)
+    with pytest.raises(PreconditionFailed, match="^census supports 4 <= v <= 9, got 3$"):
         enumerate_2spheres(3)
+
+
+@pytest.mark.parametrize("v", [8, 9])
+def test_eight_and_nine_vertex_spheres_reach_degree_three(v):
+    """Degree 3 needs 8 vertices, and a ninth vertex allows no more."""
+    assert max(max_abs_degree(e.complex)[0] for e in enumerate_2spheres(v)) == 3
 
 
 def test_tetrahedron_degrees():
