@@ -126,11 +126,11 @@ def _adhoc_bundle(K: Complex, f: VertexMap) -> ConstructionBundle:
     if K.is_empty:
         # no standard sphere has dimension -1
         raise PreconditionFailed("degree needs a nonempty complex, got the empty complex")
-    check_map_domain(f.assignment, K)
+    check_map_domain(f, K)
     target = standard_sphere(K.dimension)
     source_base = K.facets[0].vertices
     for facet in K.facets:
-        if len({f.assignment.get(v) for v in facet.vertices}) == len(facet.vertices):
+        if len({f.get(v) for v in facet.vertices}) == len(facet.vertices):
             source_base = facet.vertices
             break
     return ConstructionBundle(

@@ -193,15 +193,15 @@ def _close(
     for _ in range(m, n):
         sphere = _lift(sphere)
     source_base += tuple(u_label(l) for l in range(m + 2, n + 2))
-    assignment = {u: _image(u) for u in sphere.vertices}
+    vertex_map = VertexMap({u: _image(u) for u in sphere.vertices})
     if degree < 0:
-        assignment = compose(VertexMap(assignment), swap_map(n).vertex_map).assignment
+        vertex_map = compose(vertex_map, swap_map(n).vertex_map)
     if len(sphere.vertices) != vertices:
         raise AssertionError(
             f"{label}: built {len(sphere.vertices)} vertices, promised {vertices}"
         )
     for facet in sphere.facets:
-        if len({assignment[v] for v in facet.vertices}) != len(facet.vertices):
+        if len(set(vertex_map.image(facet.vertices))) != len(facet.vertices):
             raise AssertionError(f"{label}: facet [{facet}] collapses")
     if not pseudomanifold_check(sphere).is_closed_pseudomanifold:
         raise AssertionError(f"{label}: not a closed pseudomanifold")
@@ -210,7 +210,7 @@ def _close(
     return ConstructionBundle(
         source=sphere,
         target=standard_sphere(n),
-        vertex_map=VertexMap(assignment),
+        vertex_map=vertex_map,
         source_base=source_base,
         target_base=tuple(v_label(i) for i in range(1, n + 2)),
         expected_degree=degree,

@@ -149,20 +149,20 @@ def complex_from_json_obj(
 
 
 def map_to_text(f: VertexMap) -> str:
-    pairs = sorted(f.assignment.items())
+    pairs = sorted(f.items())
     return "".join(f"{src} {dst}\n" for src, dst in pairs)
 
 
-def _assignment(pairs) -> dict[VertexLabel, VertexLabel]:
+def _assignment(pairs) -> VertexMap:
     """Source -> target from ``(source, target)`` label pairs, refusing
     a source named twice: a file that maps one vertex two ways is
     ambiguous, whichever entry comes last."""
-    assignment: dict[VertexLabel, VertexLabel] = {}
+    f = VertexMap()
     for src, dst in pairs:
-        if src in assignment:
+        if src in f:
             raise ValueError(f"vertex {src} mapped twice")
-        assignment[src] = dst
-    return assignment
+        f[src] = dst
+    return f
 
 
 def check_map_domain(assignment: Mapping[VertexLabel, VertexLabel], source: Complex) -> None:
@@ -183,7 +183,7 @@ def map_from_text(text: str) -> VertexMap:
         if len(tokens) != 2:
             raise ValueError(f"map line needs exactly two labels: {line!r}")
         pairs.append(tuple(map(parse_label, tokens)))
-    return VertexMap(_assignment(pairs))
+    return _assignment(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +216,8 @@ def bundle_from_json_obj(obj) -> ConstructionBundle:
     pairs = [_labels(pair, "a map entry") for pair in _field(obj, "map", "bundle", list)]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("each 'map' entry must be a [from, to] label pair")
-    assignment = _assignment(pairs)
-    check_map_domain(assignment, source)
+    vertex_map = _assignment(pairs)
+    check_map_domain(vertex_map, source)
     source_base = _labels(_field(obj, "source_base", "bundle"), "source_base")
     if "target_base" in obj:
         target_base = _labels(obj["target_base"], "target_base")
@@ -233,7 +233,7 @@ def bundle_from_json_obj(obj) -> ConstructionBundle:
     return ConstructionBundle(
         source=source,
         target=target,
-        vertex_map=VertexMap(assignment),
+        vertex_map=vertex_map,
         source_base=source_base,
         target_base=target_base,
         expected_degree=_field(obj, "expected_degree", "bundle", (int, type(None))),

@@ -9,7 +9,11 @@ optional prime marker.  The textual grammar is::
     ...p            e.g.  u4p, u1_3p  (primed variant)
 
 Indices are decimal without leading zeros, so each label has one
-spelling: ``u01`` is refused rather than read as ``u1``.
+spelling: ``u01`` is refused rather than read as ``u1``.  A trailing
+``p`` counts as the prime marker only after digits, so a purely
+alphabetic name like ``up`` is a plain base.  A label is made from its
+text, ``VertexLabel("u1_3")``, which raises ValueError on anything
+off-grammar, and pickles and copies as that text.
 
 A label is a ``str`` whose text encodes its sort key, the tuple
 ``(base, has class, class, has item, item, primed)``, in an
@@ -28,9 +32,9 @@ simplex normal forms and all boundary-operator signs.
 
 Each distinct label's printed text and fields are kept, keyed by its
 encoded text, in a table filled as labels are made; the table holds one
-entry per distinct label for the life of the process.  Like
-:func:`parse_label`, the builder helpers are cached: each hands out one
-object per label.
+entry per distinct label for the life of the process.
+:func:`parse_label` is the constructor, cached, and so are the builder
+helpers: each hands out one object per label.
 """
 
 from __future__ import annotations
@@ -45,49 +49,35 @@ _LABEL_RE = re.compile(rf"^([a-z]+)(?:{_INDEX}_{_INDEX}|{_INDEX})?(p)?$")
 _DECODED: dict[str, tuple[str, tuple]] = {}
 
 
-def _encode_index(index: int | None) -> str:
+def _encode_index(digits: str | None) -> str:
     """``-`` when absent, else the digit count and the digits: without
     leading zeros, more digits mean a larger index, and ``-`` orders
     before every digit count."""
-    if index is None:
+    if digits is None:
         return "-"
-    digits = str(index)
     return chr(ord("0") + len(digits)) + digits
 
 
 class VertexLabel(str):
     __slots__ = ()
 
-    def __new__(
-        cls,
-        base: str,
-        class_index: int | None = None,
-        item_index: int | None = None,
-        primed: bool = False,
-    ):
-        if not base or not re.fullmatch(r"[a-z]+", base):
-            raise ValueError(f"label base must be lowercase letters, got {base!r}")
-        if class_index is not None and item_index is None:
-            raise ValueError("a class index requires an item index")
-        if primed and item_index is None:
-            raise ValueError("primed labels need an item index to stay parseable")
-        for idx in (class_index, item_index):
-            if idx is not None and idx < 0:
-                raise ValueError("label indices must be nonnegative")
-        mark = "p" if primed else ""
-        text = f"{base} {_encode_index(class_index)}{_encode_index(item_index)}{mark}"
-        if text not in _DECODED:
-            if class_index is not None:
-                mid = f"{class_index}_{item_index}"
-            else:
-                mid = "" if item_index is None else str(item_index)
-            fields = (base, class_index, item_index, bool(primed))
-            _DECODED[text] = (f"{base}{mid}{mark}", fields)
-        return str.__new__(cls, text)
+    def __new__(cls, text: str):
+        m = _LABEL_RE.fullmatch(text)
+        if not m:
+            raise ValueError(f"bad vertex label {text!r}")
+        base, class_digits, paired_digits, plain_digits, prime = m.groups()
+        item_digits = paired_digits or plain_digits
+        mark = "p" if prime else ""
+        key = f"{base} {_encode_index(class_digits)}{_encode_index(item_digits)}{mark}"
+        if key not in _DECODED:
+            class_index = None if class_digits is None else int(class_digits)
+            item_index = None if item_digits is None else int(item_digits)
+            _DECODED[key] = (m[0], (base, class_index, item_index, bool(prime)))
+        return str.__new__(cls, key)
 
     def __reduce__(self):
-        # pickle and copy rebuild a label from its fields, not its text
-        return VertexLabel, _DECODED[self][1]
+        # pickle and copy rebuild a label from its printed text
+        return VertexLabel, (_DECODED[self][0],)
 
     @property
     def base(self) -> str:
@@ -117,37 +107,24 @@ class VertexLabel(str):
 
 @cache
 def parse_label(text: str) -> VertexLabel:
-    """Parse a label string; raises ValueError on anything off-grammar.
-
-    A trailing ``p`` counts as the prime marker only after digits, so a
-    purely alphabetic name like ``up`` is a plain base.  Each string is
-    parsed once and its (immutable) label shared; a bad string raises
-    on every call, since exceptions are not cached.
-    """
-    m = _LABEL_RE.fullmatch(text)
-    if not m:
-        raise ValueError(f"bad vertex label {text!r}")
-    base, cls, item_paired, item_plain, prime = m.groups()
-    if cls is not None:
-        return VertexLabel(base, int(cls), int(item_paired), prime is not None)
-    if item_plain is not None:
-        return VertexLabel(base, None, int(item_plain), prime is not None)
-    return VertexLabel(base)
+    """The label spelled ``text``, made once per string; raises
+    ValueError on anything off-grammar (exceptions are not cached)."""
+    return VertexLabel(text)
 
 
 @cache
 def v_label(i: int) -> VertexLabel:
     """Target-sphere vertex ``v<i>``."""
-    return VertexLabel("v", None, i)
+    return VertexLabel(f"v{i}")
 
 
 @cache
 def u_label(i: int, primed: bool = False) -> VertexLabel:
     """Construction vertex ``u<i>`` or its primed twin."""
-    return VertexLabel("u", None, i, primed)
+    return VertexLabel(f"u{i}{'p' if primed else ''}")
 
 
 @cache
 def u_pair(j: int, i: int) -> VertexLabel:
     """Disc vertex ``u<j>_<i>`` (class *j*, position *i*)."""
-    return VertexLabel("u", j, i)
+    return VertexLabel(f"u{j}_{i}")

@@ -1,5 +1,6 @@
 """Simplicial maps, the bundle type, and the two degree oracles.
 
+A :class:`VertexMap` is a ``dict`` from source label to target label.
 A :class:`ConstructionBundle` is a source sphere, a vertex map onto a
 target sphere, and the written-order base facets that pin both
 orientations; the builders in :mod:`constructions` produce it.  The
@@ -25,39 +26,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .complex_core import Complex, Frozen, Simplex, simplex, standard_sphere
+from .complex_core import Complex, Simplex, simplex, standard_sphere
 from .errors import InconsistentAlg, KernelRankNotOne, NotClosed, PreconditionFailed
 from .homology import top_kernel_generator
 from .labels import VertexLabel, v_label
 from .orientation import OrientedComplex, coherent_orientation, sort_sign
 
 
-class VertexMap(Frozen):
-    """A vertex-to-vertex assignment; :func:`check_simplicial` checks
-    its totality.  Equal only to itself; attributes cannot be assigned."""
+class VertexMap(dict):
+    """A vertex-to-vertex assignment: a dict from source label to target
+    label, so it compares by value and is mutable and unhashable like
+    any dict.  :func:`check_simplicial` checks its totality."""
 
-    __slots__ = ("assignment",)
-
-    def __init__(self, assignment: Mapping[VertexLabel, VertexLabel]):
-        object.__setattr__(self, "assignment", assignment)
-
-    def __repr__(self) -> str:
-        return f"VertexMap(assignment={self.assignment!r})"
-
-    def __reduce__(self):
-        return VertexMap, (self.assignment,)
+    __slots__ = ()
 
     def image(self, vertices: Sequence[VertexLabel]) -> tuple[VertexLabel, ...]:
-        return tuple(self.assignment[v] for v in vertices)
-
-    def items(self):
-        return self.assignment.items()
+        return tuple(self[v] for v in vertices)
 
 
 @dataclass(frozen=True, eq=False)
 class ConstructionBundle:
     """A source sphere, a simplicial map to the standard sphere, and the
-    facts the construction is expected to satisfy."""
+    facts the construction is expected to satisfy.  The fields cannot be
+    reassigned, but the vertex map is a dict: copy it before changing
+    it."""
 
     source: Complex
     target: Complex
@@ -78,13 +70,13 @@ def check_simplicial(f: VertexMap, K: Complex, L: Complex) -> tuple[Simplex, ...
     PreconditionFailed when the map misses vertices of K, naming all of
     them, or when some facet image is not a simplex of L.
     """
-    missing = [v for v in K.vertices if v not in f.assignment]
+    missing = [v for v in K.vertices if v not in f]
     if missing:
         raise PreconditionFailed(f"map misses vertices {[str(v) for v in missing]}")
     target_sets = [facet.vertex_set for facet in L.facets]
     degenerate = []
     for facet in K.facets:
-        image = {f.assignment[v] for v in facet.vertices}
+        image = {f[v] for v in facet.vertices}
         if not any(image <= t for t in target_sets):
             raise PreconditionFailed("bundle map does not send simplices to simplices")
         if len(image) < len(facet.vertices):
@@ -248,12 +240,12 @@ def compose(f: VertexMap, g: VertexMap) -> VertexMap:
     Requires every value of f to be in g's domain (the checkable shadow
     of "codomain of f equals domain of g").
     """
-    stray = {v for v in f.assignment.values() if v not in g.assignment}
+    stray = {v for v in f.values() if v not in g}
     if stray:
         raise PreconditionFailed(
             f"values {[str(v) for v in sorted(stray)]} missing from the second map's domain"
         )
-    return VertexMap({x: g.assignment[y] for x, y in f.assignment.items()})
+    return VertexMap({x: g[y] for x, y in f.items()})
 
 
 def _self_map(n: int, name: str, degree: int) -> ConstructionBundle:

@@ -592,7 +592,7 @@ def test_verify_bundle_above_three_reports_necessary(tmp_path, capsys):
 def test_degree_map_missing_a_vertex_of_the_first_facet(tmp_path, capsys, method):
     bundle = build_join_cone_sphere(2, 2)
     left_out = bundle.source.facets[0].vertices[0]
-    assignment = dict(bundle.vertex_map.assignment)
+    assignment = dict(bundle.vertex_map)
     del assignment[left_out]
     cplx = tmp_path / "K.json"
     cplx.write_text(complex_to_json(bundle.source))

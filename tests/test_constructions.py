@@ -188,7 +188,7 @@ def test_bundles_are_spheres():
 
 def test_bundle_map_shape():
     bundle = build_double_cone_sphere(4, 2, "even")
-    amap = bundle.vertex_map.assignment
+    amap = bundle.vertex_map
     assert set(amap) == set(bundle.source.vertices)
     assert amap[u_label(4)] == v_label(4)
     assert amap[u_label(4, primed=True)] == v_label(4)

@@ -77,12 +77,12 @@ def test_map_file_round_trip():
     bundle = build_join_cone_sphere(3, 2)
     text = map_to_text(bundle.vertex_map)
     back = map_from_text(text)
-    assert back.assignment == bundle.vertex_map.assignment
+    assert back == bundle.vertex_map
 
 
 def test_map_file_skips_blank_and_comment_lines():
     text = "# a swap\n\nv1 v2\n   \n  # indented comment\nv2 v1\n"
-    assert map_from_text(text).assignment == {
+    assert map_from_text(text) == {
         v_label(1): v_label(2),
         v_label(2): v_label(1),
     }

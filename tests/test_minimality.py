@@ -130,7 +130,7 @@ def test_tetrahedron_degrees():
     assert best == 1
     assert witness is not None
     # the witness really is a bijective relabelling
-    assert len(set(witness.assignment.values())) == 4
+    assert len(set(witness.values())) == 4
 
 
 def test_small_spheres_cap_at_one():
@@ -183,7 +183,7 @@ def _survey_order(K):
 
 def _witness_values(survey, K):
     """The survey's witness as a tuple of target indices in label order."""
-    return tuple(survey.witness.assignment[lab].item_index - 1 for lab in K.vertices)
+    return tuple(survey.witness[lab].item_index - 1 for lab in K.vertices)
 
 
 def _assert_matches_reference(K):
@@ -263,7 +263,7 @@ def test_survey_of_ten_vertex_join_cone_is_pinned():
     )
     assert survey.max_abs == best == 3
     assert _witness_values(survey, K) == witness
-    assert {str(a): str(b) for a, b in survey.witness.assignment.items()} == {
+    assert {str(a): str(b) for a, b in survey.witness.items()} == {
         "u4": "v1",
         "u2_1": "v2",
         "u2_2": "v2",

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -33,7 +35,7 @@ from sphere_forge.errors import (
     PreconditionFailed,
     SphereForgeError,
 )
-from sphere_forge.labels import parse_label, v_label
+from sphere_forge.labels import VertexLabel, parse_label, v_label
 
 from fixtures import complex_of, labels, simplex_of
 
@@ -166,11 +168,26 @@ def test_compose_with_swap_negates():
     assert degree_by_cycle(combined) == -2
 
 
+def test_vertex_map_is_the_dict_of_its_pairs():
+    """A map equals the dict of its pairs and reads images from it;
+    pickle at every protocol and deepcopy give back an equal map."""
+    bundle = build_double_cone_sphere(3, 1, "odd")
+    f = bundle.vertex_map
+    pairs = dict(f.items())
+    assert type(pairs) is dict and f == pairs
+    for facet in bundle.source.facets:
+        assert f.image(facet) == tuple(pairs[v] for v in facet)
+    copies = [pickle.loads(pickle.dumps(f, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in [*copies, copy.deepcopy(f)]:
+        assert type(back) is VertexMap and back == f
+        assert {type(v) for pair in back.items() for v in pair} == {VertexLabel}
+
+
 def test_compose_identity_and_mismatch():
     bundle = build_facet_cone_sphere(3, 2)
     ident = identity_map(3)
     same = compose(bundle.vertex_map, ident.vertex_map)
-    assert same.assignment == bundle.vertex_map.assignment
+    assert same == bundle.vertex_map
     with pytest.raises(
         PreconditionFailed, match="^values .* missing from the second map's domain$"
     ):
