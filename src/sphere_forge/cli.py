@@ -45,9 +45,15 @@ from .formats import (
     dumps_canonical,
     map_from_text,
 )
-from .homology import CheckItem, sphere_check
+from .homology import CheckItem, SphereCheckReport, sphere_check
 from .minimality import verify_small_sphere_bounds
-from .simplicial_map import ConstructionBundle, VertexMap, degree_by_counting, degree_by_cycle
+from .simplicial_map import (
+    ConstructionBundle,
+    DegreeReport,
+    VertexMap,
+    degree_by_counting,
+    degree_by_cycle,
+)
 
 # name -> (builder, the flags it needs, in argument order); ``delta``
 # builds a disc, every other name a ConstructionBundle
@@ -73,6 +79,27 @@ class CommandResult(NamedTuple):
 
 def _check_lines(items) -> list[str]:
     return [f"  [{'pass' if c.ok else 'FAIL'}] {c.name}: {c.detail}" for c in items]
+
+
+def _sphere_json(report: SphereCheckReport) -> dict:
+    return {
+        "n": report.n,
+        "level": report.level,
+        "passed": report.passed,
+        "checks": [c._asdict() for c in report.items],
+        "notes": list(report.notes),
+    }
+
+
+def _counting_json(report: DegreeReport) -> dict:
+    return {
+        "degree": report.degree,
+        "method": report.method,
+        "per_facet": {str(k): v for k, v in report.per_facet.items()},
+        "alpha_plus": {str(k): list(map(str, v)) for k, v in report.alpha_plus.items()},
+        "alpha_minus": {str(k): list(map(str, v)) for k, v in report.alpha_minus.items()},
+        "degenerate_facets": list(map(str, report.degenerate_facets)),
+    }
 
 
 def run_build(
@@ -151,7 +178,7 @@ def _degree_payload(bundle: ConstructionBundle, method: str) -> tuple[dict, list
     agree = True
     if method in ("counting", "both"):
         report = degree_by_counting(bundle)
-        data["counting"] = report._asdict()
+        data["counting"] = _counting_json(report)
         lines.append(f"degree = {report.degree} (counting)")
         for sigma in sorted(report.per_facet):
             plus = ", ".join(f"[{t}]" for t in report.alpha_plus[sigma]) or "-"
@@ -210,7 +237,7 @@ def run_verify_sphere(
     report = sphere_check(K, dim, level)
     lines = [f"sphere check (n = {dim}, level = {report.level})", *_check_lines(report.items)]
     lines += (f"  note: {note}" for note in report.notes)
-    return CommandResult(0 if report.passed else 1, "\n".join(lines), report._asdict())
+    return CommandResult(0 if report.passed else 1, "\n".join(lines), _sphere_json(report))
 
 
 def run_verify_disc_signs(d: int) -> CommandResult:
@@ -260,7 +287,7 @@ def run_verify_bundle(in_path: str) -> CommandResult:
         "label": bundle.label,
         "checks": [c._asdict() for c in result.checks],
         "passed": result.passed,
-        "sphere_check": result.sphere._asdict(),
+        "sphere_check": _sphere_json(result.sphere),
     }
     lines = [f"bundle: {bundle.label}"] + _check_lines(result.checks)
     return CommandResult(0 if result.passed else 1, "\n".join(lines), data)

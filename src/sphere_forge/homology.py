@@ -61,8 +61,8 @@ class IntegerMatrix(Frozen):
     """Sparse integer matrix stored by column.
 
     ``columns[j]`` holds the nonzero ``(row, value)`` pairs of column j
-    in ascending row order; values are exact Python ints.  Matrices with
-    equal shape and columns are equal; attributes cannot be assigned.
+    in ascending row order; values are exact Python ints.  Attributes
+    cannot be assigned.
     """
 
     __slots__ = ("rows", "cols", "columns", "__dict__")  # the dict holds reductions
@@ -72,22 +72,11 @@ class IntegerMatrix(Frozen):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "columns", columns)
 
-    def _key(self) -> tuple:
-        return self.rows, self.cols, self.columns
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return f"IntegerMatrix(rows={self.rows}, cols={self.cols}, columns={self.columns})"
 
     def __reduce__(self):
-        return IntegerMatrix, self._key()
+        return IntegerMatrix, (self.rows, self.cols, self.columns)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
@@ -457,20 +446,6 @@ class SphereCheckReport(NamedTuple):
     items: tuple[CheckItem, ...]
     notes: tuple[str, ...]
     passed: bool
-
-
-def _report_dict(report: SphereCheckReport) -> dict:
-    return {
-        "n": report.n,
-        "level": report.level,
-        "passed": report.passed,
-        "checks": [item._asdict() for item in report.items],
-        "notes": list(report.notes),
-    }
-
-
-# a NamedTuple class body may not define _asdict, so it is set here
-SphereCheckReport._asdict = _report_dict
 
 
 def sphere_check(

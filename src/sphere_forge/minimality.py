@@ -1,12 +1,13 @@
 """Exhaustive verification of the small-sphere degree bounds.
 
-Triangulated 2-spheres on up to seven vertices are enumerated by a
+Triangulated 2-spheres on four to nine vertices are enumerated by a
 backtracking search that glues triangles over the smallest open edge
-and keeps each closed surface that uses every vertex.  Each result is
-named by a canonical code, the least breadth-first walk from a facet
-flag, so one entry is kept per isomorphism class.  The two branching
-orders of the search find the same labelled triangulations, so each
-code is computed once and serves both.  The census is 2-dimensional.
+and keeps each closed surface that uses every vertex; the bound sweep
+reads the census up to seven vertices.  Each result is named by a
+canonical code, the least breadth-first walk from a facet flag, so one
+entry is kept per isomorphism class.  The two branching orders of the
+search find the same labelled triangulations, so each code is computed
+once and serves both.  The census is 2-dimensional.
 
 The map survey runs in any dimension n from 1 to 6.  It finds the
 largest |degree| of the vertex assignments from a closed n-dimensional
@@ -38,7 +39,7 @@ from typing import NamedTuple
 from .complex_core import Complex, make_complex, pseudomanifold_check
 from .constructions import build_join_cone_sphere, build_stacked_sphere
 from .errors import InconsistentAlg, NotClosed, PreconditionFailed
-from .homology import sphere_check
+from .homology import LEVEL_CERTIFY, sphere_check
 from .labels import VertexLabel, parse_label, v_label
 from .orientation import coherent_orientation, sort_sign
 from .simplicial_map import VertexMap, degree_by_counting
@@ -497,7 +498,7 @@ def verify_small_sphere_bounds() -> MinimalityReport:
     for v, entries in census.items():
         best = 0
         for entry in entries:
-            check = sphere_check(entry.complex, 2, "certify_low_dim")
+            check = sphere_check(entry.complex, 2, LEVEL_CERTIFY)
             if not check.passed:
                 counterexamples.append(
                     f"census entry on {v} vertices fails the sphere battery (bug)"

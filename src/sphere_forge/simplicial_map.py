@@ -95,25 +95,6 @@ class DegreeReport(NamedTuple):
     degenerate_facets: tuple[Simplex, ...] = ()
 
 
-def _report_dict(report: DegreeReport) -> dict:
-    return {
-        "degree": report.degree,
-        "method": report.method,
-        "per_facet": {str(k): v for k, v in sorted(report.per_facet.items())},
-        "alpha_plus": {
-            str(k): [str(t) for t in v] for k, v in sorted(report.alpha_plus.items())
-        },
-        "alpha_minus": {
-            str(k): [str(t) for t in v] for k, v in sorted(report.alpha_minus.items())
-        },
-        "degenerate_facets": [str(t) for t in report.degenerate_facets],
-    }
-
-
-# a NamedTuple class body may not define _asdict, so it is set here
-DegreeReport._asdict = _report_dict
-
-
 def _oriented_from_base(K: Complex, base: Sequence[VertexLabel]) -> OrientedComplex:
     return coherent_orientation(K, simplex(base), sort_sign(base))
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import shlex
@@ -20,7 +21,15 @@ from sphere_forge.formats import (
     complex_to_json,
     map_to_text,
 )
-from sphere_forge import build_join_cone_sphere, errors, identity_map, standard_sphere, swap_map
+from sphere_forge import (
+    IntegerMatrix,
+    build_join_cone_sphere,
+    build_stacked_sphere,
+    errors,
+    identity_map,
+    standard_sphere,
+    swap_map,
+)
 
 
 def test_build_writes_bundle(tmp_path, capsys):
@@ -178,6 +187,13 @@ def test_verify_sphere(tmp_path, capsys):
     rc = main(["verify", "sphere", "--in", str(path), "--n", "3", "--level", "certify"])
     assert rc == 0
     assert "[pass]" in capsys.readouterr().out
+
+
+def test_verify_sphere_negative_n_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "K.json"
+    path.write_text(complex_to_json(standard_sphere(2)))
+    assert main(["verify", "sphere", "--in", str(path), "--n", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: sphere check needs n >= 0, got -1\n")
 
 
 def test_verify_sphere_failure(tmp_path, capsys):
@@ -675,10 +691,54 @@ def test_every_library_error_belongs_to_one_of_two_families():
         (lambda: run_degree(complex_path="K.json"), "need --bundle, or both --in and --map"),
         (lambda: run_verify_minimality(n=3), "verify minimality covers n = 2 only"),
         (lambda: _build_parser().parse_args(["build"]), "the following arguments are required"),
+        (lambda: standard_sphere(-1), "^standard_sphere needs n >= 0$"),
+        (lambda: swap_map(0), "^swap_map needs n >= 1$"),
+        (lambda: IntegerMatrix.from_rows([[1, 2], [3]]), "^ragged matrix rows$"),
     ],
-    ids=["missing-flag", "unused-flag", "bundle-with-map", "no-input", "minimality-n", "parser"],
+    ids=[
+        "missing-flag",
+        "unused-flag",
+        "bundle-with-map",
+        "no-input",
+        "minimality-n",
+        "parser",
+        "standard-sphere-n",
+        "swap-map-n",
+        "ragged-rows",
+    ],
 )
 def test_usage_errors_are_precondition_failures(call, message):
     """So ``main`` needs only the two error families for its exit code."""
     with pytest.raises(PreconditionFailed, match=message):
         call()
+
+
+# sha256 of the name, exit code, stdout and stderr of each JSON report
+# below, recorded while the report records built their own JSON
+REPORT_JSON_DIGEST = "c691615ef10c5cf645edb5f6a3ce4028c4ea160bb597dfc1020e6560a0608d87"
+REPORT_GRID = [(build_join_cone_sphere, (n, d)) for n in (2, 3) for d in (-2, 1, 3)] + [
+    (build_stacked_sphere, (n,)) for n in (2, 3)
+]
+
+
+def test_report_json_digest(tmp_path, monkeypatch, capsys):
+    """The sphere battery at both levels, the bundle battery and the
+    three degree methods keep the bytes of their JSON reports."""
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for build, args in REPORT_GRID:
+        bundle = build(*args)
+        Path("b.json").write_text(bundle_to_json(bundle))
+        Path("K.json").write_text(complex_to_json(bundle.source))
+        for argv in (
+            "verify sphere --in K.json --level necessary",
+            "verify sphere --in K.json --level certify",
+            "verify bundle --in b.json",
+            "degree --bundle b.json --method counting",
+            "degree --bundle b.json --method cycle",
+            "degree --bundle b.json --method both",
+        ):
+            code = main([*shlex.split(argv), "--format", "json"])
+            out, err = capsys.readouterr()
+            digest.update(f"{bundle.label}: {argv} -> {code}\n{out}{err}".encode())
+    assert digest.hexdigest() == REPORT_JSON_DIGEST

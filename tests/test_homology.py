@@ -1,5 +1,7 @@
+import copy
 import gc
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -154,6 +156,15 @@ def test_boundary_matrix_matches_the_textbook(facet_sets):
             rows = [r for r, _ in column]
             assert rows == sorted(set(rows))
         assert len({id(pair) for column in M.columns for pair in column}) <= 2 * M.rows
+
+
+def test_matrix_survives_pickle_and_deepcopy():
+    """A matrix compares by identity, so each copy is checked field by field."""
+    M = boundary_matrix(standard_sphere(3), 3)
+    copies = [pickle.loads(pickle.dumps(M, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*copies, copy.deepcopy(M)]:
+        assert type(twin) is IntegerMatrix and twin is not M
+        assert (twin.rows, twin.cols, twin.columns) == (M.rows, M.cols, M.columns)
 
 
 def test_boundary_matrix_out_of_range():

@@ -113,4 +113,6 @@ def test_records_refuse_attribute_assignment():
         before = getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, ())
+        with pytest.raises(AttributeError):
+            delattr(record, name)
         assert getattr(record, name) == before
