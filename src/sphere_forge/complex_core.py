@@ -21,9 +21,11 @@ share (:attr:`Complex.shape`), each part derived on first read:
 * the star index (:attr:`Shape.stars`), vertex to the facets holding
   it, which :func:`link` filters instead of scanning every facet; the
   link keeps the star's order and takes no sort;
-* the :func:`pseudomanifold_check` report, and the boundary matrices
-  that :mod:`sphere_forge.homology` builds, each keeping its Smith
-  forms.
+* the :func:`pseudomanifold_check` report, and a greedy shelling
+  order (:attr:`Shape.shelling`), read off the ridge and star indices,
+  which certifies a closed pseudomanifold as a PL sphere;
+* the boundary matrices that :mod:`sphere_forge.homology` builds, each
+  keeping its Smith forms.
 
 Shapes are kept in a weak table keyed by the pattern: a shape lives as
 long as some complex holds it, and an equal or order-preserving
@@ -243,6 +245,61 @@ class Shape(Frozen):
             connected=self.dual_walk[0] == len(self.facets),
             boundary_ridges=boundary,
         )
+
+    @stored
+    def shelling(self) -> tuple[int, ...] | None:
+        """A shelling order of the facets, found greedily, or ``None``.
+
+        Each facet after the first must meet the union of the facets
+        before it in a pure complex of codimension one.  With R the
+        vertices v for which the facet less v lies in an earlier facet,
+        that holds when R is nonempty and no earlier facet contains R;
+        only the smallest star among R's vertices (:attr:`stars`) is
+        tested.  R is the whole facet only at the last step.  A closed
+        pseudomanifold shelled so is a PL sphere (Danaraj and Klee,
+        Duke Math. J. 1974): each step before the last glues a ball to a
+        ball along a ball in both their boundaries, and the last cones
+        off the boundary sphere.  Any other shape gets ``None``.
+
+        The order starts at facet 0.  Each later step takes the first
+        valid facet that shares a ridge with the union
+        (:attr:`facet_ridges`), by most ridges shared, then lowest index.
+        ``None`` also when no such facet is valid: a sphere may have no
+        shelling (Lickorish, Eur. J. Combin. 1991), and greedy may miss
+        one that exists.
+        """
+        if not self.pseudomanifold_report.is_closed_pseudomanifold:
+            return None
+        facets, ridges, stars = self.facets, self.facet_ridges, self.stars
+        placed = [False] * len(facets)
+        shared = [0] * len(facets)
+        # entry [c]: the facets off the union that share c ridges with it
+        frontier: list[set[int]] = [set() for _ in range(len(facets[0]) + 1)]
+        order: list[int] = []
+
+        def valid(i: int) -> bool:
+            f = facets[i]
+            # in a closed pseudomanifold each ridge slot holds i and one other facet
+            R = {f[p] for p, slot in enumerate(ridges[i]) if any(placed[j] for j, _ in slot)}
+            if len(R) == len(f) and len(order) < len(facets) - 1:
+                return False
+            star = min((stars[v] for v in R), key=len)
+            return not any(placed[j] and R.issubset(facets[j]) for j in star)
+
+        i: int | None = 0
+        while i is not None:
+            placed[i] = True
+            order.append(i)
+            for slot in ridges[i]:
+                for j, _ in slot:
+                    if not placed[j]:
+                        frontier[shared[j]].discard(j)
+                        shared[j] += 1
+                        frontier[shared[j]].add(j)
+            i = next((j for level in reversed(frontier) for j in sorted(level) if valid(j)), None)
+            if i is not None:
+                frontier[shared[i]].remove(i)
+        return tuple(order) if len(order) == len(facets) else None
 
     @stored
     def boundary_matrices(self) -> dict:

@@ -77,8 +77,9 @@ def verify_bundle(bundle: ConstructionBundle) -> BundleVerification:
     """Run the full battery on a bundle.
 
     Checks the vertex count, the sphere battery (asked to certify;
-    :func:`~.homology.sphere_check` does so for n <= 3 and reports level
-    ``necessary`` above), agreement of the counting and cycle degree
+    :func:`~.homology.sphere_check` does so by vertex links for n <= 2
+    and by a shelling for n == 3, and reports level ``necessary`` for
+    n >= 4 or for a 3-sphere that greedy cannot shell), agreement of the counting and cycle degree
     oracles, the expected degree when the bundle names one, and that the
     coherent fundamental cycle equals the top kernel generator up to one
     sign.  Both oracles assume a sphere, so a source that fails the

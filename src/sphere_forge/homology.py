@@ -31,9 +31,11 @@ complex's integer facet pattern, so they are built once per
 complex with that pattern gets the same matrices, which go with the
 shape once no complex holds it.  A matrix keeps its kernel basis and
 its Smith forms, one per set of skipped columns, so the homology of a
-shape is reduced once while it lives.  The sphere battery keeps one
-table of link reports per top-level call, keyed by the link complex, so
-each distinct link is certified once (see :func:`sphere_check`).
+shape is reduced once while it lives.  The sphere battery certifies at
+n <= 2 by recursion on vertex links, keeping one table of link reports
+per top-level call, keyed by the link complex, so each distinct link is
+certified once; at n == 3 it certifies by a shelling of the facets
+(see :func:`sphere_check`).
 """
 
 from __future__ import annotations
@@ -455,16 +457,19 @@ def sphere_check(
     *,
     _links: dict[Complex, SphereCheckReport] | None = None,
 ) -> SphereCheckReport:
-    """Necessary sphere conditions, with recursive link certification
-    for n <= 3.
+    """Necessary sphere conditions, and at n <= 3 a certificate.
 
     ``necessary``: closed connected pseudomanifold of dimension n with
     the Euler characteristic and integral homology of the n-sphere.
-    ``certify_low_dim`` additionally certifies every vertex link as an
-    (n-1)-sphere; for n == 3 the report notes that a closed 3-manifold
-    with 3-sphere homology is accepted as certification.  Recognition
-    for n >= 4 is out of reach, so a certification request there runs
-    the necessary battery, and the report says level ``necessary`` and
+    ``certify_low_dim`` adds a certificate once every necessary item
+    passes.  At n <= 2 every vertex link must certify as an
+    (n-1)-sphere, which with the homology decides a sphere (for
+    surfaces by their classification).  At n == 3 the facets must have a
+    shelling (:attr:`~sphere_forge.complex_core.Shape.shelling`), which
+    makes a closed pseudomanifold a PL sphere; where greedy finds none,
+    the report says level ``necessary`` and notes why.  Recognition for
+    n >= 4 is not attempted, so a certification request there runs the
+    necessary battery, and the report says level ``necessary`` and
     notes why.  This is the one place that decides the level.
 
     One top-level call keeps one table of link reports, passed down the
@@ -472,7 +477,7 @@ def sphere_check(
     own complex up there and stores its own report.  The complex alone
     is the key, since a vertex link of a pure n-complex is only ever
     checked at n - 1.  Each distinct link is thus certified once,
-    although the recursion meets it more often: on a 3-sphere the edge
+    although the recursion meets it more often: on a 2-sphere the edge
     link lk_K(vw) is met as lk_{lk v}(w) and again as lk_{lk w}(v).
     """
     links = {} if _links is None else _links
@@ -493,12 +498,14 @@ def sphere_check(
             "only the necessary battery ran"
         )
     items = tuple(_battery(K, n, level, links))
-    if n == 3 and items[-1].name == "vertex_links":
-        notes.append(
-            "n = 3: a closed 3-manifold with 3-sphere homology is "
-            "accepted as certification"
-        )
     passed = all(item.ok for item in items)
+    if level == LEVEL_CERTIFY and n == 3 and passed:
+        order = K.shape.shelling
+        if order is None:
+            level = LEVEL_NECESSARY
+            notes.append("no shelling was found for n = 3; only the necessary battery ran")
+        else:
+            items += (CheckItem("shelling", True, f"{len(order)} facets shelled"),)
     report = links[K] = SphereCheckReport(n, level, items, tuple(notes), passed)
     return report
 
@@ -506,7 +513,8 @@ def sphere_check(
 def _battery(K: Complex, n: int, level: str, links: dict) -> Iterator[CheckItem]:
     """The items of :func:`sphere_check` in report order, up to the first
     early stop: a wrong dimension, n == 0, or a complex that is not pure
-    or has a ridge in more than two facets."""
+    or has a ridge in more than two facets.  The vertex links run at
+    n <= 2 only; :func:`sphere_check` adds the shelling at n == 3."""
     dim_ok = K.dimension == n
     yield CheckItem("dimension", dim_ok, f"dim = {K.dimension}, expected {n}")
     if not dim_ok:
@@ -541,7 +549,7 @@ def _battery(K: Complex, n: int, level: str, links: dict) -> Iterator[CheckItem]
         betti == (1,) + (0,) * (n - 1) + (1,) and torsion_free,
         f"betti = {betti}, torsion-free = {torsion_free}",
     )
-    if level != LEVEL_CERTIFY:
+    if level != LEVEL_CERTIFY or n == 3:
         return
 
     bad_links = []

@@ -5,6 +5,7 @@ complexes.  The degree-4 alpha sets are the expected signed preimages of
 each target facet for the (n=3, d=4) join-cone bundle.
 """
 
+import random
 from collections import Counter
 from itertools import permutations, product
 from operator import itemgetter
@@ -24,6 +25,7 @@ from sphere_forge import (
     v_label,
 )
 from sphere_forge.errors import PreconditionFailed
+from sphere_forge.minimality import census_label
 from sphere_forge.orientation import Chain, coherent_orientation, sort_sign
 
 
@@ -75,6 +77,43 @@ def reference_link(face, K):
     fs = set(face)
     residues = [[x for x in f if x not in fs] for f in K.facets if fs <= set(f)]
     return make_complex(residues) if residues else None
+
+
+def relabelled(K, seed):
+    """K with its labels permuted by a seeded shuffle."""
+    old = list(K.vertices)
+    new = old[:]
+    random.Random(seed).shuffle(new)
+    sigma = dict(zip(old, new))
+    return make_complex([[sigma[lab] for lab in facet] for facet in K.facets])
+
+
+def seven_vertex_torus():
+    """The 7-vertex torus: triangles {i, i + a, i + 3} mod 7, a = 1, 2."""
+    w = [census_label(i) for i in range(7)]
+    return make_complex(
+        [w[i], w[(i + a) % 7], w[(i + 3) % 7]] for i in range(7) for a in (1, 2)
+    )
+
+
+def is_sphere_shelling(K, order):
+    """Brute force, on label sets: ``order`` lists each facet index of the
+    n-complex K once, and each facet after the first meets the union of
+    the facets before it in a pure (n-1)-complex: every face it shares
+    with an earlier facet lies in a shared ridge.  That complex is the
+    facet's whole boundary at the last step only."""
+    if sorted(order) != list(range(len(K.facets))):
+        return False
+    n = K.dimension
+    facets = [frozenset(K.facets[i]) for i in order]
+    for j in range(1, len(facets)):
+        meets = {facets[j] & earlier for earlier in facets[:j]}
+        ridges = [m for m in meets if len(m) == n]
+        if not ridges or any(not any(m <= r for r in ridges) for m in meets):
+            return False
+        if (len(ridges) == n + 1) != (j == len(facets) - 1):
+            return False
+    return True
 
 
 def chain_boundary(chain):

@@ -715,7 +715,7 @@ def test_usage_errors_are_precondition_failures(call, message):
 
 # sha256 of the name, exit code, stdout and stderr of each JSON report
 # below, recorded while the report records built their own JSON
-REPORT_JSON_DIGEST = "c691615ef10c5cf645edb5f6a3ce4028c4ea160bb597dfc1020e6560a0608d87"
+REPORT_JSON_DIGEST = "5322da9827140990d35a27dbf2c021b2e971ebdf8ea203cd2902401f9e9db7ef"
 REPORT_GRID = [(build_join_cone_sphere, (n, d)) for n in (2, 3) for d in (-2, 1, 3)] + [
     (build_stacked_sphere, (n,)) for n in (2, 3)
 ]

@@ -111,6 +111,18 @@ def test_facet_cone_counts(n, k, vertices):
         assert vertices == n + 6
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("k", [4, -4])
+def test_facet_cone_of_degree_four_attains_n_plus_seven_vertices(n, k):
+    """The upper half of v_min(n, +-4) = n + 7 in the stable range
+    n >= 4: the lower bound n + 7 is attained, by a verified bundle."""
+    bundle = build_facet_cone_sphere(n, k)
+    assert len(bundle.source.vertices) == bundle.expected_vertices == n + 7
+    report = verify_bundle(bundle)
+    assert report.passed, [c for c in report.checks if not c.ok]
+    assert report.counting_degree == report.cycle_degree == k
+
+
 def test_facet_cone_preconditions():
     for bad in [(3, 1), (2, 3), (1, 1), (3, 0), (3, -1), (2, -3)]:
         with pytest.raises(PreconditionFailed):

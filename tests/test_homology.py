@@ -16,6 +16,7 @@ from sphere_forge import (
     build_double_cone_sphere,
     build_join_cone_sphere,
     coherent_orientation,
+    f_vector_and_euler,
     fundamental_cycle,
     homology_groups,
     kernel_basis,
@@ -37,7 +38,11 @@ from fixtures import (
     complex_of,
     labels,
     link_complexes,
+    is_sphere_shelling,
     matrix_product_is_zero,
+    reference_link,
+    relabelled,
+    seven_vertex_torus,
 )
 
 
@@ -418,8 +423,17 @@ def test_homology_spheres():
         assert all(not g.torsion for g in groups)
 
 
-def test_homology_projective_plane():
+def test_homology_projective_plane(monkeypatch):
+    """RP^2's torsion takes the Smith form past its unit lows."""
+    from sphere_forge import homology
+
+    eliminated = []
+    eliminate = homology._eliminate
+    monkeypatch.setattr(
+        homology, "_eliminate", lambda cols: eliminated.append(cols) or eliminate(cols)
+    )
     groups = homology_groups(complex_of(PROJECTIVE_PLANE))
+    assert eliminated
     assert [g.betti for g in groups] == [1, 0, 0]
     assert groups[1].torsion == (2,)
     assert groups[2].torsion == ()
@@ -557,6 +571,9 @@ def test_sphere_check_pass_and_fail():
     assert not report.passed
     failing = {item.name for item in report.items if not item.ok}
     assert "closed" in failing
+    # a ball is never shelled: the shelling waits for the whole battery
+    assert report.level == "certify_low_dim"
+    assert "shelling" not in {item.name for item in report.items}
 
     # wrong dimension fails fast
     assert not sphere_check(standard_sphere(2), 3).passed
@@ -614,37 +631,120 @@ def test_sphere_check_rejects_projective_plane():
 
 
 def test_sphere_check_certifies_each_distinct_link_once(monkeypatch):
-    """On a 3-sphere each edge link is met from both of its vertex links;
-    the link table runs homology once per distinct complex: the source,
-    its 30 vertex links and 106 distinct edge links, against
-    1 + 30 + 238 without the table."""
+    """On a 2-sphere each edge link, a pair of points, is met from both
+    of its vertex links; the link table runs the battery once per
+    distinct complex: the source, its 13 vertex links and the 27
+    distinct links of its 33 edges, against 1 + 13 + 66 runs without
+    the table."""
     from sphere_forge import homology
+
+    seen = []
+    battery = homology._battery
+    monkeypatch.setattr(
+        homology, "_battery", lambda K, *rest: seen.append(K) or battery(K, *rest)
+    )
+    K = build_join_cone_sphere(2, 4).source
+    report = sphere_check(K, 2, "certify_low_dim")
+    assert report.passed
+    assert report.items[-1] == ("vertex_links", True, "all vertex links certify as (n-1)-spheres")
+    expected = {K} | {reference_link(face, K) for k in (0, 1) for face in faces(K, k)}
+    assert f_vector_and_euler(K)[0].counts == (1, 13, 33, 22)
+    assert len(seen) == len(set(seen)) == len(expected) == 1 + 13 + 27
+    assert set(seen) == expected
+
+
+def test_sphere_check_certifies_a_3_sphere_without_its_links(monkeypatch):
+    """At n = 3 the certificate is a shelling: homology runs once, on the
+    source, and no link is taken."""
+    from sphere_forge import homology
+
+    def no_link(face, K):
+        raise AssertionError("a link was taken at n = 3")
 
     seen = []
     groups = homology.homology_groups
     monkeypatch.setattr(homology, "homology_groups", lambda K: seen.append(K) or groups(K))
-    report = sphere_check(build_double_cone_sphere(3, 4, "odd").source, 3, "certify_low_dim")
+    monkeypatch.setattr(homology, "link", no_link)
+    K = build_double_cone_sphere(3, 4, "odd").source
+    report = sphere_check(K, 3, "certify_low_dim")
     assert report.passed
-    assert len(seen) == len(set(seen)) == 137
+    assert report.level == "certify_low_dim"
+    assert report.notes == ()
+    assert report.items[-1] == ("shelling", True, f"{len(K.facets)} facets shelled")
+    assert seen == [K]
 
 
 def test_sphere_check_reports_every_vertex_on_a_repeated_failing_link(monkeypatch):
-    """Both apexes of the suspension of RP^2 have RP^2 as link, so the
-    second is a table hit on a failing report; RP^2's torsion takes the
-    Smith form past its unit lows."""
+    """Both apexes of the suspension of two disjoint triangles have that
+    pair of triangles as link, so the second is a table hit on a failing
+    report; every other vertex link is a 4-cycle."""
     from sphere_forge import homology
 
-    eliminated = []
-    eliminate = homology._eliminate
+    seen = []
+    battery = homology._battery
     monkeypatch.setattr(
-        homology, "_eliminate", lambda cols: eliminated.append(cols) or eliminate(cols)
+        homology, "_battery", lambda K, *rest: seen.append(K) or battery(K, *rest)
     )
-    suspension = join(complex_of(PROJECTIVE_PLANE), make_complex([labels("a"), labels("b")]))
-    report = sphere_check(suspension, 3, "certify_low_dim")
+    triangles = complex_of(["x1 x2", "x2 x3", "x1 x3", "y1 y2", "y2 y3", "y1 y3"])
+    suspension = join(triangles, make_complex([labels("a"), labels("b")]))
+    report = sphere_check(suspension, 2, "certify_low_dim")
     links = next(item for item in report.items if item.name == "vertex_links")
     assert not links.ok
     assert links.detail == "links failing: a, b"
-    assert eliminated
+    assert not report.passed
+    assert seen.count(triangles) == 1
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [(build, args) for build, args in CONSTRUCTION_GRID if args[0] == 3],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_every_3_sphere_source_certifies_by_a_shelling(build, args):
+    """Each n = 3 source of C3-C6, in its own labels and in five
+    relabellings, has a greedy shelling that the brute-force check
+    accepts, and certify reports it."""
+    K = build(*args).source
+    for L in [K] + [relabelled(K, seed) for seed in range(5)]:
+        assert is_sphere_shelling(L, L.shape.shelling)
+        report = sphere_check(L, 3, "certify")
+        assert report.passed
+        assert report.level == "certify_low_dim"
+        assert report.items[-1] == ("shelling", True, f"{len(L.facets)} facets shelled")
+
+
+def test_a_large_3_sphere_is_shelled():
+    K = build_join_cone_sphere(3, 100).source
+    assert is_sphere_shelling(K, K.shape.shelling)
+
+
+def test_no_non_sphere_is_shelled():
+    """Closed pseudomanifolds that are not spheres: the torus, RP^2 and
+    their suspensions; two 3-spheres sharing a vertex is not even
+    connected across ridges."""
+    points = make_complex([labels("a"), labels("b")])
+    surfaces = [seven_vertex_torus(), complex_of(PROJECTIVE_PLANE)]
+    wedge = make_complex(
+        [*standard_sphere(3).facets]
+        + [[v_label(i + 4) for i in f] for f in combinations(range(1, 6), 4)]
+    )
+    assert len(wedge.vertices) == 9
+    for K in surfaces + [join(S, points) for S in surfaces] + [wedge]:
+        assert K.shape.shelling is None
+        report = sphere_check(K, K.dimension, "certify")
+        assert not report.passed
+        assert "shelling" not in {item.name for item in report.items}
+
+
+def test_a_3_sphere_without_a_shelling_reports_level_necessary(monkeypatch):
+    from sphere_forge.complex_core import Shape
+
+    monkeypatch.setattr(Shape, "shelling", property(lambda shape: None))
+    report = sphere_check(standard_sphere(3), 3, "certify")
+    assert report.passed
+    assert report.level == "necessary"
+    assert report.notes == ("no shelling was found for n = 3; only the necessary battery ran",)
+    assert [item.name for item in report.items][-1] == "homology_profile"
 
 
 @pytest.mark.parametrize(

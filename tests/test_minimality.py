@@ -41,6 +41,8 @@ from fixtures import (
     reference_canonical_form,
     reference_frontier_survey,
     reference_product_survey,
+    relabelled,
+    seven_vertex_torus,
 )
 
 
@@ -239,10 +241,7 @@ def test_survey_matches_reference_scan_on_relabelled_join_cone(rng):
 
 def test_survey_matches_reference_scan_on_seven_vertex_torus():
     """A closed orientable surface that is not a sphere."""
-    w = [census_label(i) for i in range(7)]
-    torus = make_complex(
-        [w[i], w[(i + a) % 7], w[(i + 3) % 7]] for i in range(7) for a in (1, 2)
-    )
+    torus = seven_vertex_torus()
     assert f_vector_and_euler(torus)[1] == 0
     _assert_matches_reference(torus)
     assert degree_survey(torus).max_abs == 2
@@ -333,14 +332,6 @@ def test_survey_raises_when_signed_counts_disagree(monkeypatch):
         degree_survey(enumerate_2spheres(4)[0].complex)
 
 
-def _relabelled(K, seed):
-    old = list(K.vertices)
-    new = old[:]
-    random.Random(seed).shuffle(new)
-    sigma = dict(zip(old, new))
-    return make_complex([[sigma[lab] for lab in facet] for facet in K.facets])
-
-
 def _census_class_complexes(v):
     """One complex per isomorphism class of v-vertex 2-spheres, also
     past the census's own range."""
@@ -383,14 +374,11 @@ def test_survey_matches_label_order_scan_on_relabellings(construct, args):
     the largest |degree| does not."""
     K = construct(*args).source
     for seed in range(20):
-        _assert_matches_label_order_scan(_relabelled(K, seed))
+        _assert_matches_label_order_scan(relabelled(K, seed))
 
 
 def test_survey_matches_label_order_scan_on_seven_vertex_torus():
-    w = [census_label(i) for i in range(7)]
-    torus = make_complex(
-        [w[i], w[(i + a) % 7], w[(i + 3) % 7]] for i in range(7) for a in (1, 2)
-    )
+    torus = seven_vertex_torus()
     _assert_matches_label_order_scan(torus)
 
 
@@ -411,20 +399,13 @@ def test_scan_order_keeps_the_frontier_narrow_under_relabelling():
     frontier for some labellings."""
     K = build_join_cone_sphere(2, 3).source
     for seed in range(20):
-        assert _frontier_width(_relabelled(K, seed)) <= 5
-
-
-def _seven_vertex_torus():
-    w = [census_label(i) for i in range(7)]
-    return make_complex(
-        [w[i], w[(i + a) % 7], w[(i + 3) % 7]] for i in range(7) for a in (1, 2)
-    )
+        assert _frontier_width(relabelled(K, seed)) <= 5
 
 
 @pytest.mark.parametrize(
     "K",
     [entry.complex for v in range(4, 8) for entry in enumerate_2spheres(v)]
-    + [_seven_vertex_torus()],
+    + [seven_vertex_torus()],
 )
 def test_one_triangle_onto_a_facet_and_the_rest_onto_v4_has_degree_one(K):
     """The map behind the survey's claim that a witness always exists:
@@ -489,7 +470,7 @@ def test_survey_does_not_depend_on_its_vertex_order(monkeypatch, scan_order):
     the least map read in that order; only the cost follows the order."""
     sources = [K for v in range(4, 9) for K in _census_class_complexes(v)]
     assert len(sources) == 23
-    sources.append(_seven_vertex_torus())
+    sources.append(seven_vertex_torus())
 
     def outcome():
         return [s.max_abs for s in map(degree_survey, sources)]
@@ -510,7 +491,7 @@ def test_scan_from_an_edge_holds_at_most_481_states(monkeypatch):
     The largest |degree| is that of the label-order scan, and each
     witness is the frontier merge's in the survey's scan order."""
     K = build_join_cone_sphere(2, 3).source
-    sources = [_relabelled(K, seed) for seed in range(40)]
+    sources = [relabelled(K, seed) for seed in range(40)]
     surveys = [degree_survey(L) for L in sources]
     assert max(survey.peak_states for survey in surveys) == 481
     for L, survey in zip(sources, surveys):
@@ -530,12 +511,12 @@ def test_scan_from_an_edge_holds_at_most_481_states(monkeypatch):
         ),
         pytest.param(
             lambda: [
-                _relabelled(build_join_cone_sphere(2, 3).source, s) for s in range(20)
+                relabelled(build_join_cone_sphere(2, 3).source, s) for s in range(20)
             ],
             id="join-cone n=2 d=3 relabelled",
         ),
         pytest.param(
-            lambda: [_relabelled(build_stacked_sphere(2).source, s) for s in range(20)],
+            lambda: [relabelled(build_stacked_sphere(2).source, s) for s in range(20)],
             id="stacked n=2 relabelled",
         ),
     ],
@@ -637,6 +618,6 @@ def test_survey_of_relabelled_stacked_four_sphere_holds_at_most_1000_states():
     states.  The largest |degree| does not move."""
     K = build_stacked_sphere(4).source
     for seed in range(10):
-        survey = degree_survey(_relabelled(K, seed))
+        survey = degree_survey(relabelled(K, seed))
         assert survey.peak_states <= 1000
         assert survey.max_abs == 5
